@@ -3,9 +3,10 @@
 and cross-check the l = 2 column against the deformed integers."""
 
 import argparse
+from itertools import islice
 from math import gcd
 
-from pqcalc import Family, alexander_torus, alexander_torus2, pq_number
+from pqcalc import Family, alexander_torus, alexander_torus2, pq_numbers
 
 
 def main():
@@ -22,10 +23,8 @@ def main():
 
     print()
     top = 2 * args.bound
-    agree = all(
-        alexander_torus2(n) == pq_number(Family.ALEXANDER_FERMIONIC, n)
-        for n in range(1, top + 1)
-    )
+    fermionic = enumerate(pq_numbers(Family.ALEXANDER_FERMIONIC))
+    agree = all(alexander_torus2(n) == want for n, want in islice(fermionic, 1, top + 1))
     print(f"l = 2 column equals the alexander-fermionic integers up to "
           f"n = {top}: {agree}")
 

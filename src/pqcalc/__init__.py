@@ -32,6 +32,7 @@ from .qnumbers import (
     homfly_factorization_check,
     number_sequence,
     pq_number,
+    pq_numbers,
 )
 from .skein import (
     DegenerateSkeinError,
@@ -75,6 +76,7 @@ __all__ = [
     "homfly_factorization_check",
     "number_sequence",
     "pq_number",
+    "pq_numbers",
     "DegenerateSkeinError",
     "KnotCoefficients",
     "NotSolvableOnGridError",

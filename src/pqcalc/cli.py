@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from itertools import islice
 
 from . import laurent, qnumbers, skein, torus
 
@@ -48,8 +49,7 @@ def _suite_recurrence(max_n: int) -> list[Check]:
                 break
         checks.append(closure)
         agreement = Check(f"sum-agreement[{family.value}]", True)
-        for n in range(max_n + 1):
-            direct = qnumbers.pq_number(pair, n)
+        for n, direct in islice(enumerate(qnumbers.pq_numbers(family)), max_n + 1):
             if seq[n] != direct:
                 agreement = _mismatch(agreement.name, f"n={n}", seq[n], direct)
                 break
@@ -58,11 +58,10 @@ def _suite_recurrence(max_n: int) -> list[Check]:
 
 
 def _suite_delta_identity(max_n: int) -> list[Check]:
-    fermionic = qnumbers.Family.ALEXANDER_FERMIONIC
     numbers = Check("torus2-equals-deformed-number", True)
-    for n in range(1, max_n + 1):
+    fermionic = enumerate(qnumbers.pq_numbers(qnumbers.Family.ALEXANDER_FERMIONIC))
+    for n, want in islice(fermionic, 1, max_n + 1):
         value = torus.alexander_torus2(n)
-        want = qnumbers.pq_number(fermionic, n)
         if value != want:
             numbers = _mismatch(numbers.name, f"n={n}", value, want)
             break
@@ -78,12 +77,13 @@ def _suite_delta_identity(max_n: int) -> list[Check]:
 
 def _suite_homfly_factor(max_n: int) -> list[Check]:
     check = Check("homfly-monomial-factor", True)
-    for n in range(1, max_n + 1):
-        if not qnumbers.homfly_factorization_check(n):
-            got = qnumbers.pq_number(qnumbers.Family.HOMFLY_FERMIONIC, n)
-            want = laurent.LaurentPoly.monomial(1, 0, 2 * (n - 1)) * qnumbers.pq_number(
-                qnumbers.Family.ALEXANDER_FERMIONIC, n
-            )
+    pairs = zip(
+        qnumbers.pq_numbers(qnumbers.Family.HOMFLY_FERMIONIC),
+        qnumbers.pq_numbers(qnumbers.Family.ALEXANDER_FERMIONIC),
+    )
+    for n, (got, alex) in islice(enumerate(pairs), 1, max_n + 1):
+        want = laurent.LaurentPoly.monomial(1, 0, 2 * (n - 1)) * alex
+        if got != want:
             check = _mismatch(check.name, f"n={n}", got, want)
             break
     return [check]

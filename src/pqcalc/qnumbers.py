@@ -6,11 +6,22 @@ A pair ``(P, Q)`` of Laurent polynomials defines the deformed integers
 
 the geometric-sum form of ``(P^n - Q^n) / (P - Q)``.  The sum form is the
 definition used here because it needs no division and stays valid when
-``P = Q``.  The same numbers satisfy the three-term recurrence
+``P = Q``.  There are three routes to the numbers:
 
-    [n+1] = (P + Q)*[n] - P*Q*[n-1],    [0] = 0, [1] = 1,
+- ``pq_number(pair, n)`` sums the power tables ``P^i * Q^(n-1-i)``.  Use it
+  for one ``[n]``; it rebuilds the tables on every call.
+- ``pq_numbers(pair)`` yields ``[0], [1], [2], ...`` by the geometric step
+  ``[n+1] = P*[n] + Q^n``, keeping only the current ``[n]`` and ``Q^n``.
+  Use it to walk a run of ``[n]``: each next value costs two products.
+  Reaching one large ``[n]`` this way costs every value below it, far
+  more than ``pq_number``.
+- ``number_sequence(pair, n_max)`` lists ``[0]..[n_max]`` by the
+  three-term recurrence
 
-which is how ``number_sequence`` generates them.
+      [n+1] = (P + Q)*[n] - P*Q*[n-1],    [0] = 0, [1] = 1.
+
+  The two sum-form routes never use the recurrence, so either one is an
+  independent check of it.
 
 Six fixed families cover the classical knot polynomial specializations, in
 fermionic (half exponents, mixed signs) and bosonic (integer exponents)
@@ -20,6 +31,7 @@ form for each of Alexander, Jones, and HOMFLY.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .laurent import LaurentPoly, parse, poly_sum
@@ -93,6 +105,18 @@ def pq_number(family: Family | PQPair | str, n: int) -> LaurentPoly:
         p_pows.append(p_pows[-1] * pair.P)
         q_pows.append(q_pows[-1] * pair.Q)
     return poly_sum(p_pows[n - 1 - i] * q_pows[i] for i in range(n))
+
+
+def pq_numbers(family: Family | PQPair | str) -> Iterator[LaurentPoly]:
+    """[0], [1], [2], ... in the sum form, without end, by the geometric
+    step [n+1] = P*[n] + Q^n.  Only the current [n] and Q^n are kept."""
+    pair = family_params(family)
+    value = LaurentPoly.zero()
+    q_pow = LaurentPoly.one()
+    while True:
+        yield value
+        value = pair.P * value + q_pow
+        q_pow = q_pow * pair.Q
 
 
 def number_sequence(family: Family | PQPair | str, n_max: int) -> list[LaurentPoly]:

@@ -15,6 +15,7 @@ column reproduces the Alexander fermionic deformed integers exactly.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import gcd
 
 from . import qnumbers
@@ -64,9 +65,10 @@ def delta_identity_check(n_max: int) -> bool:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    for n in range(1, n_max + 1):
+    fermionic = enumerate(qnumbers.pq_numbers(qnumbers.Family.ALEXANDER_FERMIONIC))
+    for n, want in islice(fermionic, 1, n_max + 1):
         value = alexander_torus2(n)
-        if value != qnumbers.pq_number(qnumbers.Family.ALEXANDER_FERMIONIC, n):
+        if value != want:
             return False
         if n % 2 and value != alexander_torus(n, 2):
             return False

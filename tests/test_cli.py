@@ -7,9 +7,10 @@ import sys
 import pytest
 from jsonschema import validate
 
+from pqcalc import qnumbers
 from pqcalc.cli import SUITE_NAMES, main
 from pqcalc.laurent import JSON_SCHEMA, LaurentPoly, parse
-from pqcalc.qnumbers import Family, pq_number
+from pqcalc.qnumbers import Family, number_sequence, pq_number
 
 
 def run_cli(capsys, *argv):
@@ -245,6 +246,60 @@ def test_verify_failure_json(capsys, monkeypatch):
         not check["passed"] and "counterexample" in check["detail"]
         for check in payload["checks"]
     )
+
+
+def _poison_stream(monkeypatch, target: Family, k: int, bad: LaurentPoly):
+    """Make the sum-form stream of ``target`` yield ``bad`` in place of [k]."""
+    real = qnumbers.pq_numbers
+
+    def poisoned(family):
+        hit = qnumbers.family_params(family) == qnumbers.family_params(target)
+        for n, value in enumerate(real(family)):
+            yield bad if hit and n == k else value
+
+    monkeypatch.setattr("pqcalc.qnumbers.pq_numbers", poisoned)
+
+
+def _failures(capsys, fmt, *argv):
+    """Exit code and {check name: detail} of the failed checks."""
+    rc, out, _ = run_cli(capsys, "verify", *argv, "--format", fmt)
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["all_passed"] is False
+        return rc, {c["name"]: c["detail"] for c in payload["checks"] if not c["passed"]}
+    failed = {}
+    for line in out.splitlines():
+        if line.startswith("FAIL  "):
+            name, detail = line[len("FAIL  "):].split(": ", 1)
+            failed[name] = detail
+    return rc, failed
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_sum_agreement_counterexample(capsys, monkeypatch, fmt):
+    k, bad = 7, parse("q^5")
+    _poison_stream(monkeypatch, Family.ALEXANDER_BOSONIC, k, bad)
+    rc, failed = _failures(capsys, fmt, "--suite", "recurrence", "--max-n", "12")
+    assert rc == 1
+    # got is the recurrence value, expected the sum form
+    got = number_sequence(Family.ALEXANDER_BOSONIC, k)[k]
+    assert failed == {
+        "sum-agreement[alexander-bosonic]":
+            f"first counterexample at n={k}: got {got}, expected {bad}",
+    }
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_homfly_factor_counterexample(capsys, monkeypatch, fmt):
+    k, bad = 5, parse("q")
+    _poison_stream(monkeypatch, Family.HOMFLY_FERMIONIC, k, bad)
+    rc, failed = _failures(capsys, fmt, "--suite", "homfly-factor", "--max-n", "12")
+    assert rc == 1
+    # got is the homfly [n], expected p^(n-1) times the alexander [n]
+    want = LaurentPoly.monomial(1, 0, 2 * (k - 1)) * pq_number(Family.ALEXANDER_FERMIONIC, k)
+    assert failed == {
+        "homfly-monomial-factor": f"first counterexample at n={k}: got {bad}, expected {want}",
+    }
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Deformed-integer families: parameter tables, sum form, recurrence."""
 
+from itertools import islice
+
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -12,6 +15,7 @@ from pqcalc.qnumbers import (
     homfly_factorization_check,
     number_sequence,
     pq_number,
+    pq_numbers,
 )
 
 from poly_strategies import monomials, polys
@@ -101,6 +105,30 @@ def test_division_identity_random_pairs(P, Q):
     pair = PQPair(P, Q)
     for n in range(9):
         assert pq_number(pair, n) * (P - Q) == P**n - Q**n
+
+
+# ----------------------------------------------------------------------
+# the sum-form stream, against the power-table sum
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_stream_matches_power_tables_families(family):
+    assert list(islice(pq_numbers(family), 41)) == [pq_number(family, n) for n in range(41)]
+
+
+@given(P=polys(max_terms=2), Q=polys(max_terms=2), n=st.integers(0, 40))
+@settings(deadline=None, max_examples=60)
+def test_stream_matches_power_tables_random_pairs(P, Q, n):
+    pair = PQPair(P, Q)
+    assert next(islice(pq_numbers(pair), n, None)) == pq_number(pair, n)
+
+
+@given(P=polys(max_terms=2), n=st.integers(0, 40))
+@settings(deadline=None, max_examples=40)
+def test_stream_matches_power_tables_degenerate_and_zero_product(P, n):
+    # P = Q, where the quotient form degenerates, and Q = 0, where P*Q = 0
+    for pair in (PQPair(P, P), PQPair(P, LaurentPoly.zero())):
+        assert next(islice(pq_numbers(pair), n, None)) == pq_number(pair, n)
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,39 @@
+"""The example scripts run end to end as separate processes."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
+def test_torus_table_column_agrees():
+    proc = run_script("torus_table.py", "--bound", "7")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "D(2,3) = q - 1 + q^(-1)" in lines
+    assert lines[-1] == (
+        "l = 2 column equals the alexander-fermionic integers up to n = 14: True"
+    )
+
+
+def test_number_tables_lists_every_family():
+    proc = run_script("number_tables.py", "--max-n", "8")
+    assert proc.returncode == 0, proc.stderr
+    headers = [line for line in proc.stdout.splitlines() if line.startswith("== ")]
+    assert headers == [
+        "== alexander-fermionic", "== alexander-bosonic", "== jones-fermionic",
+        "== jones-bosonic", "== homfly-fermionic", "== homfly-bosonic",
+    ]
