@@ -137,10 +137,7 @@ _SUITES = {
 
 
 def _print_poly(f: laurent.LaurentPoly, fmt: str):
-    if fmt == "json":
-        print(json.dumps(f.to_json_obj(), indent=2))
-    else:
-        print(f.text())
+    print(laurent.format_poly(f, fmt))
 
 
 def _print_pairs(pairs: list[tuple[str, laurent.LaurentPoly]], fmt: str):

@@ -12,10 +12,11 @@ exponent; text and JSON output list terms in descending canonical order.
 
 from __future__ import annotations
 
-import json
 import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from itertools import islice
 from math import isqrt
 from typing import Iterable, Mapping, Union
 
@@ -76,13 +77,15 @@ class LaurentPoly:
     ):
         if isinstance(terms, str):
             data = _parse_text(terms)
+        elif isinstance(terms, bool):
+            raise TypeError("coefficients must be int, got bool")
         elif isinstance(terms, int):
             data = {(0, 0): terms} if terms else {}
         else:
             items = terms.items() if isinstance(terms, Mapping) else terms
             data = {}
             for exp, coeff in items:
-                if not isinstance(coeff, int):
+                if not isinstance(coeff, int) or isinstance(coeff, bool):
                     raise TypeError(f"coefficients must be int, got {type(coeff).__name__}")
                 key = (int(exp[0]), int(exp[1]))
                 acc = data.get(key, 0) + coeff
@@ -148,7 +151,9 @@ class LaurentPoly:
         if isinstance(value, LaurentPoly):
             return value
         if isinstance(value, int):
-            return LaurentPoly(value)
+            # bools act as 0 and 1 here, as in int arithmetic; only the
+            # constructor refuses them as coefficients
+            return LaurentPoly(int(value))
         return None
 
     def __add__(self, other) -> LaurentPoly:
@@ -173,13 +178,20 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        data = dict(self._terms)
+        for exp, coeff in other._terms.items():
+            acc = data.get(exp, 0) - coeff
+            if acc:
+                data[exp] = acc
+            else:
+                data.pop(exp, None)
+        return LaurentPoly._raw(data)
 
     def __rsub__(self, other) -> LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other) -> LaurentPoly:
         other = self._coerce(other)
@@ -276,12 +288,21 @@ class LaurentPoly:
 
     @classmethod
     def from_json_obj(cls, obj: Mapping) -> LaurentPoly:
+        """Inverse of ``to_json_obj``.  Coefficients must be decimal strings
+        matching ``^-?[0-9]+$`` and exponents JSON integers, as in
+        ``JSON_SCHEMA``; anything else raises ``ValueError``."""
         if obj.get("variables") != ["q", "p"]:
             raise ValueError("expected variables ['q', 'p']")
         items = []
         for term in obj["terms"]:
-            exp2 = term["exp2"]
-            items.append(((int(exp2["q"]), int(exp2["p"])), int(term["coeff"])))
+            coeff = term["coeff"]
+            if not isinstance(coeff, str) or not _COEFF_RE.fullmatch(coeff):
+                raise ValueError(f"coefficient {coeff!r} is not a decimal integer string")
+            exp = (term["exp2"]["q"], term["exp2"]["p"])
+            for e2 in exp:
+                if not isinstance(e2, int) or isinstance(e2, bool):
+                    raise ValueError(f"exponent {e2!r} is not an integer")
+            items.append((exp, int(coeff)))
         return cls(items)
 
     def __str__(self) -> str:
@@ -332,12 +353,31 @@ def _var_text(name: str, e2: int) -> str:
     return f"{name}^({e2}/2)"
 
 
+_COEFF_RE = re.compile(r"-?[0-9]+")
+
+# The layout ``json.dumps(f.to_json_obj(), indent=2)`` writes, spelled out:
+# with ``indent`` set, CPython's encoder falls back to pure Python, about
+# ten times slower than filling this template.
+_JSON_HEAD = '{\n  "variables": [\n    "q",\n    "p"\n  ],\n  "terms": '
+_JSON_TERM = (
+    '    {\n      "coeff": "%d",\n      "exp2": {\n'
+    '        "q": %d,\n        "p": %d\n      }\n    }'
+)
+
+
 def format_poly(f: LaurentPoly, mode: str = "text") -> str:
-    """Render ``f`` deterministically.  ``mode`` is ``"text"`` or ``"json"``."""
+    """Render ``f`` deterministically.  ``mode`` is ``"text"`` or ``"json"``.
+
+    The JSON form is byte-identical to
+    ``json.dumps(f.to_json_obj(), indent=2)``.
+    """
     if mode == "text":
         return f.text()
     if mode == "json":
-        return json.dumps(f.to_json_obj(), indent=2)
+        if f.is_zero:
+            return _JSON_HEAD + "[]\n}"
+        body = ",\n".join([_JSON_TERM % (c, q2, p2) for (q2, p2), c in f.terms()])
+        return _JSON_HEAD + "[\n" + body + "\n  ]\n}"
     raise ValueError(f"unknown format mode: {mode!r}")
 
 
@@ -356,12 +396,15 @@ def parse(text: str) -> LaurentPoly:
     offending character position.
 
     >>> parse("2q^(1/2) - p^2")
-    LaurentPoly('-p^2 + 2*q^(1/2)')
+    LaurentPoly('2*q^(1/2) - p^2')
     """
     return LaurentPoly._raw(_parse_text(text))
 
 
-_INT_RE = re.compile(r"\d+")
+# ASCII digits only: ``\d`` and ``str.isdigit`` also accept other scripts'
+# digits, which the grammar does not.
+_INT_RE = re.compile(r"[0-9]+")
+_DIGITS = frozenset("0123456789")
 
 
 class _Parser:
@@ -388,7 +431,7 @@ class _Parser:
     def take_signed_int(self) -> int:
         ch = self.peek()
         sign = 1
-        if ch in "+-":
+        if ch in ("+", "-"):
             self.pos += 1
             sign = -1 if ch == "-" else 1
         return sign * self.take_uint()
@@ -417,7 +460,7 @@ class _Parser:
     def parse_term(self, acc: dict[ExpVec, int], sign: int):
         ch = self.peek()
         coeff = None
-        if ch.isdigit():
+        if ch in _DIGITS:
             coeff = self.take_uint()
         elif ch not in ("q", "p"):
             self.fail("expected a coefficient or a variable")
@@ -470,7 +513,7 @@ class _Parser:
                     f"exponent {num}/{den} is not an integer multiple of 1/2", start
                 )
             return int(doubled)
-        if ch in "+-" or ch.isdigit():
+        if ch in ("+", "-") or ch in _DIGITS:
             return 2 * self.take_signed_int()
         self.fail("expected an exponent")
 
@@ -511,6 +554,14 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     outside that box proves the division inexact.  The box also bounds the
     loop: candidate exponents strictly decrease, hence termination.
 
+    The remainder's exponents are kept in a max-heap with lazy deletion
+    (Monagan and Pearce, "Sparse polynomial division using a heap", 2011):
+    a key cancelled out of the remainder stays in the heap and is skipped
+    when popped, and a key an update brings into the remainder is pushed.
+    Every key a step touches lies at or below the exponent it processes,
+    so the heap order is exact, and the cost is O(steps * |den| * log)
+    rather than O(steps * |remainder|).
+
     >>> exact_div(parse("q - q^(-1)"), parse("q^(1/2) - q^(-1/2)"))
     LaurentPoly('q^(1/2) + q^(-1/2)')
     """
@@ -522,13 +573,19 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     (den_lo, den_hi) = _component_bounds(den)
     lo = (num_lo[0] - den_lo[0], num_lo[1] - den_lo[1])
     hi = (num_hi[0] - den_hi[0], num_hi[1] - den_hi[1])
-    lead_exp, lead_coeff = den.leading_term()
+    (lead_q, lead_p), lead_coeff = den.leading_term()
+    # the leading term cancels the processed key by construction
+    tail = [(exp, c) for exp, c in den._terms.items() if exp != (lead_q, lead_p)]
     rem = dict(num._terms)
+    heap = [(-q2, -p2) for q2, p2 in rem]
+    heapify(heap)
     quot: dict[ExpVec, int] = {}
-    while rem:
-        exp = max(rem)
-        coeff = rem[exp]
-        t_exp = (exp[0] - lead_exp[0], exp[1] - lead_exp[1])
+    while heap:
+        neg_q, neg_p = heappop(heap)
+        coeff = rem.pop((-neg_q, -neg_p), 0)
+        if not coeff:
+            continue
+        t_exp = (-neg_q - lead_q, -neg_p - lead_p)
         if not (lo[0] <= t_exp[0] <= hi[0] and lo[1] <= t_exp[1] <= hi[1]):
             raise NonExactDivisionError(f"{num} is not divisible by {den}")
         t_coeff, residue = divmod(coeff, lead_coeff)
@@ -538,14 +595,21 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
                 f"{lead_coeff} of {den}"
             )
         quot[t_exp] = t_coeff
-        for (dq, dp), dc in den._terms.items():
-            key = (t_exp[0] + dq, t_exp[1] + dp)
-            acc = rem.get(key, 0) - t_coeff * dc
-            if acc:
-                rem[key] = acc
-            else:
-                rem.pop(key, None)
+        for (dq, dp), dc in tail:
+            _sub_term(rem, heap, (t_exp[0] + dq, t_exp[1] + dp), t_coeff * dc)
     return LaurentPoly._raw(quot)
+
+
+def _sub_term(rem: dict[ExpVec, int], heap: list[ExpVec], key: ExpVec, value: int):
+    # rem[key] -= value (value != 0); a key new to rem goes on the heap
+    old = rem.get(key)
+    if old is None:
+        rem[key] = -value
+        heappush(heap, (-key[0], -key[1]))
+    elif old == value:
+        del rem[key]
+    else:
+        rem[key] = old - value
 
 
 def sqrt_perfect_square(f: LaurentPoly) -> LaurentPoly:
@@ -557,6 +621,11 @@ def sqrt_perfect_square(f: LaurentPoly) -> LaurentPoly:
     by the highest unmatched term of the running residue.  The same
     per-variable box argument as in ``exact_div`` bounds the search, so a
     polynomial that is not a perfect square fails cleanly.
+
+    The residue's exponents sit in the same lazily pruned max-heap as in
+    ``exact_div``; every key a step touches lies below the one it
+    processes, so the cost is O(steps * |root| * log) rather than
+    O(steps * |residue|).
 
     >>> sqrt_perfect_square(parse("q - 2 + q^(-1)"))
     LaurentPoly('q^(1/2) - q^(-1/2)')
@@ -584,10 +653,14 @@ def sqrt_perfect_square(f: LaurentPoly) -> LaurentPoly:
     root: dict[ExpVec, int] = {head: root_lc}
     rem = dict(f._terms)
     del rem[(lq, lp)]
-    while rem:
-        exp = max(rem)
-        coeff = rem[exp]
-        t_exp = (exp[0] - head[0], exp[1] - head[1])
+    heap = [(-q2, -p2) for q2, p2 in rem]
+    heapify(heap)
+    while heap:
+        neg_q, neg_p = heappop(heap)
+        coeff = rem.pop((-neg_q, -neg_p), 0)
+        if not coeff:
+            continue
+        t_exp = (-neg_q - head[0], -neg_p - head[1])
         if not (lo[0] <= t_exp[0] <= hi[0] and lo[1] <= t_exp[1] <= hi[1]):
             raise NotAPerfectSquareError(
                 f"{f} is not a perfect square on the half-integer grid"
@@ -598,20 +671,11 @@ def sqrt_perfect_square(f: LaurentPoly) -> LaurentPoly:
                 f"{f} is not a perfect square on the half-integer grid"
             )
         # residue update: rem -= (2*root + t) * t, with root not yet
-        # containing t
-        for (rq, rp), rc in root.items():
-            key = (t_exp[0] + rq, t_exp[1] + rp)
-            acc = rem.get(key, 0) - 2 * t_coeff * rc
-            if acc:
-                rem[key] = acc
-            else:
-                rem.pop(key, None)
-        key = (2 * t_exp[0], 2 * t_exp[1])
-        acc = rem.get(key, 0) - t_coeff * t_coeff
-        if acc:
-            rem[key] = acc
-        else:
-            rem.pop(key, None)
+        # containing t; the head, root's first entry, cancels the
+        # processed key
+        for (rq, rp), rc in islice(root.items(), 1, None):
+            _sub_term(rem, heap, (t_exp[0] + rq, t_exp[1] + rp), 2 * t_coeff * rc)
+        _sub_term(rem, heap, (2 * t_exp[0], 2 * t_exp[1]), t_coeff * t_coeff)
         root[t_exp] = t_coeff
     return LaurentPoly._raw(root)
 

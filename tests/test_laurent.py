@@ -1,11 +1,12 @@
 """Kernel tests: arithmetic, division, roots, parsing, rendering, numerics."""
 
+import json
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from pqcalc.laurent import (
@@ -25,7 +26,7 @@ from pqcalc.laurent import (
     substitute_z,
 )
 
-from poly_strategies import monomials, nonzero_polys, polys, positive_leading_polys
+from poly_strategies import exp2s, monomials, nonzero_polys, polys, positive_leading_polys
 
 
 # ----------------------------------------------------------------------
@@ -49,6 +50,18 @@ def test_int_equality_and_hash_agree():
     assert LaurentPoly.one() == 1
     assert hash(LaurentPoly.monomial(7)) == hash(7)
     assert hash(LaurentPoly.zero()) == hash(0)
+
+
+@pytest.mark.parametrize("terms", [True, False, {(0, 0): True}, [((2, 0), False)]])
+def test_constructor_rejects_bool_coefficients(terms):
+    with pytest.raises(TypeError):
+        LaurentPoly(terms)
+
+
+def test_bools_coerce_like_ints_in_arithmetic():
+    assert LaurentPoly.one() == True  # noqa: E712
+    assert (parse("q") + True).terms() == (((2, 0), 1), ((0, 0), 1))
+    assert format_poly(True - parse("q"), "json") == format_poly(1 - parse("q"), "json")
 
 
 def test_repr_round_trips():
@@ -142,6 +155,17 @@ def test_exact_div_zero_numerator():
     assert exact_div(LaurentPoly.zero(), parse("q - 1")) == 0
 
 
+def test_exact_div_restores_a_cancelled_remainder_key():
+    # step one cancels the constant out of the remainder and step two
+    # brings it back, pushing a second heap entry; the later one is stale
+    num = parse("-2*q^4 - 2 - 2*q^(-4)")
+    den = parse("2*q + 2*q^(-1) + 2*q^(-3)")
+    assert exact_div(num, den) == parse("-q^3 + q - q^(-1)")
+    assert exact_div(num * parse("p - 1"), den) == parse("-q^3 + q - q^(-1)") * parse("p - 1")
+    with pytest.raises(NonExactDivisionError):
+        exact_div(num + 2, den)
+
+
 def test_exact_div_two_variables():
     f = parse("p^2*q - 3*p + q^(-1/2)")
     g = parse("p*q^(3/2) - 2")
@@ -190,6 +214,23 @@ def test_sqrt_rejects_non_squares():
 def test_sqrt_of_plain_q_is_half_power():
     # q = (q^(1/2))^2 is a square on the half-integer grid
     assert sqrt_perfect_square(parse("q")) == parse("q^(1/2)")
+
+
+def test_sqrt_skips_and_restores_cancelled_residue_keys():
+    # the first step cancels q^4 with live keys still below it
+    assert sqrt_perfect_square(parse("q^6 + 2*q^5 + q^4 + 2*q^3 + 2*q^2 + 1")) == parse(
+        "q^3 + q^2 + 1"
+    )
+    # here the q^(-4) key cancels and later comes back
+    root = parse("2 + 2*q^(-1) - 4*q^(-2) + 4*q^(-3) - 4*q^(-4)")
+    square = parse(
+        "4 + 8*q^(-1) - 12*q^(-2) + 16*q^(-4) - 48*q^(-5) + 48*q^(-6)"
+        " - 32*q^(-7) + 16*q^(-8)"
+    )
+    assert root * root == square
+    assert sqrt_perfect_square(square) == root
+    with pytest.raises(NotAPerfectSquareError):
+        sqrt_perfect_square(square + parse("q^(-4)"))
 
 
 def test_sqrt_rejects_zero():
@@ -278,6 +319,18 @@ def test_parse_error_position_points_at_offender():
     assert info.value.position == 4
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [("\u0663q", 0), ("q^\u0662", 2), ("q^(1/\u0662)", 5), ("2\uff13", 1), ("q^", 2), ("q^(", 3)],
+)
+def test_parse_rejects_non_ascii_digits_and_truncation(text, position):
+    # Arabic-Indic and fullwidth digits are not grammar digits; an exponent
+    # cut off at the end is reported at the end, not past it
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert info.value.position == position
+
+
 # ----------------------------------------------------------------------
 # rendering
 
@@ -330,6 +383,38 @@ def test_json_round_trip(f):
     obj = f.to_json_obj()
     jsonschema.validate(obj, JSON_SCHEMA)
     assert LaurentPoly.from_json_obj(obj) == f
+
+
+@pytest.mark.parametrize(
+    "coeff, exp2",
+    [
+        ("1_000", {"q": 0, "p": 0}),
+        (" 1", {"q": 0, "p": 0}),
+        ("+1", {"q": 0, "p": 0}),
+        ("\u0663", {"q": 0, "p": 0}),
+        (7, {"q": 0, "p": 0}),
+        ("1", {"q": " 2", "p": 0}),
+        ("1", {"q": 0, "p": True}),
+    ],
+)
+def test_from_json_obj_rejects_what_the_schema_forbids(coeff, exp2):
+    obj = {"variables": ["q", "p"], "terms": [{"coeff": coeff, "exp2": exp2}]}
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(obj, JSON_SCHEMA)
+    with pytest.raises(ValueError):
+        LaurentPoly.from_json_obj(obj)
+
+
+big_coeffs = st.integers(min_value=-(2**80), max_value=2**80).filter(bool)
+
+
+@given(terms=st.lists(st.tuples(st.tuples(exp2s, exp2s), big_coeffs), max_size=6))
+@example(terms=[])
+@example(terms=[((-3, -1), 2**64 + 1), ((-1, 0), -(2**65))])
+@settings(deadline=None)
+def test_format_json_matches_the_encoder(terms):
+    f = LaurentPoly(terms)
+    assert format_poly(f, "json") == json.dumps(f.to_json_obj(), indent=2)
 
 
 def test_json_orders_terms_descending():

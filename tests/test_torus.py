@@ -87,6 +87,33 @@ def test_normalization_at_q_one():
         assert eval_numeric(alexander_torus(n, l), Fraction(1)) == 1
 
 
+def semigroup_form(n: int, l: int) -> LaurentPoly:
+    """D(n, l) = q^(-c/2) * [(1 - q) * sum_{s in <n, l>, s < c} q^s + q^c]
+    with c = (n-1)(l-1): no division, so it checks exact_div independently."""
+    c = (n - 1) * (l - 1)
+    member = [False] * (c + 1)
+    member[0] = True
+    for s in range(1, c + 1):
+        member[s] = (s >= n and member[s - n]) or (s >= l and member[s - l])
+    terms = {(c, 0): 1}  # doubled exponent of q^c * q^(-c/2)
+    for s in range(c):
+        if member[s]:
+            terms[(2 * s - c, 0)] = terms.get((2 * s - c, 0), 0) + 1
+            terms[(2 * s + 2 - c, 0)] = terms.get((2 * s + 2 - c, 0), 0) - 1
+    return LaurentPoly(terms)
+
+
+def test_matches_semigroup_form_below_30():
+    for n, l in coprime_pairs(29):
+        assert alexander_torus(n, l) == semigroup_form(n, l), (n, l)
+
+
+def test_matches_semigroup_form_at_199_211():
+    value = alexander_torus(199, 211)
+    assert value == semigroup_form(199, 211)
+    assert len(value.terms()) == 20417
+
+
 # ----------------------------------------------------------------------
 # the l = 2 column
 
