@@ -45,6 +45,7 @@ from .skein import (
     recurrence_generate,
 )
 from .torus import (
+    BudgetExceededError,
     NotCoprimeError,
     alexander_torus,
     alexander_torus2,
@@ -85,6 +86,7 @@ __all__ = [
     "link_coeffs_from_pq",
     "pq_from_link_coeffs",
     "recurrence_generate",
+    "BudgetExceededError",
     "NotCoprimeError",
     "alexander_torus",
     "alexander_torus2",

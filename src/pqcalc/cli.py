@@ -3,7 +3,8 @@
 Subcommands: number, family-params, pq-number, skein-coeffs, knot-to-link,
 torus-alexander, sequence, verify.  Output goes to stdout (``--format text``
 or ``--format json``), diagnostics to stderr.  Exit codes: 0 on success,
-1 when a verify suite finds a counterexample, 2 on usage or input errors.
+1 when a verify suite finds a counterexample, 2 on usage or input errors,
+3 on an internal error, an exception that no bad input explains.
 """
 
 from __future__ import annotations
@@ -375,9 +376,13 @@ def main(argv: list[str] | None = None) -> int:
     fmt = getattr(args, "format", "text")
     try:
         return _HANDLERS[args.command](args, fmt)
-    except Exception as exc:
+    except (ValueError, laurent.LaurentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # an engine bug: say so, and keep it apart from a usage error
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

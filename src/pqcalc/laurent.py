@@ -267,7 +267,7 @@ class LaurentPoly:
                 factors.append(_var_text("q", q2))
             mag = abs(coeff)
             if mag != 1 or not factors:
-                factors.insert(0, str(mag))
+                factors.insert(0, _int_to_str(mag))
             body = "*".join(factors)
             if not chunks:
                 chunks.append(("-" if coeff < 0 else "") + body)
@@ -281,7 +281,7 @@ class LaurentPoly:
         return {
             "variables": ["q", "p"],
             "terms": [
-                {"coeff": str(coeff), "exp2": {"q": q2, "p": p2}}
+                {"coeff": _int_to_str(coeff), "exp2": {"q": q2, "p": p2}}
                 for (q2, p2), coeff in self.terms()
             ],
         }
@@ -302,7 +302,7 @@ class LaurentPoly:
             for e2 in exp:
                 if not isinstance(e2, int) or isinstance(e2, bool):
                     raise ValueError(f"exponent {e2!r} is not an integer")
-            items.append((exp, int(coeff)))
+            items.append((exp, _int_from_str(coeff)))
         return cls(items)
 
     def __str__(self) -> str:
@@ -363,6 +363,37 @@ _JSON_TERM = (
     '    {\n      "coeff": "%d",\n      "exp2": {\n'
     '        "q": %d,\n        "p": %d\n      }\n    }'
 )
+# the same, for a coefficient already rendered by ``_int_to_str``
+_JSON_TERM_STR = _JSON_TERM.replace('"%d"', '"%s"', 1)
+
+# CPython refuses to convert between int and decimal str past
+# ``sys.get_int_max_str_digits()`` digits (4300 by default, never below 640
+# when set).  Exact coefficients outgrow that, so the two helpers below
+# split long values in halves until every piece is short enough.
+_SAFE_DIGITS = 600
+
+
+def _int_to_str(v: int) -> str:
+    """``str(v)`` at any size."""
+    try:
+        return str(v)
+    except ValueError:
+        pass
+    if v < 0:
+        return "-" + _int_to_str(-v)
+    k = v.bit_length() * 3 // 20  # about half the decimal digits: log10(2) ~ 3/10
+    high, low = divmod(v, 10**k)
+    return _int_to_str(high) + _int_to_str(low).zfill(k)
+
+
+def _int_from_str(s: str) -> int:
+    """``int(s)`` at any size, for ``s`` matching ``-?[0-9]+``."""
+    if s[0] == "-":
+        return -_int_from_str(s[1:])
+    if len(s) <= _SAFE_DIGITS:
+        return int(s)
+    k = len(s) // 2
+    return _int_from_str(s[:-k]) * 10**k + _int_from_str(s[-k:])
 
 
 def format_poly(f: LaurentPoly, mode: str = "text") -> str:
@@ -376,7 +407,13 @@ def format_poly(f: LaurentPoly, mode: str = "text") -> str:
     if mode == "json":
         if f.is_zero:
             return _JSON_HEAD + "[]\n}"
-        body = ",\n".join([_JSON_TERM % (c, q2, p2) for (q2, p2), c in f.terms()])
+        terms = f.terms()
+        try:
+            body = ",\n".join([_JSON_TERM % (c, q2, p2) for (q2, p2), c in terms])
+        except ValueError:
+            body = ",\n".join(
+                [_JSON_TERM_STR % (_int_to_str(c), q2, p2) for (q2, p2), c in terms]
+            )
         return _JSON_HEAD + "[\n" + body + "\n  ]\n}"
     raise ValueError(f"unknown format mode: {mode!r}")
 
@@ -426,7 +463,7 @@ class _Parser:
         if not m:
             self.fail("expected an integer")
         self.pos = m.end()
-        return int(m.group())
+        return _int_from_str(m.group())
 
     def take_signed_int(self) -> int:
         ch = self.peek()
@@ -591,8 +628,8 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         t_coeff, residue = divmod(coeff, lead_coeff)
         if residue:
             raise NonExactDivisionError(
-                f"coefficient {coeff} is not divisible by the leading coefficient "
-                f"{lead_coeff} of {den}"
+                f"coefficient {_int_to_str(coeff)} is not divisible by the leading "
+                f"coefficient {_int_to_str(lead_coeff)} of {den}"
             )
         quot[t_exp] = t_coeff
         for (dq, dp), dc in tail:
@@ -635,14 +672,14 @@ def sqrt_perfect_square(f: LaurentPoly) -> LaurentPoly:
     (lq, lp), lead_coeff = f.leading_term()
     if lead_coeff < 0:
         raise NotAPerfectSquareError(
-            f"leading coefficient {lead_coeff} of {f} is negative"
+            f"leading coefficient {_int_to_str(lead_coeff)} of {f} is negative"
         )
     if lq % 2 or lp % 2:
         raise NotAPerfectSquareError(f"leading exponents of {f} are off the square grid")
     root_lc = isqrt(lead_coeff)
     if root_lc * root_lc != lead_coeff:
         raise NotAPerfectSquareError(
-            f"leading coefficient {lead_coeff} of {f} is not a perfect square"
+            f"leading coefficient {_int_to_str(lead_coeff)} of {f} is not a perfect square"
         )
     (vq, vp), (dq, dp) = _component_bounds(f)
     if vq % 2 or vp % 2:

@@ -145,6 +145,9 @@ def test_criterion_3_torus_column_two(capsys):
 def test_criterion_4_torus_closed_form(capsys):
     from math import gcd
 
+    def q_diff(e2):
+        return LaurentPoly({(e2, 0): 1, (-e2, 0): -1})
+
     def body():
         failures = []
         one = LaurentPoly.one()
@@ -152,7 +155,11 @@ def test_criterion_4_torus_closed_form(capsys):
             for l in range(n, 16):
                 if gcd(n, l) != 1:
                     continue
-                value = alexander_torus(n, l)  # raises if division inexact
+                value = alexander_torus(n, l)
+                # the paper's quotient, by exact division (raises if inexact)
+                quotient = exact_div(q_diff(n * l) * q_diff(1), q_diff(n) * q_diff(l))
+                if value != quotient:
+                    failures.append(f"quotient ({n}, {l})")
                 if alexander_torus(l, n) != value:
                     failures.append(f"symmetry ({n}, {l})")
                 if n == 1 and value != one:

@@ -7,7 +7,7 @@ import sys
 import pytest
 from jsonschema import validate
 
-from pqcalc import qnumbers
+from pqcalc import cli, qnumbers
 from pqcalc.cli import SUITE_NAMES, main
 from pqcalc.laurent import JSON_SCHEMA, LaurentPoly, parse
 from pqcalc.qnumbers import Family, number_sequence, pq_number
@@ -216,6 +216,38 @@ def test_usage_errors_exit_2(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
     assert rc == 2
     assert err != ""
+
+
+@pytest.mark.parametrize("n, l", [("2", "4000001"), ("4300000000", "4300000001")])
+def test_oversized_torus_pairs_exit_2(capsys, n, l):
+    rc, out, err = run_cli(capsys, "torus-alexander", "--n", n, "--l", l)
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: D({n}, {l}) is over the budget of 4000000 walk steps and terms\n"
+
+
+def test_internal_errors_exit_3(capsys, monkeypatch):
+    def broken(args, fmt):
+        raise RuntimeError("engine bug")
+
+    monkeypatch.setitem(cli._HANDLERS, "torus-alexander", broken)
+    rc, out, err = run_cli(capsys, "torus-alexander", "--n", "3", "--l", "2")
+    assert rc == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: engine bug\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_coefficients_past_the_int_str_limit(capsys, fmt):
+    # [500] of P = 10^9 q, Q = 1 has coefficients of up to 4492 digits,
+    # past CPython's default 4300-digit int/str conversion limit
+    argv = ["number", "--family", "custom", "--P", "1000000000*q", "--Q", "1", "--n", "500"]
+    rc, out, err = run_cli(capsys, "--format", fmt, *argv)
+    assert rc == 0
+    assert err == ""
+    want = pq_number(qnumbers.PQPair(parse("1000000000*q"), LaurentPoly.one()), 500)
+    got = parse(out) if fmt == "text" else LaurentPoly.from_json_obj(json.loads(out))
+    assert got == want
 
 
 def test_documented_failure_names_the_root(capsys):

@@ -1,6 +1,7 @@
 """Kernel tests: arithmetic, division, roots, parsing, rendering, numerics."""
 
 import json
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -420,6 +421,43 @@ def test_format_json_matches_the_encoder(terms):
 def test_json_orders_terms_descending():
     obj = parse("q^(-1) + q").to_json_obj()
     assert [t["exp2"]["q"] for t in obj["terms"]] == [2, -2]
+
+
+# CPython converts between int and decimal str only up to
+# sys.get_int_max_str_digits() digits (4300 by default); exact coefficients
+# outgrow that, and the kernel converts long ones piecewise.
+
+
+@pytest.mark.parametrize("k", [1, 599, 600, 601, 1300, 4299, 4300, 4301, 9000])
+def test_long_coefficients_render_and_parse_exactly(k):
+    # 10^k - 1, 10^k, 10^k + 1 have digit strings known without converting
+    cases = [
+        (10**k - 1, "9" * k),
+        (10**k, "1" + "0" * k),
+        (10**k + 1, "1" + "0" * (k - 1) + "1"),
+    ]
+    for value, digits in cases:
+        f = LaurentPoly({(2, 0): value, (0, 0): -value})
+        assert f.text() == f"{digits}*q - {digits}"
+        assert parse(f"{digits}*q - {digits}") == f
+        obj = f.to_json_obj()
+        assert [t["coeff"] for t in obj["terms"]] == [digits, "-" + digits]
+        assert LaurentPoly.from_json_obj(obj) == f
+        rendered = format_poly(f, "json")
+        assert rendered == json.dumps(obj, indent=2)
+        assert LaurentPoly.from_json_obj(json.loads(rendered)) == f
+
+
+def test_long_coefficients_round_trip():
+    rng = random.Random(4300)
+    for _ in range(20):
+        size = rng.randint(4200, 9000)
+        digits = str(rng.randint(1, 9)) + "".join(rng.choices("0123456789", k=size))
+        f = parse(digits + "*p")
+        assert f.text() == digits + "*p"
+        high, low = digits[: size // 2], digits[size // 2 :]
+        assert f == parse(high + "*p") * 10 ** len(low) + parse(low + "*p")
+        assert LaurentPoly.from_json_obj(json.loads(format_poly(f, "json"))) == f
 
 
 # ----------------------------------------------------------------------
