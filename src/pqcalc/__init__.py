@@ -26,9 +26,11 @@ from .laurent import (
 )
 from .qnumbers import (
     FAMILY_NAMES,
+    Counterexample,
     Family,
     PQPair,
     family_params,
+    first_counterexample,
     homfly_factorization_check,
     number_sequence,
     pq_number,
@@ -49,7 +51,9 @@ from .torus import (
     NotCoprimeError,
     alexander_torus,
     alexander_torus2,
+    closed_form_counterexample,
     delta_identity_check,
+    torus2_counterexample,
 )
 
 __version__ = "0.1.0"
@@ -71,9 +75,11 @@ __all__ = [
     "sqrt_perfect_square",
     "substitute_z",
     "FAMILY_NAMES",
+    "Counterexample",
     "Family",
     "PQPair",
     "family_params",
+    "first_counterexample",
     "homfly_factorization_check",
     "number_sequence",
     "pq_number",
@@ -90,6 +96,8 @@ __all__ = [
     "NotCoprimeError",
     "alexander_torus",
     "alexander_torus2",
+    "closed_form_counterexample",
     "delta_identity_check",
+    "torus2_counterexample",
     "__version__",
 ]

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: number, family-params, pq-number, skein-coeffs, knot-to-link,
-torus-alexander, sequence, verify.  Output goes to stdout (``--format text``
+torus-alexander, sequence, verify.  ``pq-number`` is another spelling of
+``number --family custom``, and ``knot-to-link`` of ``skein-coeffs --k1 --k2``;
+each runs the same handler.  Output goes to stdout (``--format text``
 or ``--format json``), diagnostics to stderr.  Exit codes: 0 on success,
 1 when a verify suite finds a counterexample, 2 on usage or input errors,
 3 on an internal error, an exception that no bad input explains.
@@ -12,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import islice
 
 from . import laurent, qnumbers, skein, torus
@@ -31,97 +33,72 @@ class Check:
     detail: str = ""
 
 
-def _mismatch(name: str, where: str, got, want) -> Check:
-    return Check(name, False, f"first counterexample at {where}: got {got}, expected {want}")
+def _check(name: str, found: qnumbers.Counterexample | None) -> Check:
+    if found is None:
+        return Check(name, True)
+    detail = f"first counterexample at n={found.n}: got {found.got}, expected {found.want}"
+    return Check(name, False, detail)
 
 
 def _suite_recurrence(max_n: int) -> list[Check]:
     checks = []
     for family in qnumbers.Family:
         pair = qnumbers.family_params(family)
+        link, prod = pair.P + pair.Q, pair.P * pair.Q
+        # both checks read one sequence: building it is most of the suite
         seq = qnumbers.number_sequence(family, max_n)
-        link = pair.P + pair.Q
-        prod = pair.P * pair.Q
-        closure = Check(f"recurrence-closure[{family.value}]", True)
-        for n in range(1, max_n):
-            want = link * seq[n] - prod * seq[n - 1]
-            if seq[n + 1] != want:
-                closure = _mismatch(closure.name, f"n={n + 1}", seq[n + 1], want)
-                break
-        checks.append(closure)
-        agreement = Check(f"sum-agreement[{family.value}]", True)
-        for n, direct in islice(enumerate(qnumbers.pq_numbers(family)), max_n + 1):
-            if seq[n] != direct:
-                agreement = _mismatch(agreement.name, f"n={n}", seq[n], direct)
-                break
-        checks.append(agreement)
+        steps = ((n + 1, seq[n + 1], link * seq[n] - prod * seq[n - 1]) for n in range(1, max_n))
+        sums = zip(range(max_n + 1), seq, qnumbers.pq_numbers(family))
+        checks += [
+            _check(f"recurrence-closure[{family.value}]", qnumbers.first_counterexample(steps)),
+            _check(f"sum-agreement[{family.value}]", qnumbers.first_counterexample(sums)),
+        ]
     return checks
 
 
 def _suite_delta_identity(max_n: int) -> list[Check]:
-    numbers = Check("torus2-equals-deformed-number", True)
-    fermionic = enumerate(qnumbers.pq_numbers(qnumbers.Family.ALEXANDER_FERMIONIC))
-    for n, want in islice(fermionic, 1, max_n + 1):
-        value = torus.alexander_torus2(n)
-        if value != want:
-            numbers = _mismatch(numbers.name, f"n={n}", value, want)
-            break
-    closed = Check("torus2-matches-closed-form-odd-n", True)
-    for n in range(1, max_n + 1, 2):
-        value = torus.alexander_torus(n, 2)
-        want = torus.alexander_torus2(n)
-        if value != want:
-            closed = _mismatch(closed.name, f"n={n}", value, want)
-            break
-    return [numbers, closed]
+    return [
+        _check("torus2-equals-deformed-number", torus.torus2_counterexample(max_n)),
+        _check("torus2-matches-closed-form-odd-n", torus.closed_form_counterexample(max_n)),
+    ]
 
 
 def _suite_homfly_factor(max_n: int) -> list[Check]:
-    check = Check("homfly-monomial-factor", True)
-    pairs = zip(
-        qnumbers.pq_numbers(qnumbers.Family.HOMFLY_FERMIONIC),
-        qnumbers.pq_numbers(qnumbers.Family.ALEXANDER_FERMIONIC),
+    homfly = qnumbers.pq_numbers(qnumbers.Family.HOMFLY_FERMIONIC)
+    alexander = qnumbers.pq_numbers(qnumbers.Family.ALEXANDER_FERMIONIC)
+    cases = (
+        (n, got, laurent.LaurentPoly.monomial(1, 0, 2 * (n - 1)) * alex)
+        for n, got, alex in islice(zip(range(max_n + 1), homfly, alexander), 1, None)
     )
-    for n, (got, alex) in islice(enumerate(pairs), 1, max_n + 1):
-        want = laurent.LaurentPoly.monomial(1, 0, 2 * (n - 1)) * alex
-        if got != want:
-            check = _mismatch(check.name, f"n={n}", got, want)
-            break
-    return [check]
+    return [_check("homfly-monomial-factor", qnumbers.first_counterexample(cases))]
+
+
+def _fields(record) -> str:
+    return "(" + ", ".join(f"{f.name}={getattr(record, f.name)}" for f in fields(record)) + ")"
+
+
+def _compare(name: str, convert, value, want) -> Check:
+    """One coefficient map; a root off the grid fails the check."""
+    try:
+        got = convert(value)
+    except (laurent.NotAPerfectSquareError, skein.NotSolvableOnGridError) as exc:
+        return Check(name, False, str(exc))
+    if got == want:
+        return Check(name, True)
+    return Check(name, False, f"got {_fields(got)}, expected {_fields(want)}")
 
 
 def _suite_coeff_maps(_max_n: int) -> list[Check]:
     checks = []
-    cases = [
-        ("alexander", qnumbers.Family.ALEXANDER_FERMIONIC, qnumbers.Family.ALEXANDER_BOSONIC),
-        ("jones", qnumbers.Family.JONES_FERMIONIC, qnumbers.Family.JONES_BOSONIC),
-    ]
-    for label, fermionic, bosonic in cases:
-        fermionic_pair = qnumbers.family_params(fermionic)
-        expected = skein.link_coeffs_from_pq(fermionic_pair)
-        bosonic_pair = qnumbers.family_params(bosonic)
-        kc = skein.KnotCoefficients(
-            bosonic_pair.P + bosonic_pair.Q, -(bosonic_pair.P * bosonic_pair.Q)
-        )
-        try:
-            got = skein.knot_to_link_coeffs(kc)
-            ok = got == expected
-            detail = "" if ok else (
-                f"got (l1={got.l1}, l2={got.l2}), expected (l1={expected.l1}, l2={expected.l2})"
-            )
-        except laurent.NotAPerfectSquareError as exc:
-            ok, detail = False, str(exc)
-        checks.append(Check(f"knot-to-link[{label}]", ok, detail))
-        try:
-            back = skein.pq_from_link_coeffs(expected)
-            ok = back == fermionic_pair
-            detail = "" if ok else (
-                f"got (P={back.P}, Q={back.Q}), expected "
-                f"(P={fermionic_pair.P}, Q={fermionic_pair.Q})"
-            )
-        except skein.NotSolvableOnGridError as exc:
-            ok, detail = False, str(exc)
-        checks.append(Check(f"pair-from-link-coeffs[{label}]", ok, detail))
+    for label in ("alexander", "jones"):
+        pair = qnumbers.family_params(f"{label}-fermionic")
+        link = skein.link_coeffs_from_pq(pair)
+        bosonic = qnumbers.family_params(f"{label}-bosonic")
+        knot = skein.KnotCoefficients(bosonic.P + bosonic.Q, -(bosonic.P * bosonic.Q))
+        checks += [
+            _compare(f"knot-to-link[{label}]", skein.knot_to_link_coeffs, knot, link),
+            _compare(f"pair-from-link-coeffs[{label}]", skein.pq_from_link_coeffs, link, pair),
+        ]
     return checks
 
 
@@ -135,10 +112,6 @@ _SUITES = {
 
 # ----------------------------------------------------------------------
 # output helpers
-
-
-def _print_poly(f: laurent.LaurentPoly, fmt: str):
-    print(laurent.format_poly(f, fmt))
 
 
 def _print_pairs(pairs: list[tuple[str, laurent.LaurentPoly]], fmt: str):
@@ -182,7 +155,7 @@ def _number_pair(args) -> qnumbers.PQPair:
 
 def _cmd_number(args, fmt: str) -> int:
     pair = _number_pair(args)
-    _print_poly(qnumbers.pq_number(pair, args.n), fmt)
+    print(laurent.format_poly(qnumbers.pq_number(pair, args.n), fmt))
     return 0
 
 
@@ -194,12 +167,6 @@ def _cmd_family_params(args, fmt: str) -> int:
         coeffs = skein.SkeinCoefficients(laurent.parse(args.l1), laurent.parse(args.l2))
         pair = skein.pq_from_link_coeffs(coeffs)
     _print_pairs([("P", pair.P), ("Q", pair.Q)], fmt)
-    return 0
-
-
-def _cmd_pq_number(args, fmt: str) -> int:
-    pair = qnumbers.PQPair(laurent.parse(args.P), laurent.parse(args.Q))
-    _print_poly(qnumbers.pq_number(pair, args.n), fmt)
     return 0
 
 
@@ -224,15 +191,8 @@ def _cmd_skein_coeffs(args, fmt: str) -> int:
     return 0
 
 
-def _cmd_knot_to_link(args, fmt: str) -> int:
-    kc = skein.KnotCoefficients(laurent.parse(args.k1), laurent.parse(args.k2))
-    coeffs = skein.knot_to_link_coeffs(kc)
-    _print_pairs([("l1", coeffs.l1), ("l2", coeffs.l2)], fmt)
-    return 0
-
-
 def _cmd_torus(args, fmt: str) -> int:
-    _print_poly(torus.alexander_torus(args.n, args.l), fmt)
+    print(laurent.format_poly(torus.alexander_torus(args.n, args.l), fmt))
     return 0
 
 
@@ -253,17 +213,13 @@ def _cmd_verify(args, fmt: str) -> int:
     if args.max_n < 1:
         raise ValueError("--max-n must be at least 1")
     names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    checks: list[Check] = []
-    for name in names:
-        checks.extend(_SUITES[name](args.max_n))
+    checks = [check for name in names for check in _SUITES[name](args.max_n)]
     passed = sum(check.passed for check in checks)
     if fmt == "json":
         payload = {
             "suite": args.suite,
             "max_n": args.max_n,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks
-            ],
+            "checks": [asdict(check) for check in checks],
             "all_passed": passed == len(checks),
         }
         print(json.dumps(payload, indent=2))
@@ -280,9 +236,9 @@ def _cmd_verify(args, fmt: str) -> int:
 _HANDLERS = {
     "number": _cmd_number,
     "family-params": _cmd_family_params,
-    "pq-number": _cmd_pq_number,
+    "pq-number": _cmd_number,
     "skein-coeffs": _cmd_skein_coeffs,
-    "knot-to-link": _cmd_knot_to_link,
+    "knot-to-link": _cmd_skein_coeffs,
     "torus-alexander": _cmd_torus,
     "sequence": _cmd_sequence,
     "verify": _cmd_verify,
@@ -329,6 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--P", required=True)
     p.add_argument("--Q", required=True)
     p.add_argument("--n", required=True, type=int)
+    p.set_defaults(family="custom")
 
     p = sub.add_parser("skein-coeffs", parents=[fmt_parent],
                        help="link coefficients (l1, l2) from a family, a (P, Q) pair, "
@@ -343,6 +300,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="link coefficients recovered from knot coefficients")
     p.add_argument("--k1", required=True)
     p.add_argument("--k2", required=True)
+    p.set_defaults(family=None, P=None, Q=None)
 
     p = sub.add_parser("torus-alexander", parents=[fmt_parent],
                        help="closed-form torus Alexander polynomial D(n, l), gcd(n, l) = 1")

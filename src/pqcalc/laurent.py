@@ -735,8 +735,8 @@ def eval_numeric(
 
     Returns an exact ``Fraction`` whenever every square root the half
     exponents require is rational; otherwise a ``Decimal`` computed with
-    ``digits`` significant digits.  This is test scaffolding, symbolic
-    equality is the real contract.
+    ``digits`` significant digits.  The tests use it as a numeric oracle
+    apart from the kernel's arithmetic; symbolic equality is the contract.
     """
     q_val = Fraction(q_val)
     p_val = Fraction(p_val)

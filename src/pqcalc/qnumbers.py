@@ -31,7 +31,7 @@ form for each of Alexander, Jones, and HOMFLY.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .laurent import LaurentPoly, parse, poly_sum
@@ -130,6 +130,27 @@ def number_sequence(family: Family | PQPair | str, n_max: int) -> list[LaurentPo
     for _ in range(n_max - 1):
         seq.append(link * seq[-1] - prod * seq[-2])
     return seq
+
+
+@dataclass(frozen=True)
+class Counterexample:
+    """The first failing case of a check: at ``n`` the value computed was
+    ``got`` where ``want`` was expected."""
+
+    n: int
+    got: LaurentPoly
+    want: LaurentPoly
+
+
+def first_counterexample(
+    cases: Iterable[tuple[int, LaurentPoly, LaurentPoly]],
+) -> Counterexample | None:
+    """The first case ``(n, got, want)`` with ``got != want``, or ``None``.
+    The cases after it are not drawn, so a lazy stream stops there."""
+    for n, got, want in cases:
+        if got != want:
+            return Counterexample(n, got, want)
+    return None
 
 
 def homfly_factorization_check(n: int) -> bool:

@@ -21,11 +21,12 @@ and sorted in C, and the memory is that of the output.  When m plus the
 output terms would pass ``MAX_WORK``, ``BudgetExceededError`` (a
 ``ValueError``) is raised before any term is built.  The quotient above
 remains the independent check: the tests and the acceptance gate compare
-the two, and ``verify``'s delta-identity suite compares
+the two, and ``closed_form_counterexample`` compares
 ``alexander_torus(n, 2)`` with the division in ``alexander_torus2``.  The
 l = 2 column extends to even n (where the closed form above does not
 apply) via a sign twist in the numerator, and that extended column
-reproduces the Alexander fermionic deformed integers exactly.
+reproduces the Alexander fermionic deformed integers exactly, as
+``torus2_counterexample`` checks.
 """
 
 from __future__ import annotations
@@ -133,6 +134,23 @@ def alexander_torus2(n: int) -> LaurentPoly:
     return exact_div(num, den)
 
 
+def torus2_counterexample(n_max: int) -> qnumbers.Counterexample | None:
+    """The first n <= n_max where the l = 2 column is not the Alexander
+    fermionic deformed integer: got ``alexander_torus2(n)``, want [n]."""
+    fermionic = islice(qnumbers.pq_numbers(qnumbers.Family.ALEXANDER_FERMIONIC), 1, None)
+    return qnumbers.first_counterexample(
+        (n, alexander_torus2(n), want) for n, want in zip(range(1, n_max + 1), fermionic)
+    )
+
+
+def closed_form_counterexample(n_max: int) -> qnumbers.Counterexample | None:
+    """The first odd n <= n_max where the closed form leaves the l = 2
+    column: got ``alexander_torus(n, 2)``, want ``alexander_torus2(n)``."""
+    return qnumbers.first_counterexample(
+        (n, alexander_torus(n, 2), alexander_torus2(n)) for n in range(1, n_max + 1, 2)
+    )
+
+
 def delta_identity_check(n_max: int) -> bool:
     """Does D(n, 2) equal the Alexander fermionic [n] for 1 <= n <= n_max?
 
@@ -142,11 +160,4 @@ def delta_identity_check(n_max: int) -> bool:
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    fermionic = enumerate(qnumbers.pq_numbers(qnumbers.Family.ALEXANDER_FERMIONIC))
-    for n, want in islice(fermionic, 1, n_max + 1):
-        value = alexander_torus2(n)
-        if value != want:
-            return False
-        if n % 2 and value != alexander_torus(n, 2):
-            return False
-    return True
+    return torus2_counterexample(n_max) is None and closed_form_counterexample(n_max) is None

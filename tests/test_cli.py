@@ -7,9 +7,9 @@ import sys
 import pytest
 from jsonschema import validate
 
-from pqcalc import cli, qnumbers
+from pqcalc import cli, qnumbers, skein
 from pqcalc.cli import SUITE_NAMES, main
-from pqcalc.laurent import JSON_SCHEMA, LaurentPoly, parse
+from pqcalc.laurent import JSON_SCHEMA, LaurentPoly, NotAPerfectSquareError, parse
 from pqcalc.qnumbers import Family, number_sequence, pq_number
 
 
@@ -332,6 +332,68 @@ def test_verify_homfly_factor_counterexample(capsys, monkeypatch, fmt):
     assert failed == {
         "homfly-monomial-factor": f"first counterexample at n={k}: got {bad}, expected {want}",
     }
+
+
+def _raises(exc):
+    def convert(_coeffs):
+        raise exc
+    return convert
+
+
+WRONG_LINK = skein.SkeinCoefficients(parse("q"), parse("p"))
+WRONG_PAIR = qnumbers.PQPair(parse("q^3"), parse("-p"))
+
+
+@pytest.mark.parametrize("knot_to_link, pq_from_link, want", [
+    (lambda kc: WRONG_LINK, _raises(skein.NotSolvableOnGridError("off the grid")), [
+        "FAIL  knot-to-link[alexander]: got (l1=q, l2=p), "
+        "expected (l1=q^(1/2) - q^(-1/2), l2=1)",
+        "FAIL  pair-from-link-coeffs[alexander]: off the grid",
+        "FAIL  knot-to-link[jones]: got (l1=q, l2=p), expected (l1=q^(3/2) - q^(1/2), l2=q^2)",
+        "FAIL  pair-from-link-coeffs[jones]: off the grid",
+        "0/4 checks passed",
+    ]),
+    (_raises(NotAPerfectSquareError("no root")), lambda coeffs: WRONG_PAIR, [
+        "FAIL  knot-to-link[alexander]: no root",
+        "FAIL  pair-from-link-coeffs[alexander]: got (P=q^3, Q=-p), "
+        "expected (P=q^(1/2), Q=-q^(-1/2))",
+        "FAIL  knot-to-link[jones]: no root",
+        "FAIL  pair-from-link-coeffs[jones]: got (P=q^3, Q=-p), expected (P=q^(3/2), Q=-q^(1/2))",
+        "0/4 checks passed",
+    ]),
+])
+def test_verify_coeff_maps_failures(capsys, monkeypatch, knot_to_link, pq_from_link, want):
+    monkeypatch.setattr("pqcalc.skein.knot_to_link_coeffs", knot_to_link)
+    monkeypatch.setattr("pqcalc.skein.pq_from_link_coeffs", pq_from_link)
+    rc, out, err = run_cli(capsys, "verify", "--suite", "coeff-maps")
+    assert (rc, out.splitlines(), err) == (1, want, "")
+
+
+def test_verify_coeff_maps_other_errors_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr("pqcalc.skein.pq_from_link_coeffs", _raises(KeyError("bug")))
+    rc, out, err = run_cli(capsys, "verify", "--suite", "coeff-maps")
+    assert (rc, out, err) == (3, "", "internal error: KeyError: 'bug'\n")
+
+
+# ----------------------------------------------------------------------
+# alias subcommands
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("alias, canonical, code", [
+    (["pq-number", "--P", "q^(3/2)", "--Q=-q^(1/2)", "--n", "5"],
+     ["number", "--family", "custom", "--P", "q^(3/2)", "--Q=-q^(1/2)", "--n", "5"], 0),
+    (["pq-number", "--P", "q +", "--Q", "q", "--n", "2"],
+     ["number", "--family", "custom", "--P", "q +", "--Q", "q", "--n", "2"], 2),
+    (["knot-to-link", "--k1", "q^3 + q", "--k2", "q^4"],
+     ["skein-coeffs", "--k1", "q^3 + q", "--k2", "q^4"], 0),
+    (["knot-to-link", "--k1", "2", "--k2", "1"],
+     ["skein-coeffs", "--k1", "2", "--k2", "1"], 2),
+])
+def test_alias_matches_its_canonical_spelling(capsys, fmt, alias, canonical, code):
+    got = run_cli(capsys, "--format", fmt, *alias)
+    assert got == run_cli(capsys, "--format", fmt, *canonical)
+    assert got[0] == code
 
 
 # ----------------------------------------------------------------------

@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from pqcalc.laurent import LaurentPoly, parse
 from pqcalc.qnumbers import (
     FAMILY_NAMES,
+    Counterexample,
     Family,
     PQPair,
     family_params,
+    first_counterexample,
     homfly_factorization_check,
     number_sequence,
     pq_number,
@@ -181,3 +183,32 @@ def test_homfly_factorization_range():
 def test_homfly_factorization_validates():
     with pytest.raises(ValueError):
         homfly_factorization_check(0)
+
+
+# ----------------------------------------------------------------------
+# first counterexample
+
+
+def test_first_counterexample_of_no_cases_is_none():
+    assert first_counterexample([]) is None
+    assert first_counterexample(iter(())) is None
+
+
+def test_first_counterexample_reports_only_the_first_mismatch():
+    one, q, p = parse("1"), parse("q"), parse("p")
+    drawn = []
+
+    def cases():
+        for case in [(1, one, one), (2, q, p), (3, p, q)]:
+            drawn.append(case[0])
+            yield case
+        raise AssertionError("drawn past the first mismatch")
+
+    assert first_counterexample(cases()) == Counterexample(2, q, p)
+    assert drawn == [1, 2]
+
+
+def test_first_counterexample_of_agreeing_cases_is_none():
+    seq = number_sequence(Family.JONES_FERMIONIC, 20)
+    cases = zip(range(21), seq, pq_numbers(Family.JONES_FERMIONIC))
+    assert first_counterexample(cases) is None

@@ -9,14 +9,16 @@ import pytest
 from hypothesis import assume, given, settings
 
 from pqcalc.laurent import LaurentPoly, eval_numeric, exact_div, parse
-from pqcalc.qnumbers import Family, pq_number
+from pqcalc.qnumbers import Counterexample, Family, pq_number
 from pqcalc import torus
 from pqcalc.torus import (
     BudgetExceededError,
     NotCoprimeError,
     alexander_torus,
     alexander_torus2,
+    closed_form_counterexample,
     delta_identity_check,
+    torus2_counterexample,
 )
 
 
@@ -236,3 +238,41 @@ def test_delta_identity_check():
     assert delta_identity_check(50) is True
     with pytest.raises(ValueError):
         delta_identity_check(0)
+
+
+def test_counterexample_checks_pass():
+    assert torus2_counterexample(60) is None
+    assert closed_form_counterexample(60) is None
+
+
+def _poison_column_two(monkeypatch, k: int, bad: LaurentPoly):
+    """Make ``alexander_torus2`` return ``bad`` for every n >= k."""
+    real = torus.alexander_torus2
+    monkeypatch.setattr(torus, "alexander_torus2", lambda n: bad if n >= k else real(n))
+
+
+def test_counterexample_checks_report_the_first_bad_n(monkeypatch):
+    k, bad = 6, parse("q^2")
+    _poison_column_two(monkeypatch, k, bad)
+    # got is the l = 2 column, want the deformed integer
+    assert torus2_counterexample(60) == Counterexample(
+        k, bad, pq_number(Family.ALEXANDER_FERMIONIC, k)
+    )
+    # got is the closed form, want the l = 2 column; only odd n are checked
+    assert closed_form_counterexample(60) == Counterexample(k + 1, alexander_torus(k + 1, 2), bad)
+    # below k both checks still pass
+    assert torus2_counterexample(k - 1) is None
+    assert closed_form_counterexample(k - 1) is None
+
+
+def test_delta_identity_check_fails_when_poisoned(monkeypatch):
+    _poison_column_two(monkeypatch, 9, parse("q"))
+    assert delta_identity_check(8) is True
+    assert delta_identity_check(9) is False
+
+
+def test_delta_identity_check_fails_on_a_wrong_closed_form(monkeypatch):
+    real = torus.alexander_torus
+    monkeypatch.setattr(torus, "alexander_torus", lambda n, l: parse("q") if n >= 7 else real(n, l))
+    assert delta_identity_check(6) is True
+    assert delta_identity_check(7) is False
