@@ -13,6 +13,8 @@ def main():
     ap.add_argument("--bound", type=int, default=7,
                     help="largest torus parameter (default 7)")
     args = ap.parse_args()
+    if args.bound < 2:
+        ap.error("--bound must be at least 2")
 
     for n in range(2, args.bound + 1):
         for l in range(n + 1, args.bound + 1):

@@ -18,6 +18,7 @@ from .laurent import (
     ParseError,
     eval_numeric,
     exact_div,
+    format_json,
     format_poly,
     parse,
     poly_sum,
@@ -69,6 +70,7 @@ __all__ = [
     "ParseError",
     "eval_numeric",
     "exact_div",
+    "format_json",
     "format_poly",
     "parse",
     "poly_sum",

@@ -116,7 +116,7 @@ _SUITES = {
 
 def _print_pairs(pairs: list[tuple[str, laurent.LaurentPoly]], fmt: str):
     if fmt == "json":
-        print(json.dumps({label: f.to_json_obj() for label, f in pairs}, indent=2))
+        print(laurent.format_json(dict(pairs)))
     else:
         for label, f in pairs:
             print(f"{label} = {f.text()}")
@@ -202,7 +202,7 @@ def _cmd_sequence(args, fmt: str) -> int:
         coeffs, laurent.parse(args.p0), laurent.parse(args.p1), args.count
     )
     if fmt == "json":
-        print(json.dumps([f.to_json_obj() for f in seq], indent=2))
+        print(laurent.format_json(seq))
     else:
         for f in seq:
             print(f.text())
@@ -324,6 +324,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_OUT_OF_MEMORY = "internal error: MemoryError\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -334,6 +337,10 @@ def main(argv: list[str] | None = None) -> int:
     fmt = getattr(args, "format", "text")
     try:
         return _HANDLERS[args.command](args, fmt)
+    except MemoryError:
+        # formatting a message may itself run out of memory
+        sys.stderr.write(_OUT_OF_MEMORY)
+        return 3
     except (ValueError, laurent.LaurentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -8,17 +8,25 @@ no floats, no symbolic simplification heuristics.
 
 The canonical term order compares the ``q`` exponent first, then the ``p``
 exponent; text and JSON output list terms in descending canonical order.
+
+Rendering (``LaurentPoly.text``, ``format_poly``, ``format_json``) goes by
+columns and ends in one join; nothing is cached on a value, so each render
+pays one sort of the keys and constant work per term.  Coefficients render
+at any length, in subquadratic time past CPython's int/str limit.
 """
 
 from __future__ import annotations
 
+import json
 import re
-from decimal import Decimal, localcontext
+from bisect import bisect_left
+from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from math import isqrt
-from typing import Iterable, Mapping, Union
+from operator import itemgetter
+from typing import Iterable, Mapping, Sequence, Union
 
 ExpVec = tuple[int, int]
 """Doubled exponent pair ``(2*e_q, 2*e_p)``.  Tuple comparison of these pairs
@@ -128,7 +136,7 @@ class LaurentPoly:
         return not self._terms
 
     def terms(self) -> tuple[tuple[ExpVec, int], ...]:
-        """All terms in descending canonical order."""
+        """All terms in descending canonical order, sorted on each call."""
         return tuple(sorted(self._terms.items(), reverse=True))
 
     def leading_term(self) -> tuple[ExpVec, int]:
@@ -255,25 +263,53 @@ class LaurentPoly:
     # rendering
 
     def text(self) -> str:
-        """Canonical text form, e.g. ``'q - 1 + q^(-1)'``."""
-        if not self._terms:
+        """Canonical text form, e.g. ``'q - 1 + q^(-1)'``.
+
+        Rendered by columns: each distinct coefficient and ``p`` exponent
+        is converted once, only the ``q`` factor per term, and one join
+        builds the string.  The cost is one sort of the keys plus constant
+        string work per term; nothing is cached, so a second call pays it
+        again.
+        """
+        d = self._terms
+        if not d:
             return "0"
-        chunks: list[str] = []
-        for (q2, p2), coeff in self.terms():
-            factors = []
+        keys = sorted(d, reverse=True)
+        coeffs = list(map(d.__getitem__, keys))
+        ps = list(map(_P_EXP, keys))
+        # per term: sign and magnitude (the head), p factor, q factor
+        heads = {}
+        for c in set(coeffs):
+            mag = "" if c == 1 or c == -1 else _int_to_str(abs(c)) + "*"
+            heads[c] = (" - " if c < 0 else " + ") + mag
+        pfactors = {0: ""}
+        for p2 in set(ps):
             if p2:
-                factors.append(_var_text("p", p2))
-            if q2:
-                factors.append(_var_text("q", q2))
-            mag = abs(coeff)
-            if mag != 1 or not factors:
-                factors.insert(0, _int_to_str(mag))
-            body = "*".join(factors)
-            if not chunks:
-                chunks.append(("-" if coeff < 0 else "") + body)
+                pfactors[p2] = _var_text("p", p2) + "*"
+        pieces = [None, None, None] * len(keys)
+        pieces[0::3] = map(heads.__getitem__, coeffs)
+        pieces[1::3] = map(pfactors.__getitem__, ps)
+        # _var_text("q", q2) spelled out, as it runs for every term
+        pieces[2::3] = [
+            f"q^({q2}/2)" if q2 & 1
+            else f"q^{q2 >> 1}" if q2 > 2
+            else f"q^({q2 >> 1})" if q2 < 0
+            else "q" if q2
+            else ""
+            for q2, _ in keys
+        ]
+        # the terms free of q come right after the positive q exponents;
+        # they end on their p factor, or are the constant
+        for i in range(bisect_left(keys, 0, key=_neg_q), len(keys)):
+            if keys[i][0]:
+                break
+            if ps[i]:
+                pieces[3 * i + 1] = pfactors[ps[i]][:-1]
             else:
-                chunks.append(("- " if coeff < 0 else "+ ") + body)
-        return " ".join(chunks)
+                pieces[3 * i] = heads[coeffs[i]][:3] + _int_to_str(abs(coeffs[i]))
+        first = pieces[0]
+        pieces[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+        return "".join(pieces)
 
     def to_json_obj(self) -> dict:
         """JSON-ready dict; see ``JSON_SCHEMA``.  Coefficients are decimal
@@ -353,37 +389,91 @@ def _var_text(name: str, e2: int) -> str:
     return f"{name}^({e2}/2)"
 
 
+_Q_EXP, _P_EXP = itemgetter(0), itemgetter(1)
+
+
+def _neg_q(key: ExpVec) -> int:
+    return -key[0]
+
+
 _COEFF_RE = re.compile(r"-?[0-9]+")
 
-# The layout ``json.dumps(f.to_json_obj(), indent=2)`` writes, spelled out:
+# The layout ``json.dumps(f.to_json_obj(), indent=2)`` writes, spelled out
+# in the fixed pieces around each term's coefficient, q and p exponents:
 # with ``indent`` set, CPython's encoder falls back to pure Python, about
-# ten times slower than filling this template.
+# ten times slower than joining these pieces.
 _JSON_HEAD = '{\n  "variables": [\n    "q",\n    "p"\n  ],\n  "terms": '
-_JSON_TERM = (
-    '    {\n      "coeff": "%d",\n      "exp2": {\n'
-    '        "q": %d,\n        "p": %d\n      }\n    }'
+_JSON_LAYOUT = (
+    _JSON_HEAD + "[]\n}",  # no terms
+    _JSON_HEAD + '[\n    {\n      "coeff": "',  # up to the first coefficient
+    '",\n      "exp2": {\n        "q": ',  # before q
+    ',\n        "p": ',  # before p
+    '\n      }\n    },\n    {\n      "coeff": "',  # between terms
+    "\n      }\n    }\n  ]\n}",  # after the last p
 )
-# the same, for a coefficient already rendered by ``_int_to_str``
-_JSON_TERM_STR = _JSON_TERM.replace('"%d"', '"%s"', 1)
+
+
+def _json_pieces(f: LaurentPoly, layout: Sequence[str] = _JSON_LAYOUT) -> list[str]:
+    """The pieces of the JSON document of ``f`` in ``layout``; joined, they
+    are ``format_poly(f, "json")``."""
+    empty, first, before_q, before_p, between, tail = layout
+    d = f._terms
+    if not d:
+        return [empty]
+    keys = sorted(d, reverse=True)
+    cstrs = {c: _int_to_str(c) for c in set(d.values())}
+    pstrs = {p2: str(p2) for p2 in set(map(_P_EXP, keys))}
+    # per term: the text up to the coefficient, coefficient, before q, q,
+    # before p, p
+    pieces = [between, None, before_q, None, before_p, None] * len(keys)
+    pieces[0] = first
+    pieces[1::6] = map(cstrs.__getitem__, map(d.__getitem__, keys))
+    pieces[3::6] = map(str, map(_Q_EXP, keys))
+    pieces[5::6] = map(pstrs.__getitem__, map(_P_EXP, keys))
+    pieces.append(tail)
+    return pieces
+
 
 # CPython refuses to convert between int and decimal str past
 # ``sys.get_int_max_str_digits()`` digits (4300 by default, never below 640
 # when set).  Exact coefficients outgrow that, so the two helpers below
-# split long values in halves until every piece is short enough.
+# take other routes for long values; ``sys.set_int_max_str_digits`` is not
+# touched.
 _SAFE_DIGITS = 600
 
 
 def _int_to_str(v: int) -> str:
-    """``str(v)`` at any size."""
+    """``str(v)`` at any size, in subquadratic time.
+
+    Past the limit, the technique of CPython 3.12's ``Lib/_pylong.py``:
+    build the value as an exact ``Decimal`` from binary halves, so the
+    work is libmpdec's fast multiplication, then let ``Decimal`` print it.
+    CPython 3.11 converts by schoolbook division, quadratic in the digits.
+    """
     try:
         return str(v)
     except ValueError:
         pass
-    if v < 0:
-        return "-" + _int_to_str(-v)
-    k = v.bit_length() * 3 // 20  # about half the decimal digits: log10(2) ~ 3/10
-    high, low = divmod(v, 10**k)
-    return _int_to_str(high) + _int_to_str(low).zfill(k)
+    mag = abs(v)
+    powers: dict[int, Decimal] = {}  # width -> 2**width, shared by the halves
+
+    def build(n: int, width: int) -> Decimal:
+        # n < 2**width
+        if width <= 128:
+            return Decimal(n)
+        half = width >> 1
+        high = n >> half
+        scale = powers.get(half)
+        if scale is None:
+            scale = powers[half] = Decimal(2) ** half
+        return build(n - (high << half), half) + build(high, width - half) * scale
+
+    with localcontext() as ctx:
+        ctx.prec = MAX_PREC
+        ctx.Emax = MAX_EMAX
+        ctx.traps[Inexact] = True
+        digits = str(build(mag, mag.bit_length()))
+    return "-" + digits if v < 0 else digits
 
 
 def _int_from_str(s: str) -> int:
@@ -400,22 +490,40 @@ def format_poly(f: LaurentPoly, mode: str = "text") -> str:
     """Render ``f`` deterministically.  ``mode`` is ``"text"`` or ``"json"``.
 
     The JSON form is byte-identical to
-    ``json.dumps(f.to_json_obj(), indent=2)``.
+    ``json.dumps(f.to_json_obj(), indent=2)``.  Like ``text``, it renders
+    by columns: each distinct coefficient and ``p`` exponent is converted
+    once, each ``q`` exponent per term, and the fixed layout between them
+    is filled in by slices, so the whole document is one join.  Nothing is
+    cached.
     """
     if mode == "text":
         return f.text()
     if mode == "json":
-        if f.is_zero:
-            return _JSON_HEAD + "[]\n}"
-        terms = f.terms()
-        try:
-            body = ",\n".join([_JSON_TERM % (c, q2, p2) for (q2, p2), c in terms])
-        except ValueError:
-            body = ",\n".join(
-                [_JSON_TERM_STR % (_int_to_str(c), q2, p2) for (q2, p2), c in terms]
-            )
-        return _JSON_HEAD + "[\n" + body + "\n  ]\n}"
+        return "".join(_json_pieces(f))
     raise ValueError(f"unknown format mode: {mode!r}")
+
+
+def format_json(polys: Mapping[str, LaurentPoly] | Sequence[LaurentPoly]) -> str:
+    """One JSON document holding several polys: a mapping of labels to polys
+    renders as an object, any other sequence as an array.
+
+    Byte-identical to ``json.dumps(obj, indent=2)``, where ``obj`` holds
+    each poly's ``to_json_obj()``; the polys render as in ``format_poly``,
+    one level deeper.
+    """
+    if isinstance(polys, Mapping):
+        labels = [json.dumps(label) + ": " for label in polys]
+        polys, brackets = list(polys.values()), "{}"
+    else:
+        labels, brackets = [""] * len(polys), "[]"
+    if not polys:
+        return brackets
+    nested = [s.replace("\n", "\n  ") for s in _JSON_LAYOUT]  # one level deeper
+    pieces = [brackets[0]]
+    for i, (label, f) in enumerate(zip(labels, polys)):
+        pieces += [",\n  " if i else "\n  ", label, *_json_pieces(f, nested)]
+    pieces.append("\n" + brackets[1])
+    return "".join(pieces)
 
 
 def parse(text: str) -> LaurentPoly:
@@ -544,12 +652,12 @@ class _Parser:
             if self.peek() != ")":
                 self.fail("expected ')'")
             self.pos += 1
-            doubled = Fraction(num, den) * 2
-            if doubled.denominator != 1:
+            doubled, rest = divmod(2 * num, den)
+            if rest:
                 raise GridError(
                     f"exponent {num}/{den} is not an integer multiple of 1/2", start
                 )
-            return int(doubled)
+            return doubled
         if ch in ("+", "-") or ch in _DIGITS:
             return 2 * self.take_signed_int()
         self.fail("expected an exponent")

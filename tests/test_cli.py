@@ -1,16 +1,21 @@
 """End-to-end coverage of the command-line front end."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
 from jsonschema import validate
 
 from pqcalc import cli, qnumbers, skein
 from pqcalc.cli import SUITE_NAMES, main
 from pqcalc.laurent import JSON_SCHEMA, LaurentPoly, NotAPerfectSquareError, parse
 from pqcalc.qnumbers import Family, number_sequence, pq_number
+
+from poly_strategies import nonzero_polys, polys
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +150,29 @@ def test_sequence_json(capsys):
     assert LaurentPoly.from_json_obj(objs[3]) == parse("q^3 - 2q")
 
 
+def _main_stdout(*argv):
+    # capsys cannot be shared between hypothesis examples
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+
+@given(P=nonzero_polys(), Q=nonzero_polys(), p0=polys(), p1=polys())
+@settings(deadline=None, max_examples=40)
+def test_nested_json_is_the_encoders(P, Q, p0, p1):
+    # the pair and sequence documents, byte for byte as json.dumps writes them
+    texts = [f.text() for f in (P, Q, p0, p1)]
+    coeffs = skein.link_coeffs_from_pq(qnumbers.PQPair(P, Q))
+    want = {"l1": coeffs.l1.to_json_obj(), "l2": coeffs.l2.to_json_obj()}
+    got = _main_stdout("--format", "json", "skein-coeffs", f"--P={texts[0]}", f"--Q={texts[1]}")
+    assert got == json.dumps(want, indent=2) + "\n"
+    seq = skein.recurrence_generate(skein.SkeinCoefficients(P, Q), p0, p1, 4)
+    want = [f.to_json_obj() for f in seq]
+    flags = [f"--{name}={text}" for name, text in zip(("l1", "l2", "p0", "p1"), texts)]
+    got = _main_stdout("--format", "json", "sequence", *flags, "--count", "4")
+    assert got == json.dumps(want, indent=2) + "\n"
+
+
 def test_verify_json(capsys):
     rc, out, _ = run_cli(
         capsys, "verify", "--suite", "all", "--max-n", "10", "--format", "json"
@@ -235,6 +263,17 @@ def test_internal_errors_exit_3(capsys, monkeypatch):
     assert rc == 3
     assert out == ""
     assert err == "internal error: RuntimeError: engine bug\n"
+
+
+def test_out_of_memory_exits_3(capsys, monkeypatch):
+    def exhausted(args, fmt):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._HANDLERS, "number", exhausted)
+    rc, out, err = run_cli(capsys, "number", "--family", "alexander-fermionic", "--n", "3")
+    assert rc == 3
+    assert out == ""
+    assert err == "internal error: MemoryError\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -2,6 +2,7 @@
 
 import json
 import random
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -20,12 +21,16 @@ from pqcalc.laurent import (
     ParseError,
     eval_numeric,
     exact_div,
+    format_json,
     format_poly,
     parse,
     poly_sum,
     sqrt_perfect_square,
     substitute_z,
 )
+
+from pqcalc.qnumbers import Family, pq_number
+from pqcalc.torus import alexander_torus
 
 from poly_strategies import exp2s, monomials, nonzero_polys, polys, positive_leading_polys
 
@@ -304,6 +309,16 @@ def test_parse_grid_error():
     assert info.value.position == 3
 
 
+def test_parse_reduces_exponent_fractions():
+    assert parse("q^(-6/4)") == parse("q^(-3/2)")
+    assert parse("p^(-10/5)*q^(9/6)") == parse("p^(-2)*q^(3/2)")
+    assert parse("q^(0/7)") == 1
+    with pytest.raises(GridError) as info:
+        parse("p + q^(-1/3)")
+    assert str(info.value) == "exponent -1/3 is not an integer multiple of 1/2 (at position 7)"
+    assert info.value.position == 7
+
+
 @pytest.mark.parametrize(
     "text",
     ["", "  ", "q +", "^2", "q^", "2*3", "q**q", "q2", "1 - -1", "q^(1/0)", "q^()", "(q)"],
@@ -353,6 +368,93 @@ def test_format_term_shapes():
 def test_format_orders_by_q_then_p():
     f = parse("p^3 + q*p + q*p^(-1) + q^2")
     assert f.text() == "q^2 + p*q + p^(-1)*q + p^3"
+
+
+def _str_unlimited(values):
+    # str() past CPython's int/str digit limit, which is restored after
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return [str(v) for v in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def reference_text(terms: dict) -> str:
+    """The canonical text form written out term by term from the README's
+    rules, using no kernel helper: an oracle for ``text()``."""
+
+    def power(name, e2):
+        if e2 % 2:
+            return f"{name}^({e2}/2)"
+        e = e2 // 2
+        return name if e == 1 else f"{name}^{e}" if e > 0 else f"{name}^({e})"
+
+    if not terms:
+        return "0"
+    ordered = sorted(terms.items(), reverse=True)
+    mags = _str_unlimited(abs(c) for _, c in ordered)
+    out = []
+    for ((q2, p2), c), mag in zip(ordered, mags):
+        factors = [power(name, e2) for name, e2 in (("p", p2), ("q", q2)) if e2]
+        if mag != "1" or not factors:
+            factors.insert(0, mag)
+        if out:
+            sign = " - " if c < 0 else " + "
+        else:
+            sign = "-" if c < 0 else ""
+        out.append(sign + "*".join(factors))
+    return "".join(out)
+
+
+def _huge(k, r, sign):
+    return sign * (10**k + r)
+
+
+# small, unit, past 2^64 and past the 4300-digit int/str limit
+coeffs = st.one_of(
+    st.sampled_from([1, -1]),
+    st.integers(-9, 9).filter(bool),
+    st.integers(2**64 + 1, 2**70).map(lambda c: c if c % 2 else -c),
+    st.builds(_huge, st.integers(4295, 4400), st.integers(0, 10**30), st.sampled_from([1, -1])),
+)
+term_dicts = st.dictionaries(st.tuples(exp2s, exp2s), coeffs, max_size=8)
+
+
+@given(terms=term_dicts)
+@example(terms={})
+@example(terms={(0, 0): 1})
+@example(terms={(0, 0): -1})
+@example(terms={(0, 0): -(10**5000)})
+@example(terms={(0, 3): -1, (0, 0): 1, (0, -2): 1})
+@example(terms={(0, 2): 1, (1, -1): -3, (-1, 0): 1, (2, 0): 1})
+@example(terms={(-3, 5): -(2**64 + 1), (0, -1): 7, (0, 0): -1})
+@settings(deadline=None)
+def test_text_matches_the_reference(terms):
+    assert LaurentPoly(terms).text() == reference_text(terms)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [alexander_torus(199, 211), pq_number(Family.HOMFLY_FERMIONIC, 300)],
+    ids=["D(199,211)", "homfly[300]"],
+)
+def test_big_values_render_as_the_reference(value):
+    assert value.text() == reference_text(dict(value.terms()))
+    assert format_poly(value, "json") == json.dumps(value.to_json_obj(), indent=2)
+
+
+@given(
+    values=st.lists(term_dicts.map(LaurentPoly), max_size=3),
+    labels=st.lists(st.text(max_size=4), min_size=3, max_size=3, unique=True),
+)
+@example(values=[], labels=["P", "Q", "l1"])
+@settings(deadline=None, max_examples=60)
+def test_nested_json_matches_the_encoder(values, labels):
+    objs = [f.to_json_obj() for f in values]
+    assert format_json(values) == json.dumps(objs, indent=2)
+    named = dict(zip(labels, values))
+    assert format_json(named) == json.dumps(dict(zip(labels, objs)), indent=2)
 
 
 @given(f=polys())
@@ -446,6 +548,19 @@ def test_long_coefficients_render_and_parse_exactly(k):
         rendered = format_poly(f, "json")
         assert rendered == json.dumps(obj, indent=2)
         assert LaurentPoly.from_json_obj(json.loads(rendered)) == f
+
+
+def test_long_coefficients_render_as_str_at_100k_digits():
+    rng = random.Random(10**5)
+    values = [
+        10**100000 - 1,
+        -(10**100000),
+        rng.randrange(10**99999, 10**100000),
+        -rng.randrange(2**332190, 2**332200),
+    ]
+    for value, want in zip(values, _str_unlimited(values)):
+        assert LaurentPoly(value).text() == want
+        assert json.loads(format_poly(LaurentPoly(value), "json"))["terms"][0]["coeff"] == want
 
 
 def test_long_coefficients_round_trip():

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -27,6 +29,14 @@ def test_torus_table_column_agrees():
     assert lines[-1] == (
         "l = 2 column equals the alexander-fermionic integers up to n = 14: True"
     )
+
+
+@pytest.mark.parametrize("bound", ["1", "0", "-1"])
+def test_torus_table_refuses_a_bound_below_2(bound):
+    proc = run_script("torus_table.py", "--bound", bound)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--bound must be at least 2" in proc.stderr
 
 
 def test_number_tables_lists_every_family():
