@@ -14,6 +14,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-n", type=int, default=8, help="largest n (default 8)")
     args = ap.parse_args()
+    if args.max_n < 1:
+        ap.error("--max-n must be at least 1")
 
     for family in Family:
         print(f"== {family.value}")

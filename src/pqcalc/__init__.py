@@ -9,6 +9,7 @@ polynomials in q and p on a half-integer exponent grid.
 
 from .laurent import (
     JSON_SCHEMA,
+    BudgetExceededError,
     GridError,
     LaurentError,
     LaurentPoly,
@@ -48,7 +49,6 @@ from .skein import (
     recurrence_generate,
 )
 from .torus import (
-    BudgetExceededError,
     NotCoprimeError,
     alexander_torus,
     alexander_torus2,
@@ -61,6 +61,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "JSON_SCHEMA",
+    "BudgetExceededError",
     "GridError",
     "LaurentError",
     "LaurentPoly",
@@ -94,7 +95,6 @@ __all__ = [
     "link_coeffs_from_pq",
     "pq_from_link_coeffs",
     "recurrence_generate",
-    "BudgetExceededError",
     "NotCoprimeError",
     "alexander_torus",
     "alexander_torus2",

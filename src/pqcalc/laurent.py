@@ -61,6 +61,16 @@ class GridError(ParseError):
     """An exponent in the input is not an integer multiple of 1/2."""
 
 
+class BudgetExceededError(LaurentError, ValueError):
+    """The requested value would cost more than ``MAX_WORK``."""
+
+
+# the most work one requested value may take, counted in output terms (and
+# walk steps, for the torus values) times 64-bit words per coefficient.  A
+# term costs about 135 bytes, so this caps a result near 540 MB.
+MAX_WORK = 4 * 10**6
+
+
 class LaurentPoly:
     """A Laurent polynomial in ``q`` and ``p`` over the integers.
 
@@ -95,6 +105,9 @@ class LaurentPoly:
             for exp, coeff in items:
                 if not isinstance(coeff, int) or isinstance(coeff, bool):
                     raise TypeError(f"coefficients must be int, got {type(coeff).__name__}")
+                for e2 in exp[:2]:
+                    if not isinstance(e2, int) or isinstance(e2, bool):
+                        raise TypeError(f"exponents must be int, got {type(e2).__name__}")
                 key = (int(exp[0]), int(exp[1]))
                 acc = data.get(key, 0) + coeff
                 if acc:
@@ -282,22 +295,28 @@ class LaurentPoly:
         for c in set(coeffs):
             mag = "" if c == 1 or c == -1 else _int_to_str(abs(c)) + "*"
             heads[c] = (" - " if c < 0 else " + ") + mag
-        pfactors = {0: ""}
-        for p2 in set(ps):
-            if p2:
-                pfactors[p2] = _var_text("p", p2) + "*"
         pieces = [None, None, None] * len(keys)
         pieces[0::3] = map(heads.__getitem__, coeffs)
+        pfactors = {0: ""}
+        pset = set(ps)
+        pset.discard(0)
+        try:
+            for p2 in pset:
+                pfactors[p2] = _var_text("p", p2) + "*"
+            # _var_text("q", q2) spelled out, as it runs for every term
+            pieces[2::3] = [
+                f"q^({q2}/2)" if q2 & 1
+                else f"q^{q2 >> 1}" if q2 > 2
+                else f"q^({q2 >> 1})" if q2 < 0
+                else "q" if q2
+                else ""
+                for q2, _ in keys
+            ]
+        except ValueError:  # an exponent past the int/str digit limit
+            for p2 in pset:
+                pfactors[p2] = _var_text("p", p2, _int_to_str) + "*"
+            pieces[2::3] = [_var_text("q", q2, _int_to_str) if q2 else "" for q2, _ in keys]
         pieces[1::3] = map(pfactors.__getitem__, ps)
-        # _var_text("q", q2) spelled out, as it runs for every term
-        pieces[2::3] = [
-            f"q^({q2}/2)" if q2 & 1
-            else f"q^{q2 >> 1}" if q2 > 2
-            else f"q^({q2 >> 1})" if q2 < 0
-            else "q" if q2
-            else ""
-            for q2, _ in keys
-        ]
         # the terms free of q come right after the positive q exponents;
         # they end on their p factor, or are the constant
         for i in range(bisect_left(keys, 0, key=_neg_q), len(keys)):
@@ -378,15 +397,16 @@ JSON_SCHEMA = {
 }
 
 
-def _var_text(name: str, e2: int) -> str:
+def _var_text(name: str, e2: int, num=str) -> str:
     # doubled exponent: halves render as "(m/2)", integers render bare,
-    # negative integers keep parentheses so output reparses
+    # negative integers keep parentheses so output reparses.  ``num``
+    # writes the integer; ``str`` refuses one past the int/str digit limit
     if e2 % 2 == 0:
         e = e2 // 2
         if e == 1:
             return name
-        return f"{name}^{e}" if e >= 0 else f"{name}^({e})"
-    return f"{name}^({e2}/2)"
+        return f"{name}^{num(e)}" if e >= 0 else f"{name}^({num(e)})"
+    return f"{name}^({num(e2)}/2)"
 
 
 _Q_EXP, _P_EXP = itemgetter(0), itemgetter(1)
@@ -422,13 +442,17 @@ def _json_pieces(f: LaurentPoly, layout: Sequence[str] = _JSON_LAYOUT) -> list[s
         return [empty]
     keys = sorted(d, reverse=True)
     cstrs = {c: _int_to_str(c) for c in set(d.values())}
-    pstrs = {p2: str(p2) for p2 in set(map(_P_EXP, keys))}
     # per term: the text up to the coefficient, coefficient, before q, q,
     # before p, p
     pieces = [between, None, before_q, None, before_p, None] * len(keys)
     pieces[0] = first
     pieces[1::6] = map(cstrs.__getitem__, map(d.__getitem__, keys))
-    pieces[3::6] = map(str, map(_Q_EXP, keys))
+    try:
+        pstrs = {p2: str(p2) for p2 in set(map(_P_EXP, keys))}
+        pieces[3::6] = map(str, map(_Q_EXP, keys))
+    except ValueError:  # an exponent past the int/str digit limit
+        pstrs = {p2: _int_to_str(p2) for p2 in set(map(_P_EXP, keys))}
+        pieces[3::6] = map(_int_to_str, map(_Q_EXP, keys))
     pieces[5::6] = map(pstrs.__getitem__, map(_P_EXP, keys))
     pieces.append(tail)
     return pieces

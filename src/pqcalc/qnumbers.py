@@ -8,8 +8,12 @@ the geometric-sum form of ``(P^n - Q^n) / (P - Q)``.  The sum form is the
 definition used here because it needs no division and stays valid when
 ``P = Q``.  There are three routes to the numbers:
 
-- ``pq_number(pair, n)`` sums the power tables ``P^i * Q^(n-1-i)``.  Use it
-  for one ``[n]``; it rebuilds the tables on every call.
+- ``pq_number(pair, n)`` computes one ``[n]``.  When P and Q each have at
+  most one term, as in every built-in family, it writes the n summands
+  ``P^(n-1-i) * Q^i`` directly, each a single term: no products, O(n)
+  integer work and at most n terms.  Any other pair sums the power tables
+  ``P^i * Q^(n-1-i)``, rebuilt on every call.  Either way an ``[n]`` over
+  ``MAX_WORK`` is refused before it is built.
 - ``pq_numbers(pair)`` yields ``[0], [1], [2], ...`` by the geometric step
   ``[n+1] = P*[n] + Q^n``, keeping only the current ``[n]`` and ``Q^n``.
   Use it to walk a run of ``[n]``: each next value costs two products.
@@ -33,8 +37,11 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import accumulate, count, repeat
+from math import comb
+from operator import mul
 
-from .laurent import LaurentPoly, parse, poly_sum
+from .laurent import MAX_WORK, BudgetExceededError, LaurentPoly, parse, poly_sum
 
 
 @dataclass(frozen=True)
@@ -93,18 +100,79 @@ def family_params(family: Family | PQPair | str) -> PQPair:
 
 
 def pq_number(family: Family | PQPair | str, n: int) -> LaurentPoly:
-    """The deformed integer [n] in its geometric-sum form."""
+    """The deformed integer [n] in its geometric-sum form.
+
+    When P and Q each have at most one term, ``P = a*x^e`` and
+    ``Q = b*x^f``, summand i is ``a^(n-1-i) * b^i`` at exponent
+    ``(n-1)*e + i*(f-e)``: the exponents come from integer steps and the
+    coefficients from running powers of a and b, so the cost is O(n)
+    integer operations and ``[n]`` has at most n terms.  When e = f (a
+    zero P or Q counts as sharing the other's exponent) every summand
+    lands on one term, whose coefficient ``(a^n - b^n) / (a - b)``, or
+    ``n*a^(n-1)`` when a = b, takes O(log n) products; a zero sum leaves
+    ``[n] = 0``.  Any other pair sums the power tables
+    ``P^(n-1-i) * Q^i``: about 3n kernel calls.
+
+    Before either route runs, the size of ``[n]`` is bounded from P, Q and
+    n alone, and ``BudgetExceededError`` is raised when its terms times
+    64-bit words per coefficient would pass ``MAX_WORK``.
+
+    >>> pq_number("alexander-bosonic", 3)
+    LaurentPoly('q^2 + 1 + q^(-2)')
+    """
     pair = family_params(family)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return LaurentPoly.zero()
+    _check_budget(pair, n)
+    if len(pair.P._terms) <= 1 and len(pair.Q._terms) <= 1:
+        return _monomial_number(pair.P, pair.Q, n)
     p_pows = [LaurentPoly.one()]
     q_pows = [LaurentPoly.one()]
     for _ in range(n - 1):
         p_pows.append(p_pows[-1] * pair.P)
         q_pows.append(q_pows[-1] * pair.Q)
     return poly_sum(p_pows[n - 1 - i] * q_pows[i] for i in range(n))
+
+
+def _check_budget(pair: PQPair, n: int) -> None:
+    # [n] sums products of n - 1 terms drawn from the union S of the
+    # supports of P and Q.  So its terms are at most the multisets of n - 1
+    # elements of S, its exponents lie in n - 1 times S's box, and each
+    # coefficient is at most n * M^(n-1), M the larger 1-norm of P and Q
+    P, Q = pair.P._terms, pair.Q._terms
+    support = P.keys() | Q.keys()
+    s = len(support)
+    terms = comb(n + s - 2, s - 1) if s else 1
+    norm = max(sum(map(abs, P.values())), sum(map(abs, Q.values())), 1)
+    words = 1 + (n.bit_length() + (n - 1) * (norm - 1).bit_length()) // 64
+    if terms * words <= MAX_WORK:
+        return
+    box = 1
+    for axis in zip(*support):
+        box *= (n - 1) * (max(axis) - min(axis)) + 1
+    if min(terms, box) * words > MAX_WORK:
+        raise BudgetExceededError(
+            f"[n] at n = {n} is over the budget of {MAX_WORK} terms times "
+            "64-bit coefficient words"
+        )
+
+
+def _monomial_number(P: LaurentPoly, Q: LaurentPoly, n: int) -> LaurentPoly:
+    # P = a*x^e and Q = b*x^f; a zero one takes the other's exponent
+    anchor = next(iter(P._terms or Q._terms), (0, 0))
+    ((e, a),) = P._terms.items() or [(anchor, 0)]
+    ((f, b),) = Q._terms.items() or [(anchor, 0)]
+    if e == f:
+        # the sum of a^(n-1-i) * b^i over i
+        coeff = n * a ** (n - 1) if a == b else (a**n - b**n) // (a - b)
+        return LaurentPoly.monomial(coeff, (n - 1) * e[0], (n - 1) * e[1])
+    # a and b are nonzero here, so no summand vanishes
+    a_pows = list(accumulate(repeat(a, n - 1), mul, initial=1))
+    b_pows = accumulate(repeat(b, n - 1), mul, initial=1)
+    exps = zip(count((n - 1) * e[0], f[0] - e[0]), count((n - 1) * e[1], f[1] - e[1]))
+    return LaurentPoly._raw(dict(zip(exps, map(mul, reversed(a_pows), b_pows))))
 
 
 def pq_numbers(family: Family | PQPair | str) -> Iterator[LaurentPoly]:

@@ -18,8 +18,8 @@ i >= t[r], where t[r]*m + r is the least member congruent to r mod m.  The
 edges in column r are then the rows between t[r-1] and t[r], so the work
 is m Python steps plus the output terms, listed from ``range`` objects
 and sorted in C, and the memory is that of the output.  When m plus the
-output terms would pass ``MAX_WORK``, ``BudgetExceededError`` (a
-``ValueError``) is raised before any term is built.  The quotient above
+output terms would pass ``MAX_WORK``, the kernel's ``BudgetExceededError``
+(a ``ValueError``) is raised before any term is built.  The quotient above
 remains the independent check: the tests and the acceptance gate compare
 the two, and ``closed_form_counterexample`` compares
 ``alexander_torus(n, 2)`` with the division in ``alexander_torus2``.  The
@@ -36,20 +36,11 @@ from itertools import cycle, islice, repeat
 from math import gcd
 
 from . import qnumbers
-from .laurent import LaurentPoly, exact_div
-
-
-# the most work ``alexander_torus`` takes on: walk steps plus output terms.
-# A term of the result costs about 135 bytes, so this caps it near 540 MB.
-MAX_WORK = 4 * 10**6
+from .laurent import MAX_WORK, BudgetExceededError, LaurentPoly, exact_div
 
 
 class NotCoprimeError(ValueError):
     """The closed form needs gcd(n, l) = 1."""
-
-
-class BudgetExceededError(ValueError):
-    """The requested value would cost more than ``MAX_WORK``."""
 
 
 def _edge_rows(m: int, g: int, c: int) -> Iterator[tuple[int, range, range]]:

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import resource
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ from jsonschema import validate
 
 from pqcalc import cli, qnumbers, skein
 from pqcalc.cli import SUITE_NAMES, main
-from pqcalc.laurent import JSON_SCHEMA, LaurentPoly, NotAPerfectSquareError, parse
+from pqcalc.laurent import JSON_SCHEMA, LaurentPoly, NotAPerfectSquareError, _int_from_str, parse
 from pqcalc.qnumbers import Family, number_sequence, pq_number
 
 from poly_strategies import nonzero_polys, polys
@@ -252,6 +253,49 @@ def test_oversized_torus_pairs_exit_2(capsys, n, l):
     assert rc == 2
     assert out == ""
     assert err == f"error: D({n}, {l}) is over the budget of 4000000 walk steps and terms\n"
+
+
+BUDGET_ROWS = [
+    ["number", "--family", "alexander-fermionic", "--n", "100000000"],
+    ["number", "--family", "custom", "--P", "q+1", "--Q", "1", "--n", "20000"],
+    ["number", "--family", "custom", "--P", "1000000000*q", "--Q", "1", "--n", "60000"],
+]
+
+
+def _limit_address_space():
+    # runs in the child only, between fork and exec
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_oversized_numbers_exit_2_under_a_memory_limit(fmt):
+    for argv in BUDGET_ROWS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pqcalc", "--format", fmt, *argv],
+            capture_output=True, text=True, timeout=300, preexec_fn=_limit_address_space,
+        )
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert "over the budget of 4000000" in proc.stderr
+
+
+@pytest.mark.parametrize("var", ["q", "p"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_exponents_past_the_int_str_limit(capsys, var, fmt):
+    nines = "9" * 5000
+    rc, out, err = run_cli(
+        capsys, "--format", fmt, "number", "--family", "custom",
+        "--P", f"{var}^{nines}", "--Q", "1", "--n", "2",
+    )
+    assert (rc, err) == (0, "")
+    want = parse(f"{var}^{nines} + 1")
+    if fmt == "text":
+        assert out == f"{var}^{nines} + 1\n"
+    else:
+        got = json.loads(out, parse_int=_int_from_str)
+        assert got["terms"][0]["exp2"][var] == 2 * (10**5000 - 1)
+        assert LaurentPoly.from_json_obj(got) == want
 
 
 def test_internal_errors_exit_3(capsys, monkeypatch):

@@ -28,6 +28,7 @@ from pqcalc.laurent import (
     sqrt_perfect_square,
     substitute_z,
 )
+from pqcalc.laurent import _int_from_str
 
 from pqcalc.qnumbers import Family, pq_number
 from pqcalc.torus import alexander_torus
@@ -61,6 +62,23 @@ def test_int_equality_and_hash_agree():
 @pytest.mark.parametrize("terms", [True, False, {(0, 0): True}, [((2, 0), False)]])
 def test_constructor_rejects_bool_coefficients(terms):
     with pytest.raises(TypeError):
+        LaurentPoly(terms)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(1.5, 0): 1},
+        [((2.9, -0.5), 1)],
+        {(2.0, 0): 1},
+        {(0, Fraction(2)): 1},
+        {(True, 0): 1},
+        [((2, False), 1)],
+        {("2", 0): 1},
+    ],
+)
+def test_constructor_rejects_non_int_exponents(terms):
+    with pytest.raises(TypeError, match="exponents must be int"):
         LaurentPoly(terms)
 
 
@@ -573,6 +591,39 @@ def test_long_coefficients_round_trip():
         high, low = digits[: size // 2], digits[size // 2 :]
         assert f == parse(high + "*p") * 10 ** len(low) + parse(low + "*p")
         assert LaurentPoly.from_json_obj(json.loads(format_poly(f, "json"))) == f
+
+
+# Exponents past the same limit: q and p exponents of 5000 and more digits
+_NINES = 10**5000 - 1  # "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "f, text",
+    [
+        (LaurentPoly({(2 * _NINES, 0): 1}), "q^" + "9" * 5000),
+        (LaurentPoly({(-2 * _NINES, 0): -3}), "-3*q^(-" + "9" * 5000 + ")"),
+        (LaurentPoly({(_NINES, 0): 1}), "q^(" + "9" * 5000 + "/2)"),
+        (LaurentPoly({(0, 2 * _NINES): 1}), "p^" + "9" * 5000),
+        (LaurentPoly({(0, -_NINES): 2, (1, 0): 1}), "q^(1/2) + 2*p^(-" + "9" * 5000 + "/2)"),
+        (
+            LaurentPoly({(2 * _NINES, -_NINES): 1, (2, 0): -1, (0, 0): 1, (-_NINES, 2): 5}),
+            "p^(-" + "9" * 5000 + "/2)*q^" + "9" * 5000
+            + " - q + 1 + 5*p*q^(-" + "9" * 5000 + "/2)",
+        ),
+    ],
+    ids=["q", "negative q", "half q", "p", "half p", "mixed"],
+)
+def test_long_exponents_render_and_round_trip(f, text):
+    assert f.text() == text
+    assert repr(f) == f"LaurentPoly({text!r})"
+    assert parse(text) == f
+    rendered = format_poly(f, "json")
+    obj = f.to_json_obj()
+    assert [(t["exp2"]["q"], t["exp2"]["p"]) for t in obj["terms"]] == [e for e, _ in f.terms()]
+    assert LaurentPoly.from_json_obj(obj) == f
+    # json's own int parsing stops at the limit as well
+    assert json.loads(rendered, parse_int=_int_from_str) == obj
+    assert LaurentPoly.from_json_obj(json.loads(rendered, parse_int=_int_from_str)) == f
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Deformed-integer families: parameter tables, sum form, recurrence."""
 
+import tracemalloc
 from itertools import islice
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from pqcalc.laurent import LaurentPoly, parse
+import pqcalc
+from pqcalc import laurent, qnumbers, torus
+from pqcalc.laurent import BudgetExceededError, LaurentPoly, parse, poly_sum
 from pqcalc.qnumbers import (
     FAMILY_NAMES,
     Counterexample,
@@ -20,7 +23,7 @@ from pqcalc.qnumbers import (
     pq_numbers,
 )
 
-from poly_strategies import monomials, polys
+from poly_strategies import exp2s, monomials, polys
 
 
 EXPECTED_PARAMS = {
@@ -134,6 +137,122 @@ def test_stream_matches_power_tables_degenerate_and_zero_product(P, n):
 
 
 # ----------------------------------------------------------------------
+# monomial pairs: pq_number writes the summands directly
+
+
+def _literal_sum(P, Q, n):
+    """The definition, summand by summand, in kernel powers."""
+    return poly_sum(P ** (n - 1 - i) * Q**i for i in range(n))
+
+
+big_coeffs = st.one_of(
+    st.integers(-3, 3),  # 0 makes a zero P or Q
+    st.integers(2**64 + 1, 2**70),
+    st.integers(-(2**70), -(2**64) - 1),
+)
+
+
+@st.composite
+def monomial_pairs(draw):
+    e = (draw(exp2s), draw(exp2s))
+    a = draw(big_coeffs)
+    f = draw(st.sampled_from([e, (draw(exp2s), draw(exp2s))]))
+    b = draw(st.one_of(big_coeffs, st.just(a), st.just(-a)))
+    return PQPair(LaurentPoly.monomial(a, *e), LaurentPoly.monomial(b, *f))
+
+
+Q_HALF = parse("q^(1/2)")
+
+
+@given(pair=monomial_pairs(), n=st.integers(0, 60))
+@example(pair=PQPair(parse("q"), parse("-q")), n=8)  # summands cancel to 0
+@example(pair=PQPair(parse("q"), parse("-q")), n=7)
+@example(pair=PQPair(parse("2*q"), parse("-3*q")), n=5)
+@example(pair=PQPair(Q_HALF, Q_HALF), n=6)
+@example(pair=PQPair(LaurentPoly.zero(), LaurentPoly.zero()), n=1)
+@example(pair=PQPair(LaurentPoly.zero(), LaurentPoly.zero()), n=3)
+@example(pair=PQPair(LaurentPoly.zero(), parse("5*p")), n=4)
+@example(pair=PQPair(parse("-2*q^(-3/2)*p"), LaurentPoly.zero()), n=4)
+@example(pair=PQPair(parse("3*q"), parse("-2*p")), n=9)
+@settings(deadline=None, max_examples=300)
+def test_monomial_pairs_match_the_literal_sum_and_the_stream(pair, n):
+    got = pq_number(pair, n)
+    assert got == _literal_sum(pair.P, pair.Q, n)
+    assert got == next(islice(pq_numbers(pair), n, None))
+    assert len(got.terms()) <= n
+
+
+def test_a_monomial_and_a_binomial_take_the_power_tables():
+    pair = PQPair(parse("2*q"), parse("q^(-1) - 3*p"))
+    stream = pq_numbers(pair)
+    for n in range(31):
+        assert pq_number(pair, n) == next(stream) == _literal_sum(pair.P, pair.Q, n)
+
+
+# ----------------------------------------------------------------------
+# the budget: the size of [n] is bounded before it is built
+
+
+def test_budget_error_is_shared_with_torus():
+    assert qnumbers.MAX_WORK == torus.MAX_WORK == laurent.MAX_WORK == 4 * 10**6
+    assert qnumbers.BudgetExceededError is torus.BudgetExceededError is pqcalc.BudgetExceededError
+    assert issubclass(BudgetExceededError, laurent.LaurentError)
+    assert issubclass(BudgetExceededError, ValueError)
+
+
+@pytest.mark.parametrize(
+    "P, Q, work, last",
+    [
+        # distinct monomials: n terms of one word each
+        ("q", "q^(-1)", 100, 100),
+        # equal exponents: one term of 1 + (bits(n) + n - 1) // 64 words
+        ("2*q", "q", 3, 184),
+        # binomial: n terms (the multisets), with M = 2
+        ("q + 1", "1", 100, 58),
+        # three exponents in a plane: n(n + 1)/2 terms, under the box
+        ("q + p", "1", 100, 13),
+        # three exponents on a line: the box's 2n - 1 terms, under n(n + 1)/2
+        ("1 + q^(1/2)", "q", 100, 50),
+    ],
+)
+def test_budget_boundaries(monkeypatch, P, Q, work, last):
+    monkeypatch.setattr(qnumbers, "MAX_WORK", work)
+    pair = PQPair(parse(P), parse(Q))
+    assert pq_number(pair, last) == _literal_sum(pair.P, pair.Q, last)
+    with pytest.raises(BudgetExceededError, match=rf"n = {last + 1} is over the budget of {work} "):
+        pq_number(pair, last + 1)
+
+
+@pytest.mark.parametrize(
+    "P, Q, n",
+    [("q^(1/2)", "-q^(-1/2)", 10**8), ("q + 1", "1", 20000), ("1000000000*q", "1", 60000)],
+)
+def test_oversized_numbers_are_refused_before_building(P, Q, n):
+    pair = PQPair(parse(P), parse(Q))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match=r"over the budget of 4000000"):
+            pq_number(pair, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_equal_exponents_cost_nothing_in_n(monkeypatch):
+    huge = 10**100
+    q, zero = parse("q"), LaurentPoly.zero()
+    assert pq_number(PQPair(q, q), huge) == LaurentPoly.monomial(huge, 2 * (huge - 1))
+    assert pq_number(PQPair(q, -q), huge) == 0
+    assert pq_number(PQPair(zero, -parse("p")), huge + 1) == LaurentPoly.monomial(1, 0, 2 * huge)
+    # both zero: one term of bits(n) bits, so one word up to n = 2^63 - 1
+    monkeypatch.setattr(qnumbers, "MAX_WORK", 1)
+    assert pq_number(PQPair(zero, zero), 2**63 - 1) == 0
+    with pytest.raises(BudgetExceededError):
+        pq_number(PQPair(zero, zero), 2**63)
+
+
+# ----------------------------------------------------------------------
 # the recurrence
 
 
@@ -150,9 +269,13 @@ def test_sequence_length_and_validation():
 
 @pytest.mark.parametrize("family", list(Family))
 def test_sum_and_recurrence_agree_to_200(family):
+    # three routes: pq_number's direct summands, the geometric-step stream
+    # and the three-term recurrence
     seq = number_sequence(family, 200)
-    for n in (0, 1, 2, 3, 5, 8, 13, 55, 144, 199, 200):
-        assert seq[n] == pq_number(family, n)
+    stream = pq_numbers(family)
+    for n in range(201):
+        got = pq_number(family, n)
+        assert got == seq[n] == next(stream), n
 
 
 @pytest.mark.parametrize("family", list(Family))

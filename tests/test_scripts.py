@@ -47,3 +47,11 @@ def test_number_tables_lists_every_family():
         "== alexander-fermionic", "== alexander-bosonic", "== jones-fermionic",
         "== jones-bosonic", "== homfly-fermionic", "== homfly-bosonic",
     ]
+
+
+@pytest.mark.parametrize("max_n", ["0", "-1"])
+def test_number_tables_refuses_a_max_n_below_1(max_n):
+    proc = run_script("number_tables.py", "--max-n", max_n)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--max-n must be at least 1" in proc.stderr
