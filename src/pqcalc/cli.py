@@ -114,12 +114,15 @@ _SUITES = {
 # output helpers
 
 
-def _print_pairs(pairs: list[tuple[str, laurent.LaurentPoly]], fmt: str):
+def _print_polys(polys: dict[str, laurent.LaurentPoly] | list[laurent.LaurentPoly], fmt: str):
     if fmt == "json":
-        print(laurent.format_json(dict(pairs)))
-    else:
-        for label, f in pairs:
+        print(laurent.format_json(polys))
+    elif isinstance(polys, dict):
+        for label, f in polys.items():
             print(f"{label} = {f.text()}")
+    else:
+        for f in polys:
+            print(f.text())
 
 
 def _require_exactly_one(args, forms: list[tuple[str, list[str]]]) -> str:
@@ -166,7 +169,7 @@ def _cmd_family_params(args, fmt: str) -> int:
     else:
         coeffs = skein.SkeinCoefficients(laurent.parse(args.l1), laurent.parse(args.l2))
         pair = skein.pq_from_link_coeffs(coeffs)
-    _print_pairs([("P", pair.P), ("Q", pair.Q)], fmt)
+    _print_polys({"P": pair.P, "Q": pair.Q}, fmt)
     return 0
 
 
@@ -187,7 +190,7 @@ def _cmd_skein_coeffs(args, fmt: str) -> int:
     else:
         pair = qnumbers.PQPair(laurent.parse(args.P), laurent.parse(args.Q))
         coeffs = skein.link_coeffs_from_pq(pair)
-    _print_pairs([("l1", coeffs.l1), ("l2", coeffs.l2)], fmt)
+    _print_polys({"l1": coeffs.l1, "l2": coeffs.l2}, fmt)
     return 0
 
 
@@ -201,11 +204,7 @@ def _cmd_sequence(args, fmt: str) -> int:
     seq = skein.recurrence_generate(
         coeffs, laurent.parse(args.p0), laurent.parse(args.p1), args.count
     )
-    if fmt == "json":
-        print(laurent.format_json(seq))
-    else:
-        for f in seq:
-            print(f.text())
+    _print_polys(seq, fmt)
     return 0
 
 
@@ -341,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
         # formatting a message may itself run out of memory
         sys.stderr.write(_OUT_OF_MEMORY)
         return 3
-    except (ValueError, laurent.LaurentError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

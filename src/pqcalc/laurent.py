@@ -9,10 +9,10 @@ no floats, no symbolic simplification heuristics.
 The canonical term order compares the ``q`` exponent first, then the ``p``
 exponent; text and JSON output list terms in descending canonical order.
 
-Rendering (``LaurentPoly.text``, ``format_poly``, ``format_json``) goes by
-columns and ends in one join; nothing is cached on a value, so each render
-pays one sort of the keys and constant work per term.  Coefficients render
-at any length, in subquadratic time past CPython's int/str limit.
+Rendering (``LaurentPoly.text``, ``format_poly``) goes by columns, as
+``text`` describes; ``format_json`` nests indented copies of the single-poly
+JSON document.  Every int, in output and in error messages, renders at any
+length, in subquadratic time past CPython's int/str limit.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ ExpVec = tuple[int, int]
 is exactly the canonical term order."""
 
 
-class LaurentError(Exception):
+class LaurentError(ValueError):
     """Base class for every error raised by this module."""
 
 
@@ -61,7 +61,7 @@ class GridError(ParseError):
     """An exponent in the input is not an integer multiple of 1/2."""
 
 
-class BudgetExceededError(LaurentError, ValueError):
+class BudgetExceededError(LaurentError):
     """The requested value would cost more than ``MAX_WORK``."""
 
 
@@ -87,7 +87,7 @@ class LaurentPoly:
     LaurentPoly('1')
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(
         self,
@@ -115,7 +115,6 @@ class LaurentPoly:
                 else:
                     data.pop(key, None)
         self._terms = data
-        self._hash = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -138,7 +137,6 @@ class LaurentPoly:
         # internal fast path: data must already be canonical
         poly = cls.__new__(cls)
         poly._terms = data
-        poly._hash = None
         return poly
 
     # ------------------------------------------------------------------
@@ -256,18 +254,13 @@ class LaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            if not self._terms:
-                h = hash(0)
-            elif len(self._terms) == 1 and (0, 0) in self._terms:
-                # constant polynomials hash like their int value (they compare
-                # equal to it, so the hashes must agree)
-                h = hash(self._terms[(0, 0)])
-            else:
-                h = hash(frozenset(self._terms.items()))
-            self._hash = h
-        return h
+        if not self._terms:
+            return hash(0)
+        if len(self._terms) == 1 and (0, 0) in self._terms:
+            # constant polynomials hash like their int value (they compare
+            # equal to it, so the hashes must agree)
+            return hash(self._terms[(0, 0)])
+        return hash(frozenset(self._terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -297,13 +290,9 @@ class LaurentPoly:
             heads[c] = (" - " if c < 0 else " + ") + mag
         pieces = [None, None, None] * len(keys)
         pieces[0::3] = map(heads.__getitem__, coeffs)
-        pfactors = {0: ""}
-        pset = set(ps)
-        pset.discard(0)
+        pfactors = {p2: _var_text("p", p2) + "*" if p2 else "" for p2 in set(ps)}
         try:
-            for p2 in pset:
-                pfactors[p2] = _var_text("p", p2) + "*"
-            # _var_text("q", q2) spelled out, as it runs for every term
+            # _var_text("q", q2) spelled out with plain str, as it runs per term
             pieces[2::3] = [
                 f"q^({q2}/2)" if q2 & 1
                 else f"q^{q2 >> 1}" if q2 > 2
@@ -313,9 +302,7 @@ class LaurentPoly:
                 for q2, _ in keys
             ]
         except ValueError:  # an exponent past the int/str digit limit
-            for p2 in pset:
-                pfactors[p2] = _var_text("p", p2, _int_to_str) + "*"
-            pieces[2::3] = [_var_text("q", q2, _int_to_str) if q2 else "" for q2, _ in keys]
+            pieces[2::3] = [_var_text("q", q2) if q2 else "" for q2, _ in keys]
         pieces[1::3] = map(pfactors.__getitem__, ps)
         # the terms free of q come right after the positive q exponents;
         # they end on their p factor, or are the constant
@@ -342,18 +329,29 @@ class LaurentPoly:
         }
 
     @classmethod
-    def from_json_obj(cls, obj: Mapping) -> LaurentPoly:
-        """Inverse of ``to_json_obj``.  Coefficients must be decimal strings
-        matching ``^-?[0-9]+$`` and exponents JSON integers, as in
-        ``JSON_SCHEMA``; anything else raises ``ValueError``."""
-        if obj.get("variables") != ["q", "p"]:
+    def from_json_obj(cls, obj: dict) -> LaurentPoly:
+        """Inverse of ``to_json_obj``.  Takes a document of ``JSON_SCHEMA``:
+        objects are dicts with exactly the schema's keys, ``terms`` a list,
+        coefficients decimal strings matching ``^-?[0-9]+$`` in full and
+        exponents Python ints (not ``bool``, nor a float such as ``2.0``);
+        anything else raises ``ValueError``."""
+        if not isinstance(obj, dict) or obj.keys() != {"variables", "terms"}:
+            raise ValueError("expected an object with the keys 'variables' and 'terms'")
+        if obj["variables"] != ["q", "p"]:
             raise ValueError("expected variables ['q', 'p']")
+        if not isinstance(obj["terms"], list):
+            raise ValueError("expected 'terms' to be an array")
         items = []
         for term in obj["terms"]:
-            coeff = term["coeff"]
+            if not isinstance(term, dict) or term.keys() != {"coeff", "exp2"}:
+                raise ValueError("expected each term to be an object with keys 'coeff' and 'exp2'")
+            coeff, exp2 = term["coeff"], term["exp2"]
             if not isinstance(coeff, str) or not _COEFF_RE.fullmatch(coeff):
-                raise ValueError(f"coefficient {coeff!r} is not a decimal integer string")
-            exp = (term["exp2"]["q"], term["exp2"]["p"])
+                what = repr(coeff) if isinstance(coeff, str) else "of type " + type(coeff).__name__
+                raise ValueError(f"coefficient {what} is not a decimal integer string")
+            if not isinstance(exp2, dict) or exp2.keys() != {"q", "p"}:
+                raise ValueError("expected 'exp2' to be an object with the keys 'q' and 'p'")
+            exp = (exp2["q"], exp2["p"])
             for e2 in exp:
                 if not isinstance(e2, int) or isinstance(e2, bool):
                     raise ValueError(f"exponent {e2!r} is not an integer")
@@ -397,16 +395,15 @@ JSON_SCHEMA = {
 }
 
 
-def _var_text(name: str, e2: int, num=str) -> str:
+def _var_text(name: str, e2: int) -> str:
     # doubled exponent: halves render as "(m/2)", integers render bare,
-    # negative integers keep parentheses so output reparses.  ``num``
-    # writes the integer; ``str`` refuses one past the int/str digit limit
+    # negative integers keep parentheses so output reparses
     if e2 % 2 == 0:
         e = e2 // 2
         if e == 1:
             return name
-        return f"{name}^{num(e)}" if e >= 0 else f"{name}^({num(e)})"
-    return f"{name}^({num(e2)}/2)"
+        return f"{name}^{_int_to_str(e)}" if e >= 0 else f"{name}^({_int_to_str(e)})"
+    return f"{name}^({_int_to_str(e2)}/2)"
 
 
 _Q_EXP, _P_EXP = itemgetter(0), itemgetter(1)
@@ -433,25 +430,23 @@ _JSON_LAYOUT = (
 )
 
 
-def _json_pieces(f: LaurentPoly, layout: Sequence[str] = _JSON_LAYOUT) -> list[str]:
-    """The pieces of the JSON document of ``f`` in ``layout``; joined, they
-    are ``format_poly(f, "json")``."""
-    empty, first, before_q, before_p, between, tail = layout
+def _json_pieces(f: LaurentPoly) -> list[str]:
+    """The pieces of ``format_poly(f, "json")``, to be joined."""
+    empty, first, before_q, before_p, between, tail = _JSON_LAYOUT
     d = f._terms
     if not d:
         return [empty]
     keys = sorted(d, reverse=True)
     cstrs = {c: _int_to_str(c) for c in set(d.values())}
+    pstrs = {p2: _int_to_str(p2) for p2 in set(map(_P_EXP, keys))}
     # per term: the text up to the coefficient, coefficient, before q, q,
     # before p, p
     pieces = [between, None, before_q, None, before_p, None] * len(keys)
     pieces[0] = first
     pieces[1::6] = map(cstrs.__getitem__, map(d.__getitem__, keys))
     try:
-        pstrs = {p2: str(p2) for p2 in set(map(_P_EXP, keys))}
         pieces[3::6] = map(str, map(_Q_EXP, keys))
     except ValueError:  # an exponent past the int/str digit limit
-        pstrs = {p2: _int_to_str(p2) for p2 in set(map(_P_EXP, keys))}
         pieces[3::6] = map(_int_to_str, map(_Q_EXP, keys))
     pieces[5::6] = map(pstrs.__getitem__, map(_P_EXP, keys))
     pieces.append(tail)
@@ -514,11 +509,8 @@ def format_poly(f: LaurentPoly, mode: str = "text") -> str:
     """Render ``f`` deterministically.  ``mode`` is ``"text"`` or ``"json"``.
 
     The JSON form is byte-identical to
-    ``json.dumps(f.to_json_obj(), indent=2)``.  Like ``text``, it renders
-    by columns: each distinct coefficient and ``p`` exponent is converted
-    once, each ``q`` exponent per term, and the fixed layout between them
-    is filled in by slices, so the whole document is one join.  Nothing is
-    cached.
+    ``json.dumps(f.to_json_obj(), indent=2)``.  Like ``text``, it renders by
+    columns: the fixed layout between the ints is filled in by slices.
     """
     if mode == "text":
         return f.text()
@@ -532,8 +524,8 @@ def format_json(polys: Mapping[str, LaurentPoly] | Sequence[LaurentPoly]) -> str
     renders as an object, any other sequence as an array.
 
     Byte-identical to ``json.dumps(obj, indent=2)``, where ``obj`` holds
-    each poly's ``to_json_obj()``; the polys render as in ``format_poly``,
-    one level deeper.
+    each poly's ``to_json_obj()``: each entry is ``format_poly(f, "json")``
+    indented one level, as the encoder nests a value.
     """
     if isinstance(polys, Mapping):
         labels = [json.dumps(label) + ": " for label in polys]
@@ -542,24 +534,25 @@ def format_json(polys: Mapping[str, LaurentPoly] | Sequence[LaurentPoly]) -> str
         labels, brackets = [""] * len(polys), "[]"
     if not polys:
         return brackets
-    nested = [s.replace("\n", "\n  ") for s in _JSON_LAYOUT]  # one level deeper
-    pieces = [brackets[0]]
-    for i, (label, f) in enumerate(zip(labels, polys)):
-        pieces += [",\n  " if i else "\n  ", label, *_json_pieces(f, nested)]
-    pieces.append("\n" + brackets[1])
-    return "".join(pieces)
+    entries = ",\n  ".join(
+        label + format_poly(f, "json").replace("\n", "\n  ") for label, f in zip(labels, polys)
+    )
+    return f"{brackets[0]}\n  {entries}\n{brackets[1]}"
 
 
 def parse(text: str) -> LaurentPoly:
     """Parse expression text into canonical form.
 
-    Grammar (whitespace ignored, implicit multiplication allowed):
+    Grammar (whitespace between tokens ignored):
 
         expr     := ['-'] term (('+' | '-') term)*
-        term     := coeff ['*' factor]* | factor ['*' factor]*
+        term     := (integer | factor) (['*'] factor)*
         factor   := ('q' | 'p') ['^' exponent]
-        exponent := integer | '(' integer ')' | '(' integer '/' integer ')'
+        exponent := signed | '(' signed ['/' integer] ')'
+        signed   := ['+' | '-'] integer
 
+    Integers are ASCII digits, and a coefficient only opens a term: ``+q``,
+    ``q*3`` and ``2 3`` are malformed, ``q^-2`` and ``2q^(1/2)p`` parse.
     Fractional exponents must be integer multiples of 1/2 (``GridError``
     otherwise); any other malformed input raises ``ParseError`` with the
     offending character position.
@@ -678,9 +671,8 @@ class _Parser:
             self.pos += 1
             doubled, rest = divmod(2 * num, den)
             if rest:
-                raise GridError(
-                    f"exponent {num}/{den} is not an integer multiple of 1/2", start
-                )
+                frac = f"{_int_to_str(num)}/{_int_to_str(den)}"
+                raise GridError(f"exponent {frac} is not an integer multiple of 1/2", start)
             return doubled
         if ch in ("+", "-") or ch in _DIGITS:
             return 2 * self.take_signed_int()
@@ -917,7 +909,7 @@ def substitute_z(z_coeffs) -> LaurentPoly:
     for power, coeff in items:
         power = int(power)
         if power < 0:
-            raise NegativePowerOfZError(f"negative power of z: {power}")
+            raise NegativePowerOfZError(f"negative power of z: {_int_to_str(power)}")
         poly = LaurentPoly._coerce(coeff)
         if poly is None:
             raise TypeError(f"coefficients must be LaurentPoly or int, got {coeff!r}")

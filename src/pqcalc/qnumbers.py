@@ -41,7 +41,7 @@ from itertools import accumulate, count, repeat
 from math import comb
 from operator import mul
 
-from .laurent import MAX_WORK, BudgetExceededError, LaurentPoly, parse, poly_sum
+from .laurent import MAX_WORK, BudgetExceededError, LaurentPoly, _int_to_str, parse, poly_sum
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ def _check_budget(pair: PQPair, n: int) -> None:
         box *= (n - 1) * (max(axis) - min(axis)) + 1
     if min(terms, box) * words > MAX_WORK:
         raise BudgetExceededError(
-            f"[n] at n = {n} is over the budget of {MAX_WORK} terms times "
+            f"[n] at n = {_int_to_str(n)} is over the budget of {MAX_WORK} terms times "
             "64-bit coefficient words"
         )
 

@@ -36,7 +36,7 @@ from itertools import cycle, islice, repeat
 from math import gcd
 
 from . import qnumbers
-from .laurent import MAX_WORK, BudgetExceededError, LaurentPoly, exact_div
+from .laurent import MAX_WORK, BudgetExceededError, LaurentPoly, _int_to_str, exact_div
 
 
 class NotCoprimeError(ValueError):
@@ -69,7 +69,8 @@ def _check_budget(n: int, l: int, m: int, g: int, c: int) -> None:
                 break
     if work > MAX_WORK:
         raise BudgetExceededError(
-            f"D({n}, {l}) is over the budget of {MAX_WORK} walk steps and terms"
+            f"D({_int_to_str(n)}, {_int_to_str(l)}) is over the budget of {MAX_WORK} "
+            "walk steps and terms"
         )
 
 
@@ -82,7 +83,7 @@ def alexander_torus(n: int, l: int) -> LaurentPoly:
     if n < 1 or l < 1:
         raise ValueError("torus parameters must be positive")
     if gcd(n, l) != 1:
-        raise NotCoprimeError(f"gcd({n}, {l}) != 1")
+        raise NotCoprimeError(f"gcd({_int_to_str(n)}, {_int_to_str(l)}) != 1")
     m, g = min(n, l), max(n, l)
     c = (n - 1) * (l - 1)
     if m + c + 1 > MAX_WORK:  # D(n, l) has at most c + 1 terms

@@ -298,6 +298,15 @@ def test_exponents_past_the_int_str_limit(capsys, var, fmt):
         assert LaurentPoly.from_json_obj(got) == want
 
 
+def test_off_grid_exponent_past_the_int_str_limit_is_a_grid_error(capsys):
+    nines = "9" * 5000
+    rc, out, err = run_cli(
+        capsys, "number", "--family", "custom", "--P", f"q^(1/{nines})", "--Q", "1", "--n", "2"
+    )
+    assert (rc, out) == (2, "")
+    assert err == f"error: exponent 1/{nines} is not an integer multiple of 1/2 (at position 3)\n"
+
+
 def test_internal_errors_exit_3(capsys, monkeypatch):
     def broken(args, fmt):
         raise RuntimeError("engine bug")

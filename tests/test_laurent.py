@@ -13,7 +13,9 @@ import hypothesis.strategies as st
 
 from pqcalc.laurent import (
     JSON_SCHEMA,
+    BudgetExceededError,
     GridError,
+    LaurentError,
     LaurentPoly,
     NegativePowerOfZError,
     NonExactDivisionError,
@@ -31,7 +33,7 @@ from pqcalc.laurent import (
 from pqcalc.laurent import _int_from_str
 
 from pqcalc.qnumbers import Family, pq_number
-from pqcalc.torus import alexander_torus
+from pqcalc.torus import NotCoprimeError, alexander_torus
 
 from poly_strategies import exp2s, monomials, nonzero_polys, polys, positive_leading_polys
 
@@ -347,6 +349,22 @@ def test_parse_rejects_malformed(text):
     assert isinstance(info.value.position, int)
 
 
+# the README's grammar: a coefficient only opens a term, and bare exponents
+# take a sign
+@pytest.mark.parametrize("text", ["+q", "q*3", "2 3"])
+def test_parse_rejects_a_coefficient_off_the_start_of_a_term(text):
+    with pytest.raises(ParseError):
+        parse(text)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [("q^-2", LaurentPoly.monomial(1, -4)), ("2q^(1/2)p", LaurentPoly.monomial(2, 1, 2))],
+)
+def test_parse_accepts_signed_bare_exponents_and_implicit_products(text, want):
+    assert parse(text) == want
+
+
 def test_parse_error_position_points_at_offender():
     with pytest.raises(ParseError) as info:
         parse("q + $")
@@ -526,6 +544,72 @@ def test_from_json_obj_rejects_what_the_schema_forbids(coeff, exp2):
         LaurentPoly.from_json_obj(obj)
 
 
+# documents near JSON_SCHEMA: each key present or missing, each value valid
+# or any other JSON value, and sometimes a key the schema does not name.
+# Integral floats (``2.0``) and a coefficient's trailing newline are left
+# out: the schema admits both and ``from_json_obj`` refuses both.
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: not v.is_integer())
+    | st.sampled_from(["", "1", "q", "p", "1.5"])
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda kids: st.lists(kids, max_size=2)
+    | st.dictionaries(st.sampled_from(["q", "p", "coeff", "exp2", "terms", "r"]), kids, max_size=2),
+    max_leaves=4,
+)
+
+
+def json_objects(**fields):
+    return st.fixed_dictionaries({}, optional={**fields, "r": json_values}) | json_values
+
+
+json_docs = json_objects(
+    variables=st.just(["q", "p"]) | json_values,
+    terms=st.lists(
+        json_objects(
+            coeff=st.from_regex(r"-?[0-9]+", fullmatch=True)
+            | st.text(alphabet="-+0123456789 _", max_size=3)
+            | json_values,
+            exp2=json_objects(q=st.integers() | json_values, p=st.integers() | json_values),
+        ),
+        max_size=3,
+    )
+    | json_values,
+)
+
+_VALID_TERM = {"coeff": "-2", "exp2": {"q": 1, "p": 0}}
+
+
+@given(obj=json_docs)
+@example(obj={"variables": ["q", "p"], "terms": [_VALID_TERM]})
+@example(obj={"variables": ["q", "p"], "terms": {}})
+@example(obj={"variables": ["q", "p"], "terms": [], "r": 1})
+@example(obj={"variables": ["q", "p"], "terms": [{**_VALID_TERM, "r": 1}]})
+@example(obj={"variables": ["q", "p"], "terms": [{"coeff": "1", "exp2": {"q": 0, "p": 0, "r": 1}}]})
+@example(obj={"variables": ["q", "p"]})
+@example(obj={"variables": ["q", "p"], "terms": [{"coeff": "1"}]})
+@example(obj={"variables": ["q", "p"], "terms": [{"coeff": "1", "exp2": {"q": 0}}]})
+@example(obj={"variables": ["q", "p"], "terms": ["1"]})
+@example(obj=[])
+@settings(deadline=None, max_examples=300)
+def test_from_json_obj_accepts_exactly_the_schema(obj):
+    try:
+        jsonschema.validate(obj, JSON_SCHEMA)
+    except jsonschema.ValidationError:
+        with pytest.raises(ValueError):
+            LaurentPoly.from_json_obj(obj)
+    else:
+        f = LaurentPoly.from_json_obj(obj)
+        terms = obj["terms"]
+        assert f == LaurentPoly(
+            [((t["exp2"]["q"], t["exp2"]["p"]), _int_from_str(t["coeff"])) for t in terms]
+        )
+
+
 big_coeffs = st.integers(min_value=-(2**80), max_value=2**80).filter(bool)
 
 
@@ -624,6 +708,43 @@ def test_long_exponents_render_and_round_trip(f, text):
     # json's own int parsing stops at the limit as well
     assert json.loads(rendered, parse_int=_int_from_str) == obj
     assert LaurentPoly.from_json_obj(json.loads(rendered, parse_int=_int_from_str)) == f
+
+
+# an input int past the limit, quoted in full by the typed error it causes
+_LONG = 10**5000
+_LONG_DIGITS = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize(
+    "call, error, quoted",
+    [
+        (lambda: parse("q^(1/" + "9" * 5000 + ")"), GridError, "1/" + "9" * 5000),
+        (lambda: substitute_z({-_LONG: 1}), NegativePowerOfZError, "-" + _LONG_DIGITS),
+        (lambda: alexander_torus(2 * _LONG, 4 * _LONG), NotCoprimeError, "2" + _LONG_DIGITS[1:]),
+        (lambda: alexander_torus(_LONG, _LONG + 1), BudgetExceededError, _LONG_DIGITS[:-1] + "1"),
+        (lambda: pq_number("alexander-fermionic", _LONG), BudgetExceededError, _LONG_DIGITS),
+        (
+            lambda: LaurentPoly.from_json_obj(
+                {"variables": ["q", "p"], "terms": [{"coeff": _LONG, "exp2": {"q": 0, "p": 0}}]}
+            ),
+            ValueError,
+            "coefficient of type int",
+        ),
+    ],
+    ids=["grid", "negative-z-power", "not-coprime", "torus-budget", "number-budget", "json"],
+)
+def test_typed_errors_quote_long_ints(call, error, quoted):
+    with pytest.raises(error) as info:
+        call()
+    assert quoted in str(info.value)
+
+
+def test_kernel_errors_are_value_errors():
+    for error in (ParseError, GridError, NonExactDivisionError, NotAPerfectSquareError,
+                  NegativePowerOfZError, BudgetExceededError):
+        assert issubclass(error, LaurentError)
+    assert issubclass(LaurentError, ValueError)
+    assert BudgetExceededError.__bases__ == (LaurentError,)
 
 
 # ----------------------------------------------------------------------

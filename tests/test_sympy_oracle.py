@@ -2,7 +2,7 @@
 with the kernel: ``*`` and ``pq_number`` must agree with sympy's ``expand``.
 
 Doubled exponents map to integer powers of two symbols, ``x = q^(1/2)``
-and ``y = p^(1/2)``.  sympy is not a declared dependency, so the module is
+and ``y = p^(1/2)``.  sympy is in the ``test`` extra; the module is
 skipped where it is not installed.
 """
 
