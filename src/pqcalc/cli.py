@@ -248,6 +248,21 @@ _HANDLERS = {
 # parser
 
 
+def _int_arg(text: str) -> int:
+    """``int`` for an argument at any length: what ``int`` takes, and past
+    CPython's int/str digit limit an ASCII ``[+-]?[0-9]+``, so that a long
+    ``--n`` reaches the library's typed errors.  Anything else keeps
+    argparse's ``invalid int value`` message."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text[1:] if text[:1] in ("+", "-") else text
+        if digits.isascii() and digits.isdigit():
+            value = laurent._int_from_str(digits)
+            return -value if text[0] == "-" else value
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # --format is accepted both before and after the subcommand; the
     # subcommand copy uses SUPPRESS so an unset value does not clobber the
@@ -269,7 +284,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="deformed integer [n] of a built-in or custom family")
     p.add_argument("--family", required=True,
                    help="one of: " + ", ".join(qnumbers.FAMILY_NAMES) + ", custom")
-    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--n", required=True, type=_int_arg)
     p.add_argument("--P", help="P expression (with --family custom)")
     p.add_argument("--Q", help="Q expression (with --family custom)")
 
@@ -283,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="deformed integer [n] for explicit parameters P and Q")
     p.add_argument("--P", required=True)
     p.add_argument("--Q", required=True)
-    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--n", required=True, type=_int_arg)
     p.set_defaults(family="custom")
 
     p = sub.add_parser("skein-coeffs", parents=[fmt_parent],
@@ -303,8 +318,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("torus-alexander", parents=[fmt_parent],
                        help="closed-form torus Alexander polynomial D(n, l), gcd(n, l) = 1")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--l", required=True, type=int)
+    p.add_argument("--n", required=True, type=_int_arg)
+    p.add_argument("--l", required=True, type=_int_arg)
 
     p = sub.add_parser("sequence", parents=[fmt_parent],
                        help="values of the recurrence X[n+1] = l1*X[n] + l2*X[n-1]")

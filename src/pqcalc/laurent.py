@@ -9,6 +9,12 @@ no floats, no symbolic simplification heuristics.
 The canonical term order compares the ``q`` exponent first, then the ``p``
 exponent; text and JSON output list terms in descending canonical order.
 
+Canonical form has one rule, written once: every sum the kernel forms (the
+constructor, ``+``, ``-``, ``*``, ``poly_sum``, the parser) accumulates
+coefficients freely, and ``_canonical`` then drops its zeros, in place.
+The division remainder in ``exact_div`` and ``sqrt_perfect_square`` keeps
+a cancelled key, at zero, until the heap pops it, and skips it there.
+
 Rendering (``LaurentPoly.text``, ``format_poly``) goes by columns, as
 ``text`` describes; ``format_json`` nests indented copies of the single-poly
 JSON document.  Every int, in output and in error messages, renders at any
@@ -76,7 +82,14 @@ class LaurentPoly:
 
     Instances are immutable and hashable.  All operations return new values
     in canonical form: no zero coefficients, one entry per exponent pair.
+    Sums accumulate first and drop their zeros in one place, ``_canonical``;
+    ``==``, ``hash``, ``is_zero``, ``leading_term`` and rendering rely on it.
     Plain ints coerce in arithmetic and comparisons.
+
+    Built from text, an int, or ``((q2, p2), coeff)`` terms (a mapping or
+    an iterable): each key is a tuple of exactly two doubled exponents,
+    and exponents and coefficients are ``int``, not ``bool``; anything
+    else raises ``TypeError``.
 
     >>> f = LaurentPoly("q^(1/2) - q^(-1/2)")
     >>> f * f
@@ -98,23 +111,20 @@ class LaurentPoly:
         elif isinstance(terms, bool):
             raise TypeError("coefficients must be int, got bool")
         elif isinstance(terms, int):
-            data = {(0, 0): terms} if terms else {}
+            data = {(0, 0): terms}
         else:
             items = terms.items() if isinstance(terms, Mapping) else terms
             data = {}
             for exp, coeff in items:
                 if not isinstance(coeff, int) or isinstance(coeff, bool):
                     raise TypeError(f"coefficients must be int, got {type(coeff).__name__}")
-                for e2 in exp[:2]:
+                if not isinstance(exp, tuple) or len(exp) != 2:
+                    raise TypeError("exponents must be (q2, p2) pairs")
+                for e2 in exp:
                     if not isinstance(e2, int) or isinstance(e2, bool):
                         raise TypeError(f"exponents must be int, got {type(e2).__name__}")
-                key = (int(exp[0]), int(exp[1]))
-                acc = data.get(key, 0) + coeff
-                if acc:
-                    data[key] = acc
-                else:
-                    data.pop(key, None)
-        self._terms = data
+                data[exp] = data.get(exp, 0) + coeff
+        self._terms = _canonical(data)
 
     # ------------------------------------------------------------------
     # constructors
@@ -130,7 +140,7 @@ class LaurentPoly:
     @classmethod
     def monomial(cls, coeff: int, q2: int = 0, p2: int = 0) -> LaurentPoly:
         """Single term ``coeff * q^(q2/2) * p^(p2/2)`` (doubled exponents)."""
-        return cls({(q2, p2): coeff} if coeff else {})
+        return cls({(q2, p2): coeff})
 
     @classmethod
     def _raw(cls, data: dict[ExpVec, int]) -> LaurentPoly:
@@ -181,12 +191,8 @@ class LaurentPoly:
             return NotImplemented
         data = dict(self._terms)
         for exp, coeff in other._terms.items():
-            acc = data.get(exp, 0) + coeff
-            if acc:
-                data[exp] = acc
-            else:
-                data.pop(exp, None)
-        return LaurentPoly._raw(data)
+            data[exp] = data.get(exp, 0) + coeff
+        return LaurentPoly._raw(_canonical(data))
 
     __radd__ = __add__
 
@@ -199,12 +205,8 @@ class LaurentPoly:
             return NotImplemented
         data = dict(self._terms)
         for exp, coeff in other._terms.items():
-            acc = data.get(exp, 0) - coeff
-            if acc:
-                data[exp] = acc
-            else:
-                data.pop(exp, None)
-        return LaurentPoly._raw(data)
+            data[exp] = data.get(exp, 0) - coeff
+        return LaurentPoly._raw(_canonical(data))
 
     def __rsub__(self, other) -> LaurentPoly:
         other = self._coerce(other)
@@ -220,12 +222,8 @@ class LaurentPoly:
         for (aq, ap), ac in self._terms.items():
             for (bq, bp), bc in other._terms.items():
                 exp = (aq + bq, ap + bp)
-                acc = data.get(exp, 0) + ac * bc
-                if acc:
-                    data[exp] = acc
-                else:
-                    data.pop(exp, None)
-        return LaurentPoly._raw(data)
+                data[exp] = data.get(exp, 0) + ac * bc
+        return LaurentPoly._raw(_canonical(data))
 
     __rmul__ = __mul__
 
@@ -560,7 +558,7 @@ def parse(text: str) -> LaurentPoly:
     >>> parse("2q^(1/2) - p^2")
     LaurentPoly('2*q^(1/2) - p^2')
     """
-    return LaurentPoly._raw(_parse_text(text))
+    return LaurentPoly._raw(_canonical(_parse_text(text)))
 
 
 # ASCII digits only: ``\d`` and ``str.isdigit`` also accept other scripts'
@@ -617,7 +615,7 @@ class _Parser:
                 break
             else:
                 self.fail(f"unexpected character {ch!r}")
-        return {exp: coeff for exp, coeff in acc.items() if coeff}
+        return acc
 
     def parse_term(self, acc: dict[ExpVec, int], sign: int):
         ch = self.peek()
@@ -680,10 +678,21 @@ class _Parser:
 
 
 def _parse_text(text: str) -> dict[ExpVec, int]:
+    # the accumulated terms, zeros included: callers pass them to _canonical
     parser = _Parser(text)
     if parser.peek() == "":
         parser.fail("empty expression")
     return parser.parse_expr()
+
+
+def _canonical(data: dict[ExpVec, int]) -> dict[ExpVec, int]:
+    """``data`` with its zero coefficients deleted, in place: the one place
+    a sum the kernel forms is pruned.  ``all`` scans the values in C, so a
+    sum with nothing to drop pays no Python-level pass."""
+    if not all(data.values()):
+        for exp in [exp for exp, coeff in data.items() if not coeff]:
+            del data[exp]
+    return data
 
 
 def poly_sum(polys: Iterable[LaurentPoly]) -> LaurentPoly:
@@ -691,12 +700,8 @@ def poly_sum(polys: Iterable[LaurentPoly]) -> LaurentPoly:
     acc: dict[ExpVec, int] = {}
     for f in polys:
         for exp, coeff in f._terms.items():
-            v = acc.get(exp, 0) + coeff
-            if v:
-                acc[exp] = v
-            else:
-                acc.pop(exp, None)
-    return LaurentPoly._raw(acc)
+            acc[exp] = acc.get(exp, 0) + coeff
+    return LaurentPoly._raw(_canonical(acc))
 
 
 def _component_bounds(f: LaurentPoly) -> tuple[ExpVec, ExpVec]:
@@ -717,11 +722,12 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
 
     The remainder's exponents are kept in a max-heap with lazy deletion
     (Monagan and Pearce, "Sparse polynomial division using a heap", 2011):
-    a key cancelled out of the remainder stays in the heap and is skipped
-    when popped, and a key an update brings into the remainder is pushed.
-    Every key a step touches lies at or below the exponent it processes,
-    so the heap order is exact, and the cost is O(steps * |den| * log)
-    rather than O(steps * |remainder|).
+    a key an update brings into the remainder is pushed, and a key whose
+    coefficient cancels stays in the remainder, at zero, until it is
+    popped and skipped.  Every key a step touches lies below the exponent
+    it processes, so each key in the remainder has exactly one live heap
+    entry, the heap order is exact, and the cost is
+    O(steps * |den| * log) rather than O(steps * |remainder|).
 
     >>> exact_div(parse("q - q^(-1)"), parse("q^(1/2) - q^(-1/2)"))
     LaurentPoly('q^(1/2) + q^(-1/2)')
@@ -743,7 +749,7 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     quot: dict[ExpVec, int] = {}
     while heap:
         neg_q, neg_p = heappop(heap)
-        coeff = rem.pop((-neg_q, -neg_p), 0)
+        coeff = rem.pop((-neg_q, -neg_p))
         if not coeff:
             continue
         t_exp = (-neg_q - lead_q, -neg_p - lead_p)
@@ -762,15 +768,12 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
 
 
 def _sub_term(rem: dict[ExpVec, int], heap: list[ExpVec], key: ExpVec, value: int):
-    # rem[key] -= value (value != 0); a key new to rem goes on the heap
+    # rem[key] -= value; only a key new to rem goes on the heap.  A key that
+    # cancels stays in rem, at zero, until its heap entry pops it
     old = rem.get(key)
     if old is None:
-        rem[key] = -value
         heappush(heap, (-key[0], -key[1]))
-    elif old == value:
-        del rem[key]
-    else:
-        rem[key] = old - value
+    rem[key] = (old or 0) - value
 
 
 def sqrt_perfect_square(f: LaurentPoly) -> LaurentPoly:
@@ -784,9 +787,9 @@ def sqrt_perfect_square(f: LaurentPoly) -> LaurentPoly:
     polynomial that is not a perfect square fails cleanly.
 
     The residue's exponents sit in the same lazily pruned max-heap as in
-    ``exact_div``; every key a step touches lies below the one it
-    processes, so the cost is O(steps * |root| * log) rather than
-    O(steps * |residue|).
+    ``exact_div``, cancelled keys kept at zero until popped; every key a
+    step touches lies below the one it processes, so the cost is
+    O(steps * |root| * log) rather than O(steps * |residue|).
 
     >>> sqrt_perfect_square(parse("q - 2 + q^(-1)"))
     LaurentPoly('q^(1/2) - q^(-1/2)')
@@ -818,7 +821,7 @@ def sqrt_perfect_square(f: LaurentPoly) -> LaurentPoly:
     heapify(heap)
     while heap:
         neg_q, neg_p = heappop(heap)
-        coeff = rem.pop((-neg_q, -neg_p), 0)
+        coeff = rem.pop((-neg_q, -neg_p))
         if not coeff:
             continue
         t_exp = (-neg_q - head[0], -neg_p - head[1])
@@ -897,8 +900,9 @@ def substitute_z(z_coeffs) -> LaurentPoly:
 
     ``z_coeffs`` gives the coefficient of each power of ``z``, either as a
     sequence indexed by power or as an int-keyed mapping.  Coefficients may
-    be ``LaurentPoly`` or int.  Negative powers are rejected: the target
-    grid has no inverse for ``z``.
+    be ``LaurentPoly`` or int.  A power must be an ``int`` (``TypeError``
+    otherwise, ``bool`` included); negative powers raise
+    ``NegativePowerOfZError``: the target grid has no inverse for ``z``.
     """
     if isinstance(z_coeffs, Mapping):
         items = list(z_coeffs.items())
@@ -907,7 +911,8 @@ def substitute_z(z_coeffs) -> LaurentPoly:
     z = LaurentPoly.monomial(1, 1) + LaurentPoly.monomial(-1, -1)
     parts = []
     for power, coeff in items:
-        power = int(power)
+        if not isinstance(power, int) or isinstance(power, bool):
+            raise TypeError(f"powers of z must be int, got {type(power).__name__}")
         if power < 0:
             raise NegativePowerOfZError(f"negative power of z: {_int_to_str(power)}")
         poly = LaurentPoly._coerce(coeff)

@@ -255,6 +255,51 @@ def test_oversized_torus_pairs_exit_2(capsys, n, l):
     assert err == f"error: D({n}, {l}) is over the budget of 4000000 walk steps and terms\n"
 
 
+_LONG = "1" + "0" * 5000  # past CPython's 4300-digit int/str limit
+_LONG_PLUS_1 = _LONG[:-1] + "1"
+
+
+@pytest.mark.parametrize(
+    "argv, quoted",
+    [
+        (["number", "--family", "alexander-fermionic", "--n", _LONG], f"[n] at n = {_LONG} "),
+        (["pq-number", "--P", "q", "--Q", "1", "--n", _LONG], f"[n] at n = {_LONG} "),
+        (["torus-alexander", "--n", _LONG, "--l", _LONG_PLUS_1], f"D({_LONG}, {_LONG_PLUS_1}) "),
+    ],
+    ids=["number", "pq-number", "torus-alexander"],
+)
+def test_long_integer_arguments_reach_the_budget_error(capsys, argv, quoted):
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: " + quoted)
+    assert "is over the budget of 4000000" in err
+
+
+@pytest.mark.parametrize(
+    "value",
+    [_LONG + "x", "-" + _LONG + "_0", "+-" + _LONG, "3x", ""],
+    ids=["long-trailing-x", "long-underscore", "long-two-signs", "short", "empty"],
+)
+def test_malformed_integer_arguments_stay_usage_errors(capsys, value):
+    rc, out, err = run_cli(capsys, "torus-alexander", "--n", "3", f"--l={value}")
+    assert (rc, out) == (2, "")
+    assert err.endswith(f"error: argument --l: invalid int value: {value!r}\n")
+
+
+@pytest.mark.parametrize(
+    "value, want",
+    [(" 5 ", 5), ("+5", 5), ("0_5", 5), ("-" + _LONG, None)],
+    ids=["spaces", "plus", "underscore", "long-negative"],
+)
+def test_integer_arguments_take_what_int_takes(capsys, value, want):
+    rc, out, err = run_cli(capsys, "number", "--family", "alexander-fermionic", f"--n={value}")
+    if want is None:
+        assert (rc, out, err) == (2, "", "error: n must be nonnegative\n")
+    else:
+        assert (rc, err) == (0, "")
+        assert out == pq_number(Family.ALEXANDER_FERMIONIC, want).text() + "\n"
+
+
 BUDGET_ROWS = [
     ["number", "--family", "alexander-fermionic", "--n", "100000000"],
     ["number", "--family", "custom", "--P", "q+1", "--Q", "1", "--n", "20000"],

@@ -84,6 +84,22 @@ def test_constructor_rejects_non_int_exponents(terms):
         LaurentPoly(terms)
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(1, 2, 3): 1},
+        [((1,), 1)],
+        {(): 1},
+        [([0, 2], 1)],
+        {"qp": 1},
+        [(2, 1)],
+    ],
+)
+def test_constructor_rejects_keys_that_are_not_pairs(terms):
+    with pytest.raises(TypeError, match=r"exponents must be \(q2, p2\) pairs"):
+        LaurentPoly(terms)
+
+
 def test_bools_coerce_like_ints_in_arithmetic():
     assert LaurentPoly.one() == True  # noqa: E712
     assert (parse("q") + True).terms() == (((2, 0), 1), ((0, 0), 1))
@@ -142,6 +158,73 @@ def test_poly_sum_matches_repeated_add():
     for f in fs:
         total = total + f
     assert poly_sum(fs) == total
+
+
+# ----------------------------------------------------------------------
+# canonical form: every sum accumulates, then drops its zeros once
+
+# terms on a small grid with small coefficients, zero included, and the
+# negation of some of them appended, so that sums and products cancel often
+_small_terms = st.lists(
+    st.tuples(st.tuples(st.integers(-2, 2), st.integers(-1, 1)), st.integers(-2, 2)),
+    max_size=6,
+)
+
+
+@st.composite
+def cancelling_terms(draw):
+    terms = draw(_small_terms)
+    mirrored = draw(st.lists(st.sampled_from(terms), max_size=len(terms))) if terms else []
+    return terms + [(exp, -coeff) for exp, coeff in mirrored]
+
+
+def by_hand(terms) -> dict:
+    """The canonical terms of a term list, summed one by one, zeros dropped."""
+    acc = {}
+    for exp, coeff in terms:
+        acc[exp] = acc.get(exp, 0) + coeff
+    return {exp: coeff for exp, coeff in acc.items() if coeff}
+
+
+def as_text(terms) -> str:
+    text = " ".join(
+        f"{'-' if coeff < 0 else '+'} {abs(coeff)}*q^({q2}/2)*p^({p2}/2)"
+        for (q2, p2), coeff in terms
+    )
+    return (text[2:] if text.startswith("+") else text) or "0"
+
+
+def assert_canonical(f: LaurentPoly, want: dict):
+    assert 0 not in f._terms.values()
+    ref = LaurentPoly._raw(want)
+    assert f == ref
+    assert hash(f) == hash(ref)
+
+
+@given(a=cancelling_terms(), b=cancelling_terms(), c=cancelling_terms())
+# each of +, -, * and poly_sum cancels a term here
+@example(a=[((2, 0), 1), ((0, 0), 1)], b=[((2, 0), -1), ((0, 0), 1)], c=[((0, 0), -2)])
+@example(a=[((0, 0), 0)], b=[((1, 1), 2), ((1, 1), -2)], c=[])
+@settings(deadline=None, max_examples=300)
+def test_every_result_is_canonical(a, b, c):
+    f, g, h = LaurentPoly(a), LaurentPoly(b), LaurentPoly(c)
+    neg_b = [(exp, -coeff) for exp, coeff in b]
+    pairs = [((aq + bq, ap + bp), ac * bc) for (aq, ap), ac in a for (bq, bp), bc in b]
+    assert_canonical(f, by_hand(a))
+    assert_canonical(LaurentPoly(dict(a)), by_hand(dict(a).items()))
+    assert_canonical(f + g, by_hand(a + b))
+    assert_canonical(f - g, by_hand(a + neg_b))
+    assert_canonical(f * g, by_hand(pairs))
+    assert_canonical(poly_sum([f, g, h]), by_hand(a + b + c))
+    assert_canonical(parse(as_text(a)), by_hand(a))
+    assert_canonical(LaurentPoly(as_text(a)), by_hand(a))
+    if not g.is_zero:
+        assert_canonical(exact_div(f * g, g), by_hand(a))
+    if not f.is_zero:
+        root = by_hand(a)
+        if root[max(root)] < 0:
+            root = {exp: -coeff for exp, coeff in root.items()}
+        assert_canonical(sqrt_perfect_square(f * f), root)
 
 
 # ----------------------------------------------------------------------
@@ -816,6 +899,12 @@ def test_substitute_z_with_poly_coefficients():
 def test_substitute_z_rejects_negative_powers():
     with pytest.raises(NegativePowerOfZError):
         substitute_z({-1: 1})
+
+
+@pytest.mark.parametrize("power", [1.5, 1.0, True, False, "3", Fraction(2)])
+def test_substitute_z_takes_integer_powers_only(power):
+    with pytest.raises(TypeError, match="powers of z must be int"):
+        substitute_z({power: 1})
 
 
 @given(k=st.integers(0, 6))

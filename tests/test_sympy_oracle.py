@@ -1,19 +1,31 @@
 """Differential tests against sympy, an algebra system that shares no code
-with the kernel: ``*`` and ``pq_number`` must agree with sympy's ``expand``.
+with the kernel: ``*`` and ``pq_number`` must agree with sympy's ``expand``,
+``exact_div`` with sympy's division over the integers, and
+``sqrt_perfect_square`` with the root read off sympy's ``factor_list``.
 
 Doubled exponents map to integer powers of two symbols, ``x = q^(1/2)``
-and ``y = p^(1/2)``.  sympy is in the ``test`` extra; the module is
-skipped where it is not installed.
+and ``y = p^(1/2)``.  For division and factoring a value is shifted to
+nonnegative exponents first.  sympy is in the ``test`` extra; the module
+is skipped where it is not installed.
 """
+
+from math import isqrt
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
-from pqcalc.laurent import LaurentPoly, parse
+from pqcalc.laurent import (
+    LaurentPoly,
+    NonExactDivisionError,
+    NotAPerfectSquareError,
+    exact_div,
+    parse,
+    sqrt_perfect_square,
+)
 from pqcalc.qnumbers import PQPair, pq_number
 
-from poly_strategies import monomials, polys
+from poly_strategies import exp2s, monomials, nonzero_polys, polys, positive_leading_polys
 
 sympy = pytest.importorskip("sympy")
 
@@ -47,3 +59,119 @@ def test_pq_number_matches_the_expanded_sum(P, Q, n):
     sP, sQ = to_sympy(P), to_sympy(Q)
     want = sympy.expand(sympy.Add(*(sP ** (n - 1 - i) * sQ**i for i in range(n))))
     assert same(pq_number(PQPair(P, Q), n), want)
+
+
+# Values whose products cancel a term that division or the root must then
+# bring back into the remainder as a new key; random sparse values rarely do.
+
+
+@st.composite
+def conjugates(draw):
+    """``(h - u, h + u)``: their product ``h^2 - u^2`` has lost the cross
+    terms ``h*u``, which dividing it by ``h + u`` brings back."""
+    h, u = draw(polys(max_terms=2)), draw(polys(max_terms=2))
+    assume(h != u and h != -u)
+    return h - u, h + u
+
+
+@st.composite
+def cancelling_roots(draw):
+    """``a*t^2 + 2ak*t - 2ak^2`` times a monomial, ``t`` a monomial above 1:
+    its square has no ``t^2`` term, which the root's residue brings back."""
+    a, k = draw(st.integers(1, 3)), draw(st.sampled_from([-2, -1, 1, 2]))
+    eq, ep = draw(exp2s), draw(exp2s)
+    dq, dp = draw(st.tuples(st.integers(0, 3), st.integers(-3, 3)).filter(lambda d: d > (0, 0)))
+    return LaurentPoly(
+        {(eq + 2 * dq, ep + 2 * dp): a, (eq + dq, ep + dp): 2 * a * k, (eq, ep): -2 * a * k * k}
+    )
+
+
+def shifted(f: LaurentPoly):
+    """``f`` times the monomial that makes its least ``x`` and ``y`` exponents
+    zero, as a sympy polynomial over the integers, and that monomial's
+    exponents.  A shifted value is divisible by neither ``x`` nor ``y``, so
+    Laurent divisibility of two values is divisibility of their shifts."""
+    lo_q = min(q2 for (q2, _), _ in f.terms())
+    lo_p = min(p2 for (_, p2), _ in f.terms())
+    expr = sympy.Add(*(c * x ** (q2 - lo_q) * y ** (p2 - lo_p) for (q2, p2), c in f.terms()))
+    return sympy.Poly(expr, x, y, domain="ZZ"), (lo_q, lo_p)
+
+
+def sympy_div(num: LaurentPoly, den: LaurentPoly):
+    """sympy's quotient of ``num`` by ``den``, shifted back, and whether its
+    division over the integers left a remainder."""
+    (n, (nq, np_)), (d, (dq, dp)) = shifted(num), shifted(den)
+    quot, rem = n.div(d, auto=False)
+    return quot.as_expr() * x ** (nq - dq) * y ** (np_ - dp), not rem.is_zero
+
+
+@given(fg=st.one_of(st.tuples(nonzero_polys(4), nonzero_polys(4)), conjugates()))
+@example(fg=(parse("q^2 - 3*p*q + 1"), parse("2*q^(1/2) - p^(-1/2) + 1")))
+@example(fg=(parse("q - 1"), parse("q + 1")))
+@settings(deadline=None, max_examples=60)
+def test_exact_div_matches_sympy(fg):
+    f, g = fg
+    want, inexact = sympy_div(f * g, g)
+    assert not inexact
+    assert same(exact_div(f * g, g), want)
+
+
+@given(f=polys(max_terms=3), g=nonzero_polys(max_terms=3), r=nonzero_polys(max_terms=2))
+@example(f=parse("q + 1"), g=parse("2*q - 1"), r=parse("q"))
+@example(f=parse("q + 1"), g=parse("q - 1"), r=parse("q^2 - 1"))
+@settings(deadline=None, max_examples=60)
+def test_exact_div_raises_exactly_when_sympy_leaves_a_remainder(f, g, r):
+    num = f * g + r
+    if num.is_zero:
+        return
+    want, inexact = sympy_div(num, g)
+    if inexact:
+        with pytest.raises(NonExactDivisionError):
+            exact_div(num, g)
+    else:
+        assert same(exact_div(num, g), want)
+
+
+def sympy_sqrt(f: LaurentPoly):
+    """The principal square root of ``f`` read off sympy's factorization,
+    each multiplicity halved, or ``None`` when ``f`` is not a square."""
+    F, (sq, sp) = shifted(f)
+    content, factors = F.factor_list()
+    content = int(content)
+    if content < 0 or isqrt(content) ** 2 != content or any(m % 2 for _, m in factors):
+        return None
+    # the least exponents of a square are even: twice its root's
+    root = sympy.Poly(isqrt(content), x, y, domain="ZZ")
+    for factor, m in factors:
+        root *= factor ** (m // 2)
+    # canonical order compares the q exponent, then the p exponent: lex, x > y
+    if root.LC(order="lex") < 0:
+        root = -root
+    return root.as_expr() * x ** (sq // 2) * y ** (sp // 2)
+
+
+@given(f=st.one_of(positive_leading_polys(max_terms=3), cancelling_roots()))
+@example(f=parse("q^2 - 2*p*q^(1/2) + 3*p^(-1)"))
+@example(f=parse("2*q + 2 - q^(-1)"))
+@settings(deadline=None, max_examples=30)
+def test_sqrt_matches_sympy_factor_list(f):
+    want = sympy_sqrt(f * f)
+    assert want is not None
+    assert same(sqrt_perfect_square(f * f), want)
+
+
+@given(f=st.one_of(nonzero_polys(max_terms=3), cancelling_roots()), r=polys(max_terms=2))
+@example(f=parse("q + 1"), r=parse("-q"))
+@example(f=parse("2*q + 2 - q^(-1)"), r=LaurentPoly.zero())
+@example(f=parse("q^(1/2) - 1"), r=parse("q^(1/2)"))
+@settings(deadline=None, max_examples=30)
+def test_sqrt_raises_exactly_when_sympy_finds_no_square(f, r):
+    h = f * f + r
+    if h.is_zero:
+        return
+    want = sympy_sqrt(h)
+    if want is None:
+        with pytest.raises(NotAPerfectSquareError):
+            sqrt_perfect_square(h)
+    else:
+        assert same(sqrt_perfect_square(h), want)
