@@ -12,10 +12,9 @@ or ``--format json``), diagnostics to stderr.  Exit codes: 0 on success,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import asdict, dataclass, fields
 from itertools import islice
+from typing import NamedTuple
 
 from . import laurent, qnumbers, skein, torus
 
@@ -26,8 +25,7 @@ SUITE_NAMES = ("recurrence", "delta-identity", "homfly-factor", "coeff-maps")
 # verification suites
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
@@ -74,7 +72,7 @@ def _suite_homfly_factor(max_n: int) -> list[Check]:
 
 
 def _fields(record) -> str:
-    return "(" + ", ".join(f"{f.name}={getattr(record, f.name)}" for f in fields(record)) + ")"
+    return "(" + ", ".join(f"{name}={getattr(record, name)}" for name in record._fields) + ")"
 
 
 def _compare(name: str, convert, value, want) -> Check:
@@ -215,10 +213,12 @@ def _cmd_verify(args, fmt: str) -> int:
     checks = [check for name in names for check in _SUITES[name](args.max_n)]
     passed = sum(check.passed for check in checks)
     if fmt == "json":
+        import json
+
         payload = {
             "suite": args.suite,
             "max_n": args.max_n,
-            "checks": [asdict(check) for check in checks],
+            "checks": [check._asdict() for check in checks],
             "all_passed": passed == len(checks),
         }
         print(json.dumps(payload, indent=2))

@@ -23,16 +23,14 @@ length, in subquadratic time past CPython's int/str limit.
 
 from __future__ import annotations
 
-import json
 import re
 from bisect import bisect_left
-from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
-from fractions import Fraction
+from collections.abc import Iterable, Mapping, Sequence
 from heapq import heapify, heappop, heappush
 from itertools import islice
-from math import isqrt
+from math import comb, isqrt
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Union
 
 ExpVec = tuple[int, int]
 """Doubled exponent pair ``(2*e_q, 2*e_p)``.  Tuple comparison of these pairs
@@ -75,6 +73,33 @@ class BudgetExceededError(LaurentError):
 # walk steps, for the torus values) times 64-bit words per coefficient.  A
 # term costs about 135 bytes, so this caps a result near 540 MB.
 MAX_WORK = 4 * 10**6
+
+
+def _power_fits(bases: tuple[dict[ExpVec, int], ...], k: int, count: int, limit: int) -> bool:
+    """Does a sum of ``count`` products of ``k`` terms, each a term of one
+    of ``bases``, fit in ``limit`` terms times 64-bit coefficient words?
+
+    Told from the inputs alone, before any product.  The sum's terms are at
+    most the multisets of ``k`` elements of the union S of the supports,
+    ``C(k+s-1, s-1)`` for s = |S|, and at most the points of ``k`` times
+    S's box; each coefficient is at most ``count * M^k``, M the largest
+    1-norm, so it has at most ``bits(count) + k*ceil(log2 M)`` bits.
+    """
+    support = set().union(*bases)
+    s = len(support)
+    norm = max([sum(map(abs, base.values())) for base in bases] + [1])
+    words = 1 + (count.bit_length() + k * (norm - 1).bit_length()) // 64
+    if words > limit:
+        # before the multisets: C(k+s-1, s-1) alone takes seconds when k
+        # and s are both large
+        return False
+    terms = comb(k + s - 1, s - 1) if s else 1
+    if terms * words <= limit:
+        return True
+    box = 1
+    for axis in zip(*support):
+        box *= k * (max(axis) - min(axis)) + 1
+    return min(terms, box) * words <= limit
 
 
 class LaurentPoly:
@@ -228,10 +253,18 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> LaurentPoly:
+        """``self ** k`` by repeated squaring.  ``BudgetExceededError``
+        before any product when the size of the power, bounded from the
+        support, the 1-norm and ``k``, would pass ``MAX_WORK``."""
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
             raise ValueError("polynomial powers take a nonnegative exponent")
+        if not _power_fits((self._terms,), k, 1, MAX_WORK):
+            raise BudgetExceededError(
+                f"power {_int_to_str(k)} of a {len(self._terms)}-term poly is over the budget "
+                f"of {MAX_WORK} terms times 64-bit coefficient words"
+            )
         result = LaurentPoly.one()
         base = self
         while k:
@@ -471,6 +504,8 @@ def _int_to_str(v: int) -> str:
         return str(v)
     except ValueError:
         pass
+    from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
+
     mag = abs(v)
     powers: dict[int, Decimal] = {}  # width -> 2**width, shared by the halves
 
@@ -526,6 +561,8 @@ def format_json(polys: Mapping[str, LaurentPoly] | Sequence[LaurentPoly]) -> str
     indented one level, as the encoder nests a value.
     """
     if isinstance(polys, Mapping):
+        import json
+
         labels = [json.dumps(label) + ": " for label in polys]
         polys, brackets = list(polys.values()), "{}"
     else:
@@ -844,10 +881,12 @@ def sqrt_perfect_square(f: LaurentPoly) -> LaurentPoly:
     return LaurentPoly._raw(root)
 
 
-RationalLike = Union[int, Fraction]
+RationalLike = Union[int, "Fraction"]
 
 
 def _fraction_sqrt(x: Fraction) -> Fraction | None:
+    from fractions import Fraction
+
     root = Fraction(isqrt(x.numerator), isqrt(x.denominator))
     return root if root * root == x else None
 
@@ -865,6 +904,9 @@ def eval_numeric(
     ``digits`` significant digits.  The tests use it as a numeric oracle
     apart from the kernel's arithmetic; symbolic equality is the contract.
     """
+    from decimal import Decimal, localcontext
+    from fractions import Fraction
+
     q_val = Fraction(q_val)
     p_val = Fraction(p_val)
     if q_val <= 0 or p_val <= 0:

@@ -36,16 +36,22 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from itertools import accumulate, count, repeat
-from math import comb
 from operator import mul
+from typing import NamedTuple
 
-from .laurent import MAX_WORK, BudgetExceededError, LaurentPoly, _int_to_str, parse, poly_sum
+from .laurent import (
+    MAX_WORK,
+    BudgetExceededError,
+    LaurentPoly,
+    _int_to_str,
+    _power_fits,
+    parse,
+    poly_sum,
+)
 
 
-@dataclass(frozen=True)
-class PQPair:
+class PQPair(NamedTuple):
     """Deformation parameters.  ``P = Q`` is allowed (the sum form still
     works) but flagged, since the quotient form degenerates there."""
 
@@ -125,7 +131,12 @@ def pq_number(family: Family | PQPair | str, n: int) -> LaurentPoly:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return LaurentPoly.zero()
-    _check_budget(pair, n)
+    if not _power_fits((pair.P._terms, pair.Q._terms), n - 1, n, MAX_WORK):
+        # [n] sums n products of n - 1 terms of P or Q
+        raise BudgetExceededError(
+            f"[n] at n = {_int_to_str(n)} is over the budget of {MAX_WORK} terms times "
+            "64-bit coefficient words"
+        )
     if len(pair.P._terms) <= 1 and len(pair.Q._terms) <= 1:
         return _monomial_number(pair.P, pair.Q, n)
     p_pows = [LaurentPoly.one()]
@@ -134,29 +145,6 @@ def pq_number(family: Family | PQPair | str, n: int) -> LaurentPoly:
         p_pows.append(p_pows[-1] * pair.P)
         q_pows.append(q_pows[-1] * pair.Q)
     return poly_sum(p_pows[n - 1 - i] * q_pows[i] for i in range(n))
-
-
-def _check_budget(pair: PQPair, n: int) -> None:
-    # [n] sums products of n - 1 terms drawn from the union S of the
-    # supports of P and Q.  So its terms are at most the multisets of n - 1
-    # elements of S, its exponents lie in n - 1 times S's box, and each
-    # coefficient is at most n * M^(n-1), M the larger 1-norm of P and Q
-    P, Q = pair.P._terms, pair.Q._terms
-    support = P.keys() | Q.keys()
-    s = len(support)
-    terms = comb(n + s - 2, s - 1) if s else 1
-    norm = max(sum(map(abs, P.values())), sum(map(abs, Q.values())), 1)
-    words = 1 + (n.bit_length() + (n - 1) * (norm - 1).bit_length()) // 64
-    if terms * words <= MAX_WORK:
-        return
-    box = 1
-    for axis in zip(*support):
-        box *= (n - 1) * (max(axis) - min(axis)) + 1
-    if min(terms, box) * words > MAX_WORK:
-        raise BudgetExceededError(
-            f"[n] at n = {_int_to_str(n)} is over the budget of {MAX_WORK} terms times "
-            "64-bit coefficient words"
-        )
 
 
 def _monomial_number(P: LaurentPoly, Q: LaurentPoly, n: int) -> LaurentPoly:
@@ -200,8 +188,7 @@ def number_sequence(family: Family | PQPair | str, n_max: int) -> list[LaurentPo
     return seq
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     """The first failing case of a check: at ``n`` the value computed was
     ``got`` where ``want`` was expected."""
 

@@ -16,7 +16,7 @@ half-exponent link coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .laurent import (
     LaurentPoly,
@@ -37,8 +37,7 @@ class NotSolvableOnGridError(ValueError):
     satisfies the given link coefficients."""
 
 
-@dataclass(frozen=True)
-class SkeinCoefficients:
+class SkeinCoefficients(NamedTuple):
     l1: LaurentPoly
     l2: LaurentPoly
 
@@ -47,8 +46,7 @@ class SkeinCoefficients:
         return self.l2.is_zero
 
 
-@dataclass(frozen=True)
-class KnotCoefficients:
+class KnotCoefficients(NamedTuple):
     k1: LaurentPoly
     k2: LaurentPoly
 

@@ -1,6 +1,7 @@
 """End-to-end coverage of the command-line front end."""
 
 import contextlib
+import hashlib
 import io
 import json
 import resource
@@ -545,3 +546,39 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "q - 1 + q^(-1)\n"
+
+
+# ----------------------------------------------------------------------
+# verify --format json, pinned byte for byte
+
+
+def _verify_json_digest(capsys):
+    rc, out, err = run_cli(capsys, "verify", "--format", "json", "--max-n", "30")
+    return hashlib.sha256(f"{rc}\n{out}\0{err}".encode()).hexdigest()
+
+
+def test_verify_json_bytes_are_pinned(capsys):
+    # every suite passing; key order name, passed, detail in each check
+    assert _verify_json_digest(capsys) == (
+        "e700313093773fafbc9333c4416a59e9578b128e5a338e4e553d18a4f94ce65c"
+    )
+
+
+def test_verify_json_failure_bytes_are_pinned(capsys, monkeypatch):
+    real = skein.pq_from_link_coeffs
+
+    def swapped_for_jones(coeffs):
+        pair = real(coeffs)
+        return pair if coeffs.l2 == 1 else qnumbers.PQPair(pair.Q, pair.P)
+
+    monkeypatch.setattr("pqcalc.skein.pq_from_link_coeffs", swapped_for_jones)
+    rc, out, _ = run_cli(capsys, "verify", "--format", "json", "--max-n", "30")
+    failed = [check for check in json.loads(out)["checks"] if not check["passed"]]
+    assert (rc, failed) == (1, [{
+        "name": "pair-from-link-coeffs[jones]",
+        "passed": False,
+        "detail": "got (P=-q^(1/2), Q=q^(3/2)), expected (P=q^(3/2), Q=-q^(1/2))",
+    }])
+    assert _verify_json_digest(capsys) == (
+        "4f0f03845bdefabc78f1da405b91cc65667526bff80e47168e1e8528636b119c"
+    )

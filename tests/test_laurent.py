@@ -3,6 +3,7 @@
 import json
 import random
 import sys
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -152,6 +153,50 @@ def test_pow_rejects_negative():
         parse("q") ** -1
 
 
+@pytest.mark.parametrize(
+    "f, work, last",
+    [
+        # one term of 1 + (1 + k) // 64 words
+        ("2*q", 3, 190),
+        # binomial: k + 1 terms, with M = 2
+        ("q + 1", 100, 62),
+        # three exponents in a plane: (k + 1)(k + 2)/2 terms, under the box
+        ("q + p + 1", 100, 12),
+        # three exponents on a line: the box's 2k + 1 terms, under the multisets
+        ("1 + q^(1/2) + q", 100, 31),
+    ],
+)
+def test_pow_budget_boundaries(monkeypatch, f, work, last):
+    monkeypatch.setattr("pqcalc.laurent.MAX_WORK", work)
+    f = parse(f)
+    product = LaurentPoly.one()
+    for _ in range(last):
+        product = product * f
+    assert f**last == product
+    with pytest.raises(BudgetExceededError, match=rf"power {last + 1} of a .* budget of {work} "):
+        f ** (last + 1)
+
+
+def test_pow_refuses_before_any_product():
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match=r"over the budget of 4000000"):
+            parse("2*q + 1") ** 10**100
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_pow_of_a_unit_monomial_is_never_refused(monkeypatch):
+    huge = 10**100
+    monkeypatch.setattr("pqcalc.laurent.MAX_WORK", 1)
+    assert parse("q") ** huge == LaurentPoly.monomial(1, 2 * huge)
+    assert parse("-p^(-1/2)") ** huge == LaurentPoly.monomial(1, 0, -huge)
+    assert LaurentPoly.one() ** huge == 1
+    assert LaurentPoly.zero() ** huge == 0
+
+
 def test_poly_sum_matches_repeated_add():
     fs = [parse("q"), parse("-q + p"), parse("3"), parse("p^(-1/2)")]
     total = LaurentPoly.zero()
@@ -265,8 +310,8 @@ def test_exact_div_zero_numerator():
 
 
 def test_exact_div_restores_a_cancelled_remainder_key():
-    # step one cancels the constant out of the remainder and step two
-    # brings it back, pushing a second heap entry; the later one is stale
+    # step one cancels the constant out of the remainder, where it stays at
+    # zero with its one heap entry, and step two brings it back to nonzero
     num = parse("-2*q^4 - 2 - 2*q^(-4)")
     den = parse("2*q + 2*q^(-1) + 2*q^(-3)")
     assert exact_div(num, den) == parse("-q^3 + q - q^(-1)")

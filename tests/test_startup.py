@@ -1,0 +1,85 @@
+"""Start-up imports: the CLI loads only the standard library it runs.
+
+Each test runs a fresh interpreter, without ``site`` (``-S``), so that
+``sys.modules`` shows what pqcalc itself imports; the test session has
+imported everything already.  No timing is asserted.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+DEFERRED = ("dataclasses", "inspect", "json", "decimal", "fractions")
+
+
+def _run_fresh(code: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_setup_command_imports_none_of_the_deferred_modules():
+    out = _run_fresh(
+        "import sys\n"
+        "from pqcalc import cli\n"
+        "rc = cli.main(['family-params', '--family', 'alexander-fermionic'])\n"
+        f"print(rc, sorted(set({DEFERRED!r}) & set(sys.modules)))\n"
+    )
+    assert out == "P = q^(1/2)\nQ = -q^(-1/2)\n0 []\n"
+
+
+# each deferred path, run in a fresh interpreter: the module is absent
+# before the call and loaded by it, and the call gives the right answer
+DEFERRED_PATHS = {
+    "format_json": (
+        "json",
+        "from pqcalc.laurent import format_json, parse\n"
+        "got = format_json({'P': parse('-q'), 'Q': parse('q^(-1/2)')})\n",
+        "want = {'P': parse('-q').to_json_obj(), 'Q': parse('q^(-1/2)').to_json_obj()}\n"
+        "assert got == json.dumps(want, indent=2), got\n",
+    ),
+    "verify-json": (
+        "json",
+        "import contextlib, io\n"
+        "from pqcalc import cli\n"
+        "buf = io.StringIO()\n"
+        "with contextlib.redirect_stdout(buf):\n"
+        "    rc = cli.main(['verify', '--format', 'json', '--max-n', '5'])\n",
+        "payload = json.loads(buf.getvalue())\n"
+        "assert rc == 0 and payload['all_passed'] and len(payload['checks']) == 19, payload\n",
+    ),
+    "int-to-str": (
+        "decimal",
+        "from pqcalc.laurent import _int_to_str\n"
+        "got = _int_to_str(10**4999 + 1), _int_to_str(-(10**4999))\n",
+        "assert got == ('1' + '0' * 4998 + '1', '-1' + '0' * 4999)\n",
+    ),
+    "eval-numeric-fraction": (
+        "fractions",
+        "from pqcalc.laurent import eval_numeric, parse\n"
+        "got = eval_numeric(parse('q + 2 + q^(-1/2)'), 4)\n",
+        "assert got == fractions.Fraction(13, 2) and type(got) is fractions.Fraction, got\n",
+    ),
+    "eval-numeric-decimal": (
+        "decimal",
+        "from pqcalc.laurent import eval_numeric, parse\n"
+        "got = eval_numeric(parse('q^(1/2)'), 2, digits=20)\n",
+        "assert type(got) is decimal.Decimal and str(got) == '1.4142135623730950488', got\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("module, call, check", DEFERRED_PATHS.values(), ids=DEFERRED_PATHS)
+def test_deferred_paths_import_what_they_use(module, call, check):
+    code = (
+        f"import sys\nassert {module!r} not in sys.modules\n{call}"
+        f"assert {module!r} in sys.modules\nimport {module}\n{check}print('ok')\n"
+    )
+    assert _run_fresh(code) == "ok\n"
