@@ -37,6 +37,7 @@ from .qnumbers import (
     number_sequence,
     pq_number,
     pq_numbers,
+    recurrence_step,
 )
 from .skein import (
     DegenerateSkeinError,
@@ -87,6 +88,7 @@ __all__ = [
     "number_sequence",
     "pq_number",
     "pq_numbers",
+    "recurrence_step",
     "DegenerateSkeinError",
     "KnotCoefficients",
     "NotSolvableOnGridError",

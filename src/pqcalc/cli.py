@@ -41,11 +41,10 @@ def _check(name: str, found: qnumbers.Counterexample | None) -> Check:
 def _suite_recurrence(max_n: int) -> list[Check]:
     checks = []
     for family in qnumbers.Family:
-        pair = qnumbers.family_params(family)
-        link, prod = pair.P + pair.Q, pair.P * pair.Q
+        step = qnumbers.recurrence_step(family)
         # both checks read one sequence: building it is most of the suite
         seq = qnumbers.number_sequence(family, max_n)
-        steps = ((n + 1, seq[n + 1], link * seq[n] - prod * seq[n - 1]) for n in range(1, max_n))
+        steps = ((n + 1, seq[n + 1], step(seq[n], seq[n - 1])) for n in range(1, max_n))
         sums = zip(range(max_n + 1), seq, qnumbers.pq_numbers(family))
         checks += [
             _check(f"recurrence-closure[{family.value}]", qnumbers.first_counterexample(steps)),

@@ -10,8 +10,9 @@ The canonical term order compares the ``q`` exponent first, then the ``p``
 exponent; text and JSON output list terms in descending canonical order.
 
 Canonical form has one rule, written once: every sum the kernel forms (the
-constructor, ``+``, ``-``, ``*``, ``poly_sum``, the parser) accumulates
-coefficients freely, and ``_canonical`` then drops its zeros, in place.
+constructor, ``+``, ``-``, ``*``, ``poly_sum``, the sum of products
+``_dot``, the parser) accumulates coefficients freely, and ``_canonical``
+then drops its zeros, in place.
 The division remainder in ``exact_div`` and ``sqrt_perfect_square`` keeps
 a cancelled key, at zero, until the heap pops it, and skips it there.
 
@@ -741,6 +742,34 @@ def poly_sum(polys: Iterable[LaurentPoly]) -> LaurentPoly:
     return LaurentPoly._raw(_canonical(acc))
 
 
+def _dot(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
+    """``a_1*x_1 + a_2*x_2 + ...`` over the ``(a, x)`` pairs, every term
+    product accumulated into one dict that is pruned once: no dict per
+    product and none for the sum (the sum of products into one accumulator
+    of Monagan and Pearce's sparse multiplication).
+
+    >>> _dot([(parse("q + 1"), parse("q - 1")), (parse("-q"), parse("q"))])
+    LaurentPoly('-1')
+    """
+    data: dict[ExpVec, int] = {}
+    for a, x in pairs:
+        rows = iter(a._terms.items())
+        xs = x._terms.items()
+        if not data:
+            # the first row fills an empty dict: a shift by one term is
+            # injective and canonical coefficients are nonzero, so it
+            # writes each key once, and nothing yet is there to add to
+            for (aq, ap), ac in rows:
+                data = {(aq + bq, ap + bp): ac * bc for (bq, bp), bc in xs}
+                break
+        get = data.get
+        for (aq, ap), ac in rows:
+            for (bq, bp), bc in xs:
+                exp = (aq + bq, ap + bp)
+                data[exp] = get(exp, 0) + ac * bc
+    return LaurentPoly._raw(_canonical(data))
+
+
 def _component_bounds(f: LaurentPoly) -> tuple[ExpVec, ExpVec]:
     qs = [exp[0] for exp in f._terms]
     ps = [exp[1] for exp in f._terms]
@@ -951,7 +980,7 @@ def substitute_z(z_coeffs) -> LaurentPoly:
     else:
         items = list(enumerate(z_coeffs))
     z = LaurentPoly.monomial(1, 1) + LaurentPoly.monomial(-1, -1)
-    parts = []
+    pairs = []
     for power, coeff in items:
         if not isinstance(power, int) or isinstance(power, bool):
             raise TypeError(f"powers of z must be int, got {type(power).__name__}")
@@ -960,5 +989,5 @@ def substitute_z(z_coeffs) -> LaurentPoly:
         poly = LaurentPoly._coerce(coeff)
         if poly is None:
             raise TypeError(f"coefficients must be LaurentPoly or int, got {coeff!r}")
-        parts.append(poly * z**power)
-    return poly_sum(parts)
+        pairs.append((poly, z**power))
+    return _dot(pairs)

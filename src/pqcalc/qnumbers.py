@@ -16,15 +16,17 @@ definition used here because it needs no division and stays valid when
   ``MAX_WORK`` is refused before it is built.
 - ``pq_numbers(pair)`` yields ``[0], [1], [2], ...`` by the geometric step
   ``[n+1] = P*[n] + Q^n``, keeping only the current ``[n]`` and ``Q^n``.
-  Use it to walk a run of ``[n]``: each next value costs two products.
+  Use it to walk a run of ``[n]``: each next value costs one fused sum of
+  products (``laurent._dot``) and the product for the next ``Q^n``.
   Reaching one large ``[n]`` this way costs every value below it, far
   more than ``pq_number``.
 - ``number_sequence(pair, n_max)`` lists ``[0]..[n_max]`` by the
   three-term recurrence
 
-      [n+1] = (P + Q)*[n] - P*Q*[n-1],    [0] = 0, [1] = 1.
+      [n+1] = (P + Q)*[n] - P*Q*[n-1],    [0] = 0, [1] = 1,
 
-  The two sum-form routes never use the recurrence, so either one is an
+  each step one fused sum of products, ``recurrence_step``.  The two
+  sum-form routes never use the recurrence, so either one is an
   independent check of it.
 
 Six fixed families cover the classical knot polynomial specializations, in
@@ -35,7 +37,7 @@ form for each of Alexander, Jones, and HOMFLY.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import accumulate, count, repeat
 from operator import mul
 from typing import NamedTuple
@@ -44,10 +46,10 @@ from .laurent import (
     MAX_WORK,
     BudgetExceededError,
     LaurentPoly,
+    _dot,
     _int_to_str,
     _power_fits,
     parse,
-    poly_sum,
 )
 
 
@@ -116,8 +118,9 @@ def pq_number(family: Family | PQPair | str, n: int) -> LaurentPoly:
     zero P or Q counts as sharing the other's exponent) every summand
     lands on one term, whose coefficient ``(a^n - b^n) / (a - b)``, or
     ``n*a^(n-1)`` when a = b, takes O(log n) products; a zero sum leaves
-    ``[n] = 0``.  Any other pair sums the power tables
-    ``P^(n-1-i) * Q^i``: about 3n kernel calls.
+    ``[n] = 0``.  Any other pair builds the power tables of P and Q,
+    2(n-1) products, and sums the n products ``P^(n-1-i) * Q^i`` in one
+    fused accumulation (``laurent._dot``).
 
     Before either route runs, the size of ``[n]`` is bounded from P, Q and
     n alone, and ``BudgetExceededError`` is raised when its terms times
@@ -144,7 +147,7 @@ def pq_number(family: Family | PQPair | str, n: int) -> LaurentPoly:
     for _ in range(n - 1):
         p_pows.append(p_pows[-1] * pair.P)
         q_pows.append(q_pows[-1] * pair.Q)
-    return poly_sum(p_pows[n - 1 - i] * q_pows[i] for i in range(n))
+    return _dot((p_pows[n - 1 - i], q_pows[i]) for i in range(n))
 
 
 def _monomial_number(P: LaurentPoly, Q: LaurentPoly, n: int) -> LaurentPoly:
@@ -165,27 +168,47 @@ def _monomial_number(P: LaurentPoly, Q: LaurentPoly, n: int) -> LaurentPoly:
 
 def pq_numbers(family: Family | PQPair | str) -> Iterator[LaurentPoly]:
     """[0], [1], [2], ... in the sum form, without end, by the geometric
-    step [n+1] = P*[n] + Q^n.  Only the current [n] and Q^n are kept."""
+    step [n+1] = P*[n] + Q^n, one fused sum of products.  Only the current
+    [n] and Q^n are kept."""
     pair = family_params(family)
+    one = LaurentPoly.one()
     value = LaurentPoly.zero()
-    q_pow = LaurentPoly.one()
+    q_pow = one
     while True:
         yield value
-        value = pair.P * value + q_pow
+        value = _dot(((pair.P, value), (one, q_pow)))
         q_pow = q_pow * pair.Q
 
 
 def number_sequence(family: Family | PQPair | str, n_max: int) -> list[LaurentPoly]:
-    """[0], [1], ..., [n_max] generated by the three-term recurrence."""
-    pair = family_params(family)
+    """[0], [1], ..., [n_max] generated by the three-term recurrence,
+    one ``recurrence_step`` per value."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    link = pair.P + pair.Q
-    prod = pair.P * pair.Q
+    step = recurrence_step(family)
     seq = [LaurentPoly.zero(), LaurentPoly.one()]
     for _ in range(n_max - 1):
-        seq.append(link * seq[-1] - prod * seq[-2])
+        seq.append(step(seq[-1], seq[-2]))
     return seq
+
+
+def recurrence_step(
+    family: Family | PQPair | str,
+) -> Callable[[LaurentPoly, LaurentPoly], LaurentPoly]:
+    """The step of the three-term recurrence: ``step([n], [n-1])`` is
+    ``[n+1] = (P + Q)*[n] - P*Q*[n-1]``, one fused sum of products.
+
+    >>> step = recurrence_step("alexander-bosonic")
+    >>> step(pq_number("alexander-bosonic", 2), pq_number("alexander-bosonic", 1))
+    LaurentPoly('q^2 + 1 + q^(-2)')
+    """
+    pair = family_params(family)
+    link, neg_prod = pair.P + pair.Q, -(pair.P * pair.Q)
+
+    def step(current: LaurentPoly, previous: LaurentPoly) -> LaurentPoly:
+        return _dot(((link, current), (neg_prod, previous)))
+
+    return step
 
 
 class Counterexample(NamedTuple):

@@ -22,6 +22,7 @@ from .laurent import (
     LaurentPoly,
     NonExactDivisionError,
     NotAPerfectSquareError,
+    _dot,
     exact_div,
     sqrt_perfect_square,
 )
@@ -123,7 +124,8 @@ def recurrence_generate(
     given seeds.  ``count`` includes the seeds themselves."""
     if count < 2:
         raise ValueError("count must be at least 2")
+    l1, l2 = coeffs
     seq = [p0, p1]
     while len(seq) < count:
-        seq.append(coeffs.l1 * seq[-1] + coeffs.l2 * seq[-2])
+        seq.append(_dot(((l1, seq[-1]), (l2, seq[-2]))))
     return seq

@@ -459,6 +459,42 @@ def test_verify_sum_agreement_counterexample(capsys, monkeypatch, fmt):
     }
 
 
+def test_verify_recurrence_closure_counterexample(capsys, monkeypatch):
+    # the recurrence's [k] of one family replaced: the closure check at
+    # n = k finds it, and so does the comparison with the sum form
+    k, bad, target = 6, parse("q^7 - p"), Family.JONES_BOSONIC
+    real = qnumbers.number_sequence
+
+    def poisoned(family, n_max):
+        seq = real(family, n_max)
+        if qnumbers.family_params(family) == qnumbers.family_params(target):
+            seq[k] = bad
+        return seq
+
+    monkeypatch.setattr("pqcalc.qnumbers.number_sequence", poisoned)
+    want = pq_number(target, k)
+    detail = f"first counterexample at n={k}: got {bad}, expected {want}"
+    assert str(want) == "q^15 + q^13 + q^11 + q^9 + q^7 + q^5"
+    argv = ("verify", "--suite", "recurrence", "--max-n", "12")
+
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 1
+    assert [line for line in out.splitlines() if not line.startswith("PASS")] == [
+        f"FAIL  recurrence-closure[jones-bosonic]: {detail}",
+        f"FAIL  sum-agreement[jones-bosonic]: {detail}",
+        "10/12 checks passed",
+    ]
+
+    rc, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert rc == 1
+    payload = json.loads(out)
+    assert payload["all_passed"] is False
+    assert [c for c in payload["checks"] if not c["passed"]] == [
+        {"name": "recurrence-closure[jones-bosonic]", "passed": False, "detail": detail},
+        {"name": "sum-agreement[jones-bosonic]", "passed": False, "detail": detail},
+    ]
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_verify_homfly_factor_counterexample(capsys, monkeypatch, fmt):
     k, bad = 5, parse("q")

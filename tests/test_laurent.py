@@ -31,7 +31,7 @@ from pqcalc.laurent import (
     sqrt_perfect_square,
     substitute_z,
 )
-from pqcalc.laurent import _int_from_str
+from pqcalc.laurent import _dot, _int_from_str
 
 from pqcalc.qnumbers import Family, pq_number
 from pqcalc.torus import NotCoprimeError, alexander_torus
@@ -206,6 +206,63 @@ def test_poly_sum_matches_repeated_add():
 
 
 # ----------------------------------------------------------------------
+# the fused sum of products
+
+
+@given(pairs=st.lists(st.tuples(polys(), polys()), max_size=4))
+# the first row of a product, and the first row of a later pair, each land
+# on a key an earlier row wrote
+@example(pairs=[(parse("q + 1"), parse("q + 1"))])
+@example(pairs=[(parse("q"), LaurentPoly.one()), (LaurentPoly.one(), parse("q"))])
+@example(pairs=[(LaurentPoly.zero(), parse("q")), (parse("p + 1"), parse("p - 1"))])
+@settings(deadline=None, max_examples=200)
+def test_dot_is_the_sum_of_the_products(pairs):
+    got = _dot(pairs)
+    assert got == poly_sum(a * x for a, x in pairs)
+    assert 0 not in got._terms.values()
+
+
+def test_dot_of_no_pairs_is_zero():
+    assert _dot([]) == 0
+    assert _dot(iter(())) == 0
+
+
+def test_dot_with_zero_operands():
+    f, zero = parse("q - p"), LaurentPoly.zero()
+    assert _dot([(zero, f)]).is_zero
+    assert _dot([(f, zero), (zero, zero)]).is_zero
+    assert _dot([(zero, f), (f, f), (f, zero)]) == f * f
+
+
+def test_dot_takes_a_generator():
+    fs = [parse("q"), parse("q + 1"), parse("2*p^(-1/2)")]
+    assert _dot((f, f) for f in fs) == poly_sum(f * f for f in fs)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        # (q + 1)(q - 1) - q*q + 1: every term cancels
+        [(parse("q + 1"), parse("q - 1")), (parse("-q"), parse("q")), (1, 1)],
+        # the first row's keys cancel against a later pair's
+        [(parse("q"), parse("q + p")), (parse("-1"), parse("q^2 + p*q"))],
+        # two pairs whose products are negatives of each other
+        [(parse("q + 1"), parse("1")), (parse("-q - 1"), parse("1"))],
+    ],
+)
+def test_dot_that_cancels_to_zero_leaves_no_key(pairs):
+    pairs = [(LaurentPoly._coerce(a), LaurentPoly._coerce(x)) for a, x in pairs]
+    got = _dot(pairs)
+    assert got.is_zero
+    assert got._terms == {}
+
+
+def test_dot_drops_only_the_cancelled_terms():
+    got = _dot([(parse("q + 1"), parse("q - 1")), (parse("-q"), parse("q + 1"))])
+    assert got._terms == {(2, 0): -1, (0, 0): -1}
+
+
+# ----------------------------------------------------------------------
 # canonical form: every sum accumulates, then drops its zeros once
 
 # terms on a small grid with small coefficients, zero included, and the
@@ -247,7 +304,7 @@ def assert_canonical(f: LaurentPoly, want: dict):
 
 
 @given(a=cancelling_terms(), b=cancelling_terms(), c=cancelling_terms())
-# each of +, -, * and poly_sum cancels a term here
+# each of +, -, *, poly_sum and _dot cancels a term here
 @example(a=[((2, 0), 1), ((0, 0), 1)], b=[((2, 0), -1), ((0, 0), 1)], c=[((0, 0), -2)])
 @example(a=[((0, 0), 0)], b=[((1, 1), 2), ((1, 1), -2)], c=[])
 @settings(deadline=None, max_examples=300)
@@ -261,6 +318,8 @@ def test_every_result_is_canonical(a, b, c):
     assert_canonical(f - g, by_hand(a + neg_b))
     assert_canonical(f * g, by_hand(pairs))
     assert_canonical(poly_sum([f, g, h]), by_hand(a + b + c))
+    pairs_gh = [((gq + hq, gp + hp), gc * hc) for (gq, gp), gc in b for (hq, hp), hc in c]
+    assert_canonical(_dot([(f, g), (g, h)]), by_hand(pairs + pairs_gh))
     assert_canonical(parse(as_text(a)), by_hand(a))
     assert_canonical(LaurentPoly(as_text(a)), by_hand(a))
     if not g.is_zero:

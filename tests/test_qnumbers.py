@@ -21,6 +21,7 @@ from pqcalc.qnumbers import (
     number_sequence,
     pq_number,
     pq_numbers,
+    recurrence_step,
 )
 
 from poly_strategies import exp2s, monomials, polys
@@ -276,6 +277,20 @@ def test_sum_and_recurrence_agree_to_200(family):
     for n in range(201):
         got = pq_number(family, n)
         assert got == seq[n] == next(stream), n
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [PQPair(parse("q + 1 + p"), parse("q^(-1)")), PQPair(parse("2*q"), parse("-3")),
+     PQPair(parse("q - p"), parse("q - p"))],
+)
+def test_recurrence_step_matches_the_sum_form(pair):
+    # pairs off the monomial route, and a degenerate one
+    step = recurrence_step(pair)
+    numbers = [pq_number(pair, n) for n in range(10)]
+    for n in range(1, 9):
+        assert step(numbers[n], numbers[n - 1]) == numbers[n + 1], n
+    assert step(LaurentPoly.zero(), LaurentPoly.zero()).is_zero
 
 
 @pytest.mark.parametrize("family", list(Family))

@@ -1,7 +1,8 @@
 """Differential tests against sympy, an algebra system that shares no code
-with the kernel: ``*`` and ``pq_number`` must agree with sympy's ``expand``,
-``exact_div`` with sympy's division over the integers, and
-``sqrt_perfect_square`` with the root read off sympy's ``factor_list``.
+with the kernel: ``*``, the fused sum of products ``_dot``, ``pq_number``
+and ``substitute_z`` must agree with sympy's ``expand``, ``exact_div`` with
+sympy's division over the integers, and ``sqrt_perfect_square`` with the
+root read off sympy's ``factor_list``.
 
 Doubled exponents map to integer powers of two symbols, ``x = q^(1/2)``
 and ``y = p^(1/2)``.  For division and factoring a value is shifted to
@@ -19,9 +20,11 @@ from pqcalc.laurent import (
     LaurentPoly,
     NonExactDivisionError,
     NotAPerfectSquareError,
+    _dot,
     exact_div,
     parse,
     sqrt_perfect_square,
+    substitute_z,
 )
 from pqcalc.qnumbers import PQPair, pq_number
 
@@ -44,6 +47,30 @@ def same(f: LaurentPoly, expr) -> bool:
 @settings(deadline=None, max_examples=40)
 def test_mul_matches_sympy(f, g):
     assert same(f * g, sympy.expand(to_sympy(f) * to_sympy(g)))
+
+
+@given(pairs=st.lists(st.tuples(polys(max_terms=3), polys(max_terms=3)), max_size=4))
+@example(pairs=[(parse("q + 1"), parse("q - 1")), (parse("-q"), parse("q")), (parse("1"), parse("1"))])
+@settings(deadline=None, max_examples=40)
+def test_dot_matches_sympy(pairs):
+    want = sympy.expand(sympy.Add(*(to_sympy(a) * to_sympy(b) for a, b in pairs)))
+    assert same(_dot(pairs), want)
+
+
+# z = q^(1/2) - q^(-1/2) is x - 1/x; a coefficient is a value or an int
+z_coeffs = st.lists(st.one_of(polys(max_terms=3), st.integers(-9, 9)), max_size=7)
+
+
+@given(coeffs=z_coeffs, as_mapping=st.booleans())
+@example(coeffs=[0, 0, 0, 0, 0, 0, 1], as_mapping=False)
+@example(coeffs=[parse("q^(-1/2)*p"), 3, parse("q + 1"), -1], as_mapping=True)
+@settings(deadline=None, max_examples=40)
+def test_substitute_z_matches_the_sympy_expansion(coeffs, as_mapping):
+    terms = [to_sympy(LaurentPoly._coerce(c)) * (x - 1 / x) ** k for k, c in enumerate(coeffs)]
+    want = sympy.expand(sympy.Add(*terms))
+    # a mapping lists the powers in reverse, and skips the zero coefficients
+    arg = {k: c for k, c in reversed(list(enumerate(coeffs))) if c != 0} if as_mapping else coeffs
+    assert same(substitute_z(arg), want)
 
 
 big = st.integers(2**64 + 1, 2**66).map(LaurentPoly)
