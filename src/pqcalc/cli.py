@@ -12,6 +12,7 @@ or ``--format json``), diagnostics to stderr.  Exit codes: 0 on success,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from itertools import islice
 from typing import NamedTuple
@@ -247,19 +248,17 @@ _HANDLERS = {
 # parser
 
 
+_INT_ARG_RE = re.compile(r"[+-]?[0-9]+")
+
+
 def _int_arg(text: str) -> int:
-    """``int`` for an argument at any length: what ``int`` takes, and past
-    CPython's int/str digit limit an ASCII ``[+-]?[0-9]+``, so that a long
-    ``--n`` reaches the library's typed errors.  Anything else keeps
-    argparse's ``invalid int value`` message."""
-    try:
-        return int(text)
-    except ValueError:
-        digits = text[1:] if text[:1] in ("+", "-") else text
-        if digits.isascii() and digits.isdigit():
-            value = laurent._int_from_str(digits)
-            return -value if text[0] == "-" else value
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    """An integer argument: ASCII ``[+-]?[0-9]+`` at any length, the rule
+    of the expression grammar's integers, so that a long ``--n`` reaches
+    the library's typed errors.  Anything else keeps argparse's ``invalid
+    int value`` message."""
+    if _INT_ARG_RE.fullmatch(text) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return laurent._int_from_str(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -16,6 +16,13 @@ then drops its zeros, in place.
 The division remainder in ``exact_div`` and ``sqrt_perfect_square`` keeps
 a cancelled key, at zero, until the heap pops it, and skips it there.
 
+Text has two parsers, chosen by the input.  Valid text is read by
+whole-text patterns, which run in C: ``_match_text`` removes the
+whitespace, matches the grammar as one pattern and reads the terms with
+one ``findall``.  Text it refuses (malformed, off the grid, a zero
+denominator) goes to ``_Parser``, a recursive descent that positions the
+error; it is also the reference the patterns are tested against.
+
 Rendering (``LaurentPoly.text``, ``format_poly``) goes by columns, as
 ``text`` describes; ``format_json`` nests indented copies of the single-poly
 JSON document.  Every int, in output and in error messages, renders at any
@@ -530,7 +537,7 @@ def _int_to_str(v: int) -> str:
 
 
 def _int_from_str(s: str) -> int:
-    """``int(s)`` at any size, for ``s`` matching ``-?[0-9]+``."""
+    """``int(s)`` at any size, for ``s`` matching ``[+-]?[0-9]+``."""
     if s[0] == "-":
         return -_int_from_str(s[1:])
     if len(s) <= _SAFE_DIGITS:
@@ -593,19 +600,102 @@ def parse(text: str) -> LaurentPoly:
     otherwise); any other malformed input raises ``ParseError`` with the
     offending character position.
 
+    Valid text is read by whole-text patterns, which run in C: the text
+    with its whitespace removed must match the grammar as one pattern, and
+    one ``findall`` then reads its terms.  Text they refuse goes to the
+    recursive-descent parser, which finds and positions the error; it is
+    also the reference the pattern path is tested against.
+
     >>> parse("2q^(1/2) - p^2")
     LaurentPoly('2*q^(1/2) - p^2')
     """
     return LaurentPoly._raw(_canonical(_parse_text(text)))
 
 
-# ASCII digits only: ``\d`` and ``str.isdigit`` also accept other scripts'
-# digits, which the grammar does not.
+def _parse_text(text: str) -> dict[ExpVec, int]:
+    # the accumulated terms, zeros included: callers pass them to _canonical
+    data = _match_text(text)
+    return _descend(text) if data is None else data
+
+
+# The grammar of ``parse`` as one pattern over text with no whitespace in
+# it, where every token but an integer is one character.  There are no two
+# ways to match a text, so every repeat can be possessive (``*+``, ``++``):
+# it never gives back what it took, and ``fullmatch`` runs in linear time
+# and keeps no backtracking state, which a plain ``*`` over terms would
+# hold for every term of the text.  ASCII digits only: ``\d`` and
+# ``str.isdigit`` also accept other scripts' digits, which the grammar
+# does not.
+_SIGNED = "[+-]?[0-9]++"
+_FACTOR = rf"[qp](?:\^(?:{_SIGNED}|\({_SIGNED}(?:/[0-9]++)?\)))?"
+_TERM = rf"(?:[0-9]++|{_FACTOR})(?:\*?{_FACTOR})*+"
+_EXPR_RE = re.compile(rf"-?{_TERM}(?:[+-]{_TERM})*+")
+# Removing whitespace would join two integers only whitespace separates,
+# which no valid text holds: ``2 3`` is malformed, ``23`` is not.
+_DIGIT_GAP_RE = re.compile(r"[0-9]\s+[0-9]")
+# Over text ``_EXPR_RE`` matched, each match is a term's sign and
+# coefficient, a factor, or both, and one empty match at the end reads as
+# nothing.
+_TOKEN_RE = re.compile(
+    r"([+-][0-9]*|[0-9]+)?\*?(?:([qp])(?:\^\(?([+-]?[0-9]+)(?:/([0-9]+))?\)?)?)?"
+)
+
+
+def _match_text(text: str) -> dict[ExpVec, int] | None:
+    """The terms of ``text`` read by the patterns, or ``None`` where the
+    text is malformed or off the grid, for ``_descend`` to diagnose."""
+    # str.split() removes what str.isspace() calls whitespace, the set
+    # _Parser.peek skips and \s matches
+    s = "".join(text.split())
+    if _EXPR_RE.fullmatch(s) is None:
+        return None
+    if len(s) < len(text) and _DIGIT_GAP_RE.search(text) is not None:
+        return None
+    # int is _int_from_str up to _SAFE_DIGITS digits, and no integer in s
+    # is longer than s
+    to_int = int if len(s) <= _SAFE_DIGITS else _int_from_str
+    acc: dict[ExpVec, int] = {}
+    get = acc.get
+    coeff = 1 if s[0] in "qp" else None  # None: no term open yet
+    q2 = p2 = 0
+    for start, var, num, den in _TOKEN_RE.findall(s):
+        if start:
+            if coeff is not None:
+                exp = (q2, p2)
+                acc[exp] = get(exp, 0) + coeff
+                q2 = p2 = 0
+            coeff = 1 if start == "+" else -1 if start == "-" else to_int(start)
+        if var:
+            if not num:
+                e2 = 2
+            elif not den:
+                e2 = 2 * to_int(num)
+            else:
+                d = to_int(den)
+                if not d:
+                    return None
+                e2, rest = divmod(2 * to_int(num), d)
+                if rest:
+                    return None
+            if var == "q":
+                q2 += e2
+            else:
+                p2 += e2
+    exp = (q2, p2)
+    acc[exp] = get(exp, 0) + coeff
+    return acc
+
+
+# ASCII digits only, as in the patterns above
 _INT_RE = re.compile(r"[0-9]+")
 _DIGITS = frozenset("0123456789")
 
 
 class _Parser:
+    """Recursive descent over the grammar of ``parse``, one character at a
+    time: slow, but it stops at the first character that breaks the
+    grammar, and that is the position every ``ParseError`` reports."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
@@ -715,8 +805,8 @@ class _Parser:
         self.fail("expected an exponent")
 
 
-def _parse_text(text: str) -> dict[ExpVec, int]:
-    # the accumulated terms, zeros included: callers pass them to _canonical
+def _descend(text: str) -> dict[ExpVec, int]:
+    # the same terms as _match_text, or the positioned error
     parser = _Parser(text)
     if parser.peek() == "":
         parser.fail("empty expression")

@@ -289,12 +289,17 @@ def test_malformed_integer_arguments_stay_usage_errors(capsys, value):
 
 @pytest.mark.parametrize(
     "value, want",
-    [(" 5 ", 5), ("+5", 5), ("0_5", 5), ("-" + _LONG, None)],
-    ids=["spaces", "plus", "underscore", "long-negative"],
+    [(" 5 ", None), ("+5", 5), ("0_5", None), ("-" + _LONG, -(10**5000)), ("\u0663", None)],
+    ids=["spaces", "plus", "underscore", "long-negative", "arabic-indic-digit"],
 )
 def test_integer_arguments_take_what_int_takes(capsys, value, want):
+    # only the values int takes that are ASCII [+-]?[0-9]+, the rule of the
+    # expression grammar's integers: " 5 ", "0_5" and "\u0663" are usage errors
     rc, out, err = run_cli(capsys, "number", "--family", "alexander-fermionic", f"--n={value}")
     if want is None:
+        assert (rc, out) == (2, "")
+        assert err.endswith(f"error: argument --n: invalid int value: {value!r}\n")
+    elif want < 0:
         assert (rc, out, err) == (2, "", "error: n must be nonnegative\n")
     else:
         assert (rc, err) == (0, "")

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import sys
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -31,7 +32,7 @@ from pqcalc.laurent import (
     sqrt_perfect_square,
     substitute_z,
 )
-from pqcalc.laurent import _dot, _int_from_str
+from pqcalc.laurent import _descend, _dot, _int_from_str, _match_text, _parse_text
 
 from pqcalc.qnumbers import Family, pq_number
 from pqcalc.torus import NotCoprimeError, alexander_torus
@@ -568,6 +569,185 @@ def test_parse_rejects_non_ascii_digits_and_truncation(text, position):
     with pytest.raises(ParseError) as info:
         parse(text)
     assert info.value.position == position
+
+
+def test_whitespace_is_one_set_for_split_isspace_and_regex():
+    # the pattern path removes what str.split() splits on, _Parser skips
+    # what str.isspace() calls whitespace, and the recognizer below spells
+    # whitespace \s: all three must be the same set of code points
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    kept = "".join(every.split())
+    assert kept == "".join(ch for ch in every if not ch.isspace())
+    assert kept == re.sub(r"\s", "", every)
+
+
+# The README grammar as a regex of its own, with whitespace allowed between
+# any two tokens: a recognizer that shares no code with ``parse``.
+_WS = r"\s*"
+_UINT = "[0-9]+"
+_SIGNED = rf"(?:[+-]{_WS})?{_UINT}"
+_EXPONENT = rf"(?:{_SIGNED}|\({_WS}{_SIGNED}{_WS}(?:/{_WS}{_UINT}{_WS})?\))"
+_FACTOR = rf"[qp](?:{_WS}\^{_WS}{_EXPONENT})?"
+_TERM = rf"(?:{_UINT}|{_FACTOR})(?:{_WS}(?:\*{_WS})?{_FACTOR})*"
+GRAMMAR = re.compile(rf"{_WS}(?:-{_WS})?{_TERM}(?:{_WS}[+-]{_WS}{_TERM})*{_WS}")
+# in text GRAMMAR accepts, parentheses hold exponents and nothing else
+FRACTION = re.compile(rf"\({_WS}(?:[+-]{_WS})?({_UINT}){_WS}/{_WS}({_UINT})")
+
+ALPHABET = "qp0123456789+-*/^() \t\u00a0"
+
+
+def grid_error(text):
+    """For text GRAMMAR accepts: the error ``parse`` must raise at the first
+    fraction that breaks the grid rule, or ``None``.  A zero denominator is
+    a plain ``ParseError``; one that does not divide twice the numerator is
+    a ``GridError``."""
+    for num, den in FRACTION.findall(text):
+        if int(den) == 0:
+            return ParseError
+        if 2 * int(num) % int(den):
+            return GridError
+    return None
+
+
+@st.composite
+def expression_texts(draw):
+    """Text the README grammar derives, with whitespace between tokens;
+    its fractions need not be on the grid."""
+
+    def ws():
+        return draw(st.sampled_from(["", "", "", " ", "  ", "\t", "\u00a0"]))
+
+    def uint():
+        return draw(st.from_regex(r"[0-9]{1,3}", fullmatch=True))
+
+    def signed():
+        return draw(st.sampled_from(["", "+", "-"])) + ws() + uint()
+
+    def factor():
+        text = draw(st.sampled_from("qp"))
+        kind = draw(st.sampled_from(["bare", "signed", "paren", "fraction"]))
+        if kind == "signed":
+            text += ws() + "^" + ws() + signed()
+        elif kind != "bare":
+            den = ws() + "/" + ws() + uint() if kind == "fraction" else ""
+            text += ws() + "^" + ws() + "(" + ws() + signed() + den + ws() + ")"
+        return text
+
+    def term():
+        text = uint() if draw(st.booleans()) else factor()
+        for _ in range(draw(st.integers(0, 2))):
+            text += ws() + draw(st.sampled_from(["", "*"])) + ws() + factor()
+        return text
+
+    text = ws() + draw(st.sampled_from(["", "-"])) + ws() + term()
+    for _ in range(draw(st.integers(0, 3))):
+        text += ws() + draw(st.sampled_from("+-")) + ws() + term()
+    return text + ws()
+
+
+@st.composite
+def mutated_texts(draw):
+    """A derived text with one to three characters inserted, deleted or
+    replaced: near misses of the grammar."""
+    text = draw(expression_texts())
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        ch = draw(st.sampled_from(ALPHABET))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit == "insert":
+            text = text[:i] + ch + text[i:]
+        else:
+            text = text[:i] + ("" if edit == "delete" else ch) + text[i + 1 :]
+    return text
+
+
+grammar_texts = st.one_of(st.text(ALPHABET, max_size=12), expression_texts(), mutated_texts())
+
+
+@given(text=grammar_texts)
+@example(text="2 3")
+@example(text="q^(1\t2)")
+@example(text="- q ^ - 2 *p^( + 3 / 6 )")
+@settings(deadline=None, max_examples=300)
+def test_parse_accepts_exactly_what_the_grammar_recognizes(text):
+    if GRAMMAR.fullmatch(text) is None:
+        # a GridError too, where an exponent before the first character
+        # off the grammar is off the grid
+        with pytest.raises(ParseError):
+            parse(text)
+        return
+    want = grid_error(text)
+    if want is None:
+        f = parse(text)
+        assert parse(f.text()) == f
+    else:
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert type(info.value) is want
+
+
+def outcome(read, text):
+    """The terms ``read`` gives ``text``, or its error's type and position."""
+    try:
+        return read(text)
+    except ParseError as error:
+        return type(error), error.position
+
+
+@given(text=grammar_texts)
+@example(text="2 3")
+@example(text="q^(1/0)")
+@settings(deadline=None, max_examples=300)
+def test_pattern_path_agrees_with_the_descent_parser(text):
+    want = outcome(_descend, text)
+    # the patterns refuse only what _descend refuses, and _parse_text then
+    # reports _descend's error
+    got = _match_text(text)
+    assert isinstance(want, tuple) if got is None else got == want
+    assert outcome(_parse_text, text) == want
+
+
+_BIG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "q" + " " * 10**6 + "+ 1",
+        "1" + " " * 10**6 + "2",
+        "q^" + "9" * 10**6 + "x",
+        f"{_BIG}*q^{_BIG} - p^({_BIG}/2) + {_BIG}",
+        "q^(" + _BIG + "/3)",
+        " + ".join(f"{i}*q^({i}/2)*p" for i in range(10**4)),
+        "q + " * 50000 + "$",
+        "q + " * 50000 + "2 3",
+    ],
+    ids=[
+        "whitespace-run",
+        "whitespace-run-between-digits",
+        "long-exponent-then-x",
+        "5000-digit-ints",
+        "5000-digit-numerator-off-grid",
+        "10000-terms",
+        "error-after-50000-terms",
+        "digit-gap-after-50000-terms",
+    ],
+)
+def test_long_texts_match_the_descent_parser(text):
+    assert outcome(_parse_text, text) == outcome(_descend, text)
+
+
+def test_parse_keeps_no_state_per_term():
+    # a backtracking repeat over the terms would hold about 230 bytes per
+    # character of this text; the token list holds about 40
+    text = "q+" * 10**5 + "q"
+    tracemalloc.start()
+    try:
+        assert parse(text) == LaurentPoly.monomial(10**5 + 1, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * len(text)
 
 
 # ----------------------------------------------------------------------

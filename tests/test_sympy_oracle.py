@@ -1,8 +1,9 @@
 """Differential tests against sympy, an algebra system that shares no code
 with the kernel: ``*``, the fused sum of products ``_dot``, ``pq_number``
 and ``substitute_z`` must agree with sympy's ``expand``, ``exact_div`` with
-sympy's division over the integers, and ``sqrt_perfect_square`` with the
-root read off sympy's ``factor_list``.
+sympy's division over the integers, ``sqrt_perfect_square`` with the
+root read off sympy's ``factor_list``, and ``alexander_torus`` with a
+product of sympy's cyclotomic polynomials.
 
 Doubled exponents map to integer powers of two symbols, ``x = q^(1/2)``
 and ``y = p^(1/2)``.  For division and factoring a value is shifted to
@@ -10,7 +11,7 @@ nonnegative exponents first.  sympy is in the ``test`` extra; the module
 is skipped where it is not installed.
 """
 
-from math import isqrt
+from math import gcd, isqrt
 
 import hypothesis.strategies as st
 import pytest
@@ -27,6 +28,7 @@ from pqcalc.laurent import (
     substitute_z,
 )
 from pqcalc.qnumbers import PQPair, pq_number
+from pqcalc.torus import alexander_torus
 
 from poly_strategies import exp2s, monomials, nonzero_polys, polys, positive_leading_polys
 
@@ -202,3 +204,19 @@ def test_sqrt_raises_exactly_when_sympy_finds_no_square(f, r):
             sqrt_perfect_square(h)
     else:
         assert same(sqrt_perfect_square(h), want)
+
+
+# A third derivation of D(n, l), after the semigroup walk and the paper's
+# quotient: for coprime n, l it is q^(-c/2) times the cyclotomic
+# polynomials Phi_d(q) of the d | nl that divide neither n nor l, with
+# c = (n - 1)(l - 1).  sympy supplies both the divisors and the Phi_d.
+TORUS_GRID = [(n, l) for n in range(1, 9) for l in range(n, 16) if gcd(n, l) == 1]
+
+
+@pytest.mark.parametrize("n, l", TORUS_GRID)
+def test_alexander_torus_is_a_product_of_cyclotomic_polynomials(n, l):
+    c = (n - 1) * (l - 1)
+    phis = [sympy.cyclotomic_poly(d, x**2) for d in sympy.divisors(n * l) if n % d and l % d]
+    want = x**-c * sympy.Mul(*phis)
+    assert same(alexander_torus(n, l), want)
+    assert same(alexander_torus(l, n), want)
