@@ -33,10 +33,12 @@ from .qnumbers import (
     PQPair,
     family_params,
     first_counterexample,
+    homfly_factor_counterexample,
     homfly_factorization_check,
     number_sequence,
     pq_number,
     pq_numbers,
+    recurrence_counterexamples,
     recurrence_step,
 )
 from .skein import (
@@ -54,7 +56,6 @@ from .torus import (
     alexander_torus,
     alexander_torus2,
     closed_form_counterexample,
-    delta_identity_check,
     torus2_counterexample,
 )
 
@@ -84,10 +85,12 @@ __all__ = [
     "PQPair",
     "family_params",
     "first_counterexample",
+    "homfly_factor_counterexample",
     "homfly_factorization_check",
     "number_sequence",
     "pq_number",
     "pq_numbers",
+    "recurrence_counterexamples",
     "recurrence_step",
     "DegenerateSkeinError",
     "KnotCoefficients",
@@ -101,7 +104,6 @@ __all__ = [
     "alexander_torus",
     "alexander_torus2",
     "closed_form_counterexample",
-    "delta_identity_check",
     "torus2_counterexample",
     "__version__",
 ]

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from itertools import islice
 from typing import NamedTuple
 
 from . import laurent, qnumbers, skein, torus
@@ -42,15 +41,8 @@ def _check(name: str, found: qnumbers.Counterexample | None) -> Check:
 def _suite_recurrence(max_n: int) -> list[Check]:
     checks = []
     for family in qnumbers.Family:
-        step = qnumbers.recurrence_step(family)
-        # both checks read one sequence: building it is most of the suite
-        seq = qnumbers.number_sequence(family, max_n)
-        steps = ((n + 1, seq[n + 1], step(seq[n], seq[n - 1])) for n in range(1, max_n))
-        sums = zip(range(max_n + 1), seq, qnumbers.pq_numbers(family))
-        checks += [
-            _check(f"recurrence-closure[{family.value}]", qnumbers.first_counterexample(steps)),
-            _check(f"sum-agreement[{family.value}]", qnumbers.first_counterexample(sums)),
-        ]
+        names = (f"recurrence-closure[{family.value}]", f"sum-agreement[{family.value}]")
+        checks += map(_check, names, qnumbers.recurrence_counterexamples(family, max_n))
     return checks
 
 
@@ -62,13 +54,7 @@ def _suite_delta_identity(max_n: int) -> list[Check]:
 
 
 def _suite_homfly_factor(max_n: int) -> list[Check]:
-    homfly = qnumbers.pq_numbers(qnumbers.Family.HOMFLY_FERMIONIC)
-    alexander = qnumbers.pq_numbers(qnumbers.Family.ALEXANDER_FERMIONIC)
-    cases = (
-        (n, got, laurent.LaurentPoly.monomial(1, 0, 2 * (n - 1)) * alex)
-        for n, got, alex in islice(zip(range(max_n + 1), homfly, alexander), 1, None)
-    )
-    return [_check("homfly-monomial-factor", qnumbers.first_counterexample(cases))]
+    return [_check("homfly-monomial-factor", qnumbers.homfly_factor_counterexample(max_n))]
 
 
 def _fields(record) -> str:
@@ -92,7 +78,7 @@ def _suite_coeff_maps(_max_n: int) -> list[Check]:
         pair = qnumbers.family_params(f"{label}-fermionic")
         link = skein.link_coeffs_from_pq(pair)
         bosonic = qnumbers.family_params(f"{label}-bosonic")
-        knot = skein.KnotCoefficients(bosonic.P + bosonic.Q, -(bosonic.P * bosonic.Q))
+        knot = skein.KnotCoefficients(*skein.link_coeffs_from_pq(bosonic))
         checks += [
             _compare(f"knot-to-link[{label}]", skein.knot_to_link_coeffs, knot, link),
             _compare(f"pair-from-link-coeffs[{label}]", skein.pq_from_link_coeffs, link, pair),

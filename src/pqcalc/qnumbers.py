@@ -26,8 +26,8 @@ definition used here because it needs no division and stays valid when
       [n+1] = (P + Q)*[n] - P*Q*[n-1],    [0] = 0, [1] = 1,
 
   each step one fused sum of products, ``recurrence_step``.  The two
-  sum-form routes never use the recurrence, so either one is an
-  independent check of it.
+  sum-form routes never use the recurrence, so ``recurrence_counterexamples``
+  checks the recurrence against ``pq_numbers``.
 
 Six fixed families cover the classical knot polynomial specializations, in
 fermionic (half exponents, mixed signs) and bosonic (integer exponents)
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Callable, Iterable, Iterator
-from itertools import accumulate, count, repeat
+from itertools import accumulate, count, islice, repeat
 from operator import mul
 from typing import NamedTuple
 
@@ -231,13 +231,48 @@ def first_counterexample(
     return None
 
 
+def recurrence_counterexamples(
+    family: Family | PQPair | str, max_n: int
+) -> tuple[Counterexample | None, Counterexample | None]:
+    """``(closure, agreement)`` up to ``max_n``.  closure: the first n >= 2
+    where ``recurrence_step`` of the sum form's [n-1] and [n-2] (got) is not
+    its [n] (want).  agreement: the first n where ``number_sequence``'s [n]
+    (got) is not the sum form's (want).  One walk of ``pq_numbers``.
+
+    >>> recurrence_counterexamples("jones-fermionic", 30)
+    (None, None)
+    """
+    step, seq = recurrence_step(family), number_sequence(family, max_n)
+    closure = agreement = older = newer = None  # newer is the sum form's [n-1]
+    for n, want in zip(range(max_n + 1), pq_numbers(family)):
+        if agreement is None and seq[n] != want:
+            agreement = Counterexample(n, seq[n], want)
+        if closure is None and n >= 2 and (got := step(newer, older)) != want:
+            closure = Counterexample(n, got, want)
+        older, newer = newer, want
+    return closure, agreement
+
+
+def _homfly_want(n: int, alexander: LaurentPoly) -> LaurentPoly:
+    # the HOMFLY parameters are the Alexander ones scaled by p, and [n] is
+    # homogeneous of degree n-1 in (P, Q)
+    return LaurentPoly.monomial(1, 0, 2 * (n - 1)) * alexander
+
+
 def homfly_factorization_check(n: int) -> bool:
     """Does the HOMFLY fermionic [n] equal p^(n-1) times the Alexander
-    fermionic [n]?  The HOMFLY parameters are the Alexander ones scaled by
-    p, and [n] is homogeneous of degree n-1 in (P, Q), so this must hold."""
+    fermionic [n]?"""
     if n < 1:
         raise ValueError("n must be at least 1")
-    scale = LaurentPoly.monomial(1, 0, 2 * (n - 1))
-    return pq_number(Family.HOMFLY_FERMIONIC, n) == scale * pq_number(
-        Family.ALEXANDER_FERMIONIC, n
+    return pq_number(Family.HOMFLY_FERMIONIC, n) == _homfly_want(
+        n, pq_number(Family.ALEXANDER_FERMIONIC, n)
     )
+
+
+def homfly_factor_counterexample(max_n: int) -> Counterexample | None:
+    """The first n in 1..max_n where ``homfly_factorization_check`` fails,
+    got the HOMFLY [n] and want p^(n-1) times the Alexander [n], from one
+    walk of each sum-form stream."""
+    homfly, alexander = pq_numbers(Family.HOMFLY_FERMIONIC), pq_numbers(Family.ALEXANDER_FERMIONIC)
+    cases = islice(zip(range(max_n + 1), homfly, alexander), 1, None)
+    return first_counterexample((n, got, _homfly_want(n, alex)) for n, got, alex in cases)

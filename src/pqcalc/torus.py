@@ -142,14 +142,3 @@ def closed_form_counterexample(n_max: int) -> qnumbers.Counterexample | None:
         (n, alexander_torus(n, 2), alexander_torus2(n)) for n in range(1, n_max + 1, 2)
     )
 
-
-def delta_identity_check(n_max: int) -> bool:
-    """Does D(n, 2) equal the Alexander fermionic [n] for 1 <= n <= n_max?
-
-    Checks the extended l = 2 column against the deformed integers, and the
-    closed form against the extended column wherever the closed form applies
-    (odd n).
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    return torus2_counterexample(n_max) is None and closed_form_counterexample(n_max) is None

@@ -452,22 +452,9 @@ def _failures(capsys, fmt, *argv):
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_verify_sum_agreement_counterexample(capsys, monkeypatch, fmt):
-    k, bad = 7, parse("q^5")
-    _poison_stream(monkeypatch, Family.ALEXANDER_BOSONIC, k, bad)
-    rc, failed = _failures(capsys, fmt, "--suite", "recurrence", "--max-n", "12")
-    assert rc == 1
-    # got is the recurrence value, expected the sum form
-    got = number_sequence(Family.ALEXANDER_BOSONIC, k)[k]
-    assert failed == {
-        "sum-agreement[alexander-bosonic]":
-            f"first counterexample at n={k}: got {got}, expected {bad}",
-    }
-
-
-def test_verify_recurrence_closure_counterexample(capsys, monkeypatch):
-    # the recurrence's [k] of one family replaced: the closure check at
-    # n = k finds it, and so does the comparison with the sum form
-    k, bad, target = 6, parse("q^7 - p"), Family.JONES_BOSONIC
+    # the recurrence's [k] of one family replaced: only the comparison with
+    # the sum form reads number_sequence, so the closure check still passes
+    k, bad, target = 7, parse("q^5"), Family.ALEXANDER_BOSONIC
     real = qnumbers.number_sequence
 
     def poisoned(family, n_max):
@@ -477,9 +464,23 @@ def test_verify_recurrence_closure_counterexample(capsys, monkeypatch):
         return seq
 
     monkeypatch.setattr("pqcalc.qnumbers.number_sequence", poisoned)
-    want = pq_number(target, k)
-    detail = f"first counterexample at n={k}: got {bad}, expected {want}"
-    assert str(want) == "q^15 + q^13 + q^11 + q^9 + q^7 + q^5"
+    rc, failed = _failures(capsys, fmt, "--suite", "recurrence", "--max-n", "12")
+    assert rc == 1
+    # got is the recurrence value, expected the sum form
+    assert failed == {
+        "sum-agreement[alexander-bosonic]":
+            f"first counterexample at n={k}: got {bad}, expected {pq_number(target, k)}",
+    }
+
+
+def test_verify_recurrence_closure_counterexample(capsys, monkeypatch):
+    # the sum form's [k] of one family replaced: the step from its [k-1]
+    # and [k-2] misses it at n = k, and so does the recurrence's [k]
+    k, bad, target = 6, parse("q^7 - p"), Family.JONES_BOSONIC
+    _poison_stream(monkeypatch, target, k, bad)
+    right = number_sequence(target, k)[k]
+    detail = f"first counterexample at n={k}: got {right}, expected {bad}"
+    assert str(right) == "q^15 + q^13 + q^11 + q^9 + q^7 + q^5"
     argv = ("verify", "--suite", "recurrence", "--max-n", "12")
 
     rc, out, _ = run_cli(capsys, *argv)

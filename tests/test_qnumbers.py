@@ -21,6 +21,7 @@ from pqcalc.qnumbers import (
     number_sequence,
     pq_number,
     pq_numbers,
+    recurrence_counterexamples,
     recurrence_step,
 )
 
@@ -277,6 +278,27 @@ def test_sum_and_recurrence_agree_to_200(family):
     for n in range(201):
         got = pq_number(family, n)
         assert got == seq[n] == next(stream), n
+    assert recurrence_counterexamples(family, 200) == (None, None)
+
+
+def _overwriting_dot(pairs):
+    """``_dot`` with a bug: each term product overwrites the term before
+    it at the same exponent instead of adding to it."""
+    data = {}
+    for a, x in pairs:
+        for (aq, ap), ac in a.terms():
+            for (bq, bp), bc in x.terms():
+                data[(aq + bq, ap + bp)] = ac * bc
+    return LaurentPoly(data)
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_recurrence_closure_catches_a_broken_step(monkeypatch, family):
+    # the step adds products that share an exponent, so the bug breaks it.
+    # The sum-form stream of a monomial pair never does, so it stays right
+    # and the closure check, which steps from its values, sees the bug
+    monkeypatch.setattr("pqcalc.qnumbers._dot", _overwriting_dot)
+    assert recurrence_counterexamples(family, 10)[0] is not None
 
 
 @pytest.mark.parametrize(

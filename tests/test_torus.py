@@ -17,7 +17,6 @@ from pqcalc.torus import (
     alexander_torus,
     alexander_torus2,
     closed_form_counterexample,
-    delta_identity_check,
     torus2_counterexample,
 )
 
@@ -231,13 +230,15 @@ def test_column_two_validation():
 
 
 # ----------------------------------------------------------------------
-# bundled check
+# the counterexample checks
 
 
 def test_delta_identity_check():
-    assert delta_identity_check(50) is True
-    with pytest.raises(ValueError):
-        delta_identity_check(0)
+    # D(n, 2) is the Alexander fermionic [n]; the closed form agrees at odd n
+    for n in range(1, 51):
+        assert alexander_torus2(n) == pq_number(Family.ALEXANDER_FERMIONIC, n)
+        if n % 2:
+            assert alexander_torus(n, 2) == alexander_torus2(n)
 
 
 def test_counterexample_checks_pass():
@@ -265,14 +266,22 @@ def test_counterexample_checks_report_the_first_bad_n(monkeypatch):
     assert closed_form_counterexample(k - 1) is None
 
 
-def test_delta_identity_check_fails_when_poisoned(monkeypatch):
-    _poison_column_two(monkeypatch, 9, parse("q"))
-    assert delta_identity_check(8) is True
-    assert delta_identity_check(9) is False
+def test_counterexample_checks_fail_from_a_poisoned_odd_n(monkeypatch):
+    k, bad = 9, parse("q")
+    _poison_column_two(monkeypatch, k, bad)
+    assert torus2_counterexample(k - 1) is None
+    assert closed_form_counterexample(k - 1) is None
+    assert torus2_counterexample(k) == Counterexample(
+        k, bad, pq_number(Family.ALEXANDER_FERMIONIC, k)
+    )
+    assert closed_form_counterexample(k) == Counterexample(k, alexander_torus(k, 2), bad)
 
 
-def test_delta_identity_check_fails_on_a_wrong_closed_form(monkeypatch):
+def test_closed_form_counterexample_finds_a_wrong_closed_form(monkeypatch):
+    # the l = 2 column stays right, so only the closed-form check fails
+    k, bad = 7, parse("q")
     real = torus.alexander_torus
-    monkeypatch.setattr(torus, "alexander_torus", lambda n, l: parse("q") if n >= 7 else real(n, l))
-    assert delta_identity_check(6) is True
-    assert delta_identity_check(7) is False
+    monkeypatch.setattr(torus, "alexander_torus", lambda n, l: bad if n >= k else real(n, l))
+    assert closed_form_counterexample(k - 1) is None
+    assert closed_form_counterexample(60) == Counterexample(k, bad, alexander_torus2(k))
+    assert torus2_counterexample(60) is None
