@@ -39,7 +39,6 @@ from .qnumbers import (
     pq_number,
     pq_numbers,
     recurrence_counterexamples,
-    recurrence_step,
 )
 from .skein import (
     DegenerateSkeinError,
@@ -91,7 +90,6 @@ __all__ = [
     "pq_number",
     "pq_numbers",
     "recurrence_counterexamples",
-    "recurrence_step",
     "DegenerateSkeinError",
     "KnotCoefficients",
     "NotSolvableOnGridError",

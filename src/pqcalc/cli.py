@@ -18,8 +18,6 @@ from typing import NamedTuple
 
 from . import laurent, qnumbers, skein, torus
 
-SUITE_NAMES = ("recurrence", "delta-identity", "homfly-factor", "coeff-maps")
-
 
 # ----------------------------------------------------------------------
 # verification suites
@@ -92,6 +90,7 @@ _SUITES = {
     "homfly-factor": _suite_homfly_factor,
     "coeff-maps": _suite_coeff_maps,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 # ----------------------------------------------------------------------

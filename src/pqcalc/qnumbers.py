@@ -25,9 +25,13 @@ definition used here because it needs no division and stays valid when
 
       [n+1] = (P + Q)*[n] - P*Q*[n-1],    [0] = 0, [1] = 1,
 
-  each step one fused sum of products, ``recurrence_step``.  The two
-  sum-form routes never use the recurrence, so ``recurrence_counterexamples``
-  checks the recurrence against ``pq_numbers``.
+  the skein chain: ``skein.recurrence_generate`` on the link coefficients
+  ``skein.link_coeffs_from_pq(pair)``, so a pair with ``P*Q = 0`` raises
+  ``DegenerateSkeinError``.  The two sum-form routes never use the
+  recurrence, so ``recurrence_counterexamples`` checks the recurrence
+  against ``pq_numbers``.
+
+``PQPair`` lives in ``skein`` and is imported here.
 
 Six fixed families cover the classical knot polynomial specializations, in
 fermionic (half exponents, mixed signs) and bosonic (integer exponents)
@@ -37,7 +41,7 @@ form for each of Alexander, Jones, and HOMFLY.
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from itertools import accumulate, count, islice, repeat
 from operator import mul
 from typing import NamedTuple
@@ -51,18 +55,7 @@ from .laurent import (
     _power_fits,
     parse,
 )
-
-
-class PQPair(NamedTuple):
-    """Deformation parameters.  ``P = Q`` is allowed (the sum form still
-    works) but flagged, since the quotient form degenerates there."""
-
-    P: LaurentPoly
-    Q: LaurentPoly
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.P == self.Q
+from .skein import PQPair, link_coeffs_from_pq, recurrence_generate
 
 
 class Family(enum.Enum):
@@ -182,33 +175,17 @@ def pq_numbers(family: Family | PQPair | str) -> Iterator[LaurentPoly]:
 
 def number_sequence(family: Family | PQPair | str, n_max: int) -> list[LaurentPoly]:
     """[0], [1], ..., [n_max] generated by the three-term recurrence,
-    one ``recurrence_step`` per value."""
+    ``skein.recurrence_generate`` from the seeds 0 and 1.  A pair with
+    ``P*Q = 0`` raises ``DegenerateSkeinError``."""
+    _require_bound(n_max)
+    coeffs = link_coeffs_from_pq(family_params(family))
+    return recurrence_generate(coeffs, LaurentPoly.zero(), LaurentPoly.one(), n_max + 1)
+
+
+def _require_bound(n_max: int) -> None:
+    # the one rule for a sequence's last index and for every check's bound
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    step = recurrence_step(family)
-    seq = [LaurentPoly.zero(), LaurentPoly.one()]
-    for _ in range(n_max - 1):
-        seq.append(step(seq[-1], seq[-2]))
-    return seq
-
-
-def recurrence_step(
-    family: Family | PQPair | str,
-) -> Callable[[LaurentPoly, LaurentPoly], LaurentPoly]:
-    """The step of the three-term recurrence: ``step([n], [n-1])`` is
-    ``[n+1] = (P + Q)*[n] - P*Q*[n-1]``, one fused sum of products.
-
-    >>> step = recurrence_step("alexander-bosonic")
-    >>> step(pq_number("alexander-bosonic", 2), pq_number("alexander-bosonic", 1))
-    LaurentPoly('q^2 + 1 + q^(-2)')
-    """
-    pair = family_params(family)
-    link, neg_prod = pair.P + pair.Q, -(pair.P * pair.Q)
-
-    def step(current: LaurentPoly, previous: LaurentPoly) -> LaurentPoly:
-        return _dot(((link, current), (neg_prod, previous)))
-
-    return step
 
 
 class Counterexample(NamedTuple):
@@ -235,20 +212,24 @@ def recurrence_counterexamples(
     family: Family | PQPair | str, max_n: int
 ) -> tuple[Counterexample | None, Counterexample | None]:
     """``(closure, agreement)`` up to ``max_n``.  closure: the first n >= 2
-    where ``recurrence_step`` of the sum form's [n-1] and [n-2] (got) is not
-    its [n] (want).  agreement: the first n where ``number_sequence``'s [n]
-    (got) is not the sum form's (want).  One walk of ``pq_numbers``.
+    where one step of ``skein.recurrence_generate`` from the sum form's
+    [n-2] and [n-1] (got) is not its [n] (want).  agreement: the first n
+    where ``number_sequence``'s [n] (got) is not the sum form's (want).
+    One walk of ``pq_numbers``.
 
     >>> recurrence_counterexamples("jones-fermionic", 30)
     (None, None)
     """
-    step, seq = recurrence_step(family), number_sequence(family, max_n)
+    seq = number_sequence(family, max_n)
+    coeffs = link_coeffs_from_pq(family_params(family))
     closure = agreement = older = newer = None  # newer is the sum form's [n-1]
     for n, want in zip(range(max_n + 1), pq_numbers(family)):
         if agreement is None and seq[n] != want:
             agreement = Counterexample(n, seq[n], want)
-        if closure is None and n >= 2 and (got := step(newer, older)) != want:
-            closure = Counterexample(n, got, want)
+        if closure is None and n >= 2:
+            got = recurrence_generate(coeffs, older, newer, 3)[-1]
+            if got != want:
+                closure = Counterexample(n, got, want)
         older, newer = newer, want
     return closure, agreement
 
@@ -273,6 +254,7 @@ def homfly_factor_counterexample(max_n: int) -> Counterexample | None:
     """The first n in 1..max_n where ``homfly_factorization_check`` fails,
     got the HOMFLY [n] and want p^(n-1) times the Alexander [n], from one
     walk of each sum-form stream."""
+    _require_bound(max_n)
     homfly, alexander = pq_numbers(Family.HOMFLY_FERMIONIC), pq_numbers(Family.ALEXANDER_FERMIONIC)
     cases = islice(zip(range(max_n + 1), homfly, alexander), 1, None)
     return first_counterexample((n, got, _homfly_want(n, alex)) for n, got, alex in cases)

@@ -8,25 +8,32 @@ whose characteristic roots are the deformation parameters:
 
     x^2 - l1*x - l2 = (x - P)(x - Q),   so   l1 = P + Q,  l2 = -P*Q.
 
-This module converts between the three coefficient views: the pair (P, Q),
-the link coefficients (l1, l2), and the "knot" coefficients (k1, k2) read
-off a recurrence with integer exponents, whose square roots recover the
-half-exponent link coefficients.
+This module holds the pair record ``PQPair`` and converts between the
+three coefficient views: the pair (P, Q), the link coefficients (l1, l2),
+and the "knot" coefficients (k1, k2) read off a recurrence with integer
+exponents, whose square roots recover the half-exponent link coefficients.
+``recurrence_generate`` is the one implementation of the recurrence;
+``qnumbers.number_sequence`` runs it from the seeds 0 and 1.  This module
+imports only ``laurent``, so ``qnumbers`` can build on it.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .laurent import (
-    LaurentPoly,
-    NonExactDivisionError,
-    NotAPerfectSquareError,
-    _dot,
-    exact_div,
-    sqrt_perfect_square,
-)
-from .qnumbers import PQPair
+from .laurent import LaurentPoly, NotAPerfectSquareError, _dot, exact_div, sqrt_perfect_square
+
+
+class PQPair(NamedTuple):
+    """Deformation parameters.  ``P = Q`` is allowed (the sum form still
+    works) but flagged, since the quotient form degenerates there."""
+
+    P: LaurentPoly
+    Q: LaurentPoly
+
+    @property
+    def is_degenerate(self) -> bool:
+        return self.P == self.Q
 
 
 class DegenerateSkeinError(ValueError):
@@ -75,16 +82,11 @@ def pq_from_link_coeffs(coeffs: SkeinCoefficients) -> PQPair:
         raise NotSolvableOnGridError(
             f"discriminant l1^2 + 4*l2 = {disc} has no principal square root: {exc}"
         ) from exc
+    # root^2 = l1^2 + 4*l2 gives (root - l1)^2 = 0 mod 2, and Laurent
+    # polynomials over F2 have no zero divisors, so root = l1 mod 2 and
+    # both halvings are exact
     two = LaurentPoly.monomial(2)
-    try:
-        p_root = exact_div(coeffs.l1 + root, two)
-        q_root = exact_div(coeffs.l1 - root, two)
-    except NonExactDivisionError as exc:
-        raise NotSolvableOnGridError(
-            f"roots of x^2 - ({coeffs.l1})*x - ({coeffs.l2}) have non-integer "
-            "coefficients"
-        ) from exc
-    return PQPair(p_root, q_root)
+    return PQPair(exact_div(coeffs.l1 + root, two), exact_div(coeffs.l1 - root, two))
 
 
 def knot_to_link_coeffs(kc: KnotCoefficients) -> SkeinCoefficients:

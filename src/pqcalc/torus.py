@@ -129,6 +129,7 @@ def alexander_torus2(n: int) -> LaurentPoly:
 def torus2_counterexample(n_max: int) -> qnumbers.Counterexample | None:
     """The first n <= n_max where the l = 2 column is not the Alexander
     fermionic deformed integer: got ``alexander_torus2(n)``, want [n]."""
+    qnumbers._require_bound(n_max)
     fermionic = islice(qnumbers.pq_numbers(qnumbers.Family.ALEXANDER_FERMIONIC), 1, None)
     return qnumbers.first_counterexample(
         (n, alexander_torus2(n), want) for n, want in zip(range(1, n_max + 1), fermionic)
@@ -138,6 +139,7 @@ def torus2_counterexample(n_max: int) -> qnumbers.Counterexample | None:
 def closed_form_counterexample(n_max: int) -> qnumbers.Counterexample | None:
     """The first odd n <= n_max where the closed form leaves the l = 2
     column: got ``alexander_torus(n, 2)``, want ``alexander_torus2(n)``."""
+    qnumbers._require_bound(n_max)
     return qnumbers.first_counterexample(
         (n, alexander_torus(n, 2), alexander_torus2(n)) for n in range(1, n_max + 1, 2)
     )

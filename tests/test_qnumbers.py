@@ -17,13 +17,14 @@ from pqcalc.qnumbers import (
     PQPair,
     family_params,
     first_counterexample,
+    homfly_factor_counterexample,
     homfly_factorization_check,
     number_sequence,
     pq_number,
     pq_numbers,
     recurrence_counterexamples,
-    recurrence_step,
 )
+from pqcalc.skein import DegenerateSkeinError, link_coeffs_from_pq, recurrence_generate
 
 from poly_strategies import exp2s, monomials, polys
 
@@ -269,6 +270,33 @@ def test_sequence_length_and_validation():
         number_sequence(Family.JONES_BOSONIC, 0)
 
 
+@pytest.mark.parametrize("pair", [PQPair(parse("q"), LaurentPoly.zero()),
+                                  PQPair(LaurentPoly.zero(), parse("-p"))])
+def test_sequence_refuses_a_vanishing_product(pair):
+    # the recurrence is the skein chain, which needs l2 = -P*Q != 0; the
+    # sum-form routes still serve such a pair
+    with pytest.raises(DegenerateSkeinError):
+        number_sequence(pair, 5)
+    assert list(islice(pq_numbers(pair), 6)) == [pq_number(pair, n) for n in range(6)]
+
+
+_BOUND_CHECKS = {
+    "recurrence": lambda n: recurrence_counterexamples(Family.JONES_BOSONIC, n),
+    "homfly-factor": homfly_factor_counterexample,
+    "torus2": torus.torus2_counterexample,
+    "closed-form": torus.closed_form_counterexample,
+}
+
+
+@pytest.mark.parametrize("check", _BOUND_CHECKS.values(), ids=_BOUND_CHECKS)
+@pytest.mark.parametrize("bound", [0, -5])
+def test_checks_refuse_a_bound_below_one(check, bound):
+    # one rule for every check: no bound below 1 reads as a pass over no cases
+    with pytest.raises(ValueError, match="n_max must be at least 1"):
+        check(bound)
+    assert check(1) in (None, (None, None))
+
+
 @pytest.mark.parametrize("family", list(Family))
 def test_sum_and_recurrence_agree_to_200(family):
     # three routes: pq_number's direct summands, the geometric-step stream
@@ -297,7 +325,7 @@ def test_recurrence_closure_catches_a_broken_step(monkeypatch, family):
     # the step adds products that share an exponent, so the bug breaks it.
     # The sum-form stream of a monomial pair never does, so it stays right
     # and the closure check, which steps from its values, sees the bug
-    monkeypatch.setattr("pqcalc.qnumbers._dot", _overwriting_dot)
+    monkeypatch.setattr("pqcalc.skein._dot", _overwriting_dot)
     assert recurrence_counterexamples(family, 10)[0] is not None
 
 
@@ -307,12 +335,14 @@ def test_recurrence_closure_catches_a_broken_step(monkeypatch, family):
      PQPair(parse("q - p"), parse("q - p"))],
 )
 def test_recurrence_step_matches_the_sum_form(pair):
-    # pairs off the monomial route, and a degenerate one
-    step = recurrence_step(pair)
+    # pairs off the monomial route, and a degenerate one: one step of the
+    # skein recurrence carries the sum form's [n-1] and [n] to its [n+1]
+    coeffs = link_coeffs_from_pq(pair)
     numbers = [pq_number(pair, n) for n in range(10)]
     for n in range(1, 9):
-        assert step(numbers[n], numbers[n - 1]) == numbers[n + 1], n
-    assert step(LaurentPoly.zero(), LaurentPoly.zero()).is_zero
+        assert recurrence_generate(coeffs, numbers[n - 1], numbers[n], 3)[-1] == numbers[n + 1], n
+    zero = LaurentPoly.zero()
+    assert recurrence_generate(coeffs, zero, zero, 3)[-1].is_zero
 
 
 @pytest.mark.parametrize("family", list(Family))

@@ -1,21 +1,28 @@
 """Conversions between (P, Q), link coefficients, and knot coefficients."""
 
 import random
+from itertools import islice
 
 import pytest
+from hypothesis import assume, given, settings
 
+import pqcalc
+from pqcalc import qnumbers
 from pqcalc.laurent import LaurentPoly, NotAPerfectSquareError, parse
-from pqcalc.qnumbers import Family, PQPair, family_params, number_sequence
+from pqcalc.qnumbers import Family, family_params, pq_numbers
 from pqcalc.skein import (
     DegenerateSkeinError,
     KnotCoefficients,
     NotSolvableOnGridError,
+    PQPair,
     SkeinCoefficients,
     knot_to_link_coeffs,
     link_coeffs_from_pq,
     pq_from_link_coeffs,
     recurrence_generate,
 )
+
+from poly_strategies import polys
 
 
 # ----------------------------------------------------------------------
@@ -43,6 +50,11 @@ def test_link_coeffs_per_family(family, l1, l2):
 def test_link_coeffs_rejects_vanishing_product():
     with pytest.raises(DegenerateSkeinError):
         link_coeffs_from_pq(PQPair(parse("q"), LaurentPoly.zero()))
+
+
+def test_pair_record_lives_in_skein():
+    assert qnumbers.PQPair is pqcalc.PQPair is PQPair
+    assert PQPair.__module__ == "pqcalc.skein"
 
 
 def test_degenerate_flag_reads_l2():
@@ -80,6 +92,18 @@ def test_pair_recovery_rejects_repeated_root():
     # discriminant 4q^2 - 4q^2 = 0
     with pytest.raises(NotSolvableOnGridError):
         pq_from_link_coeffs(SkeinCoefficients(parse("2q"), parse("-q^2")))
+
+
+@given(l1=polys(), t=polys())
+@settings(deadline=None, max_examples=200)
+def test_pair_recovery_of_a_square_discriminant(l1, t):
+    # l2 = l1*t + t^2 makes the discriminant (l1 + 2t)^2, so the roots
+    # (l1 +- (l1 + 2t)) / 2 have integer coefficients whatever l1 and t are
+    assume(not (l1 + 2 * t).is_zero)
+    l2 = l1 * t + t * t
+    pair = pq_from_link_coeffs(SkeinCoefficients(l1, l2))
+    assert pair.P + pair.Q == l1
+    assert -(pair.P * pair.Q) == l2
 
 
 def test_pair_recovery_round_trip_random_monomials():
@@ -161,11 +185,12 @@ def test_knot_to_link_off_grid_first_root():
 # recurrence generation
 
 
-def test_recurrence_matches_number_sequence():
+def test_recurrence_matches_the_sum_form():
+    # pq_numbers never runs the recurrence, so a broken step shows here
     for family in Family:
         coeffs = link_coeffs_from_pq(family_params(family))
         seq = recurrence_generate(coeffs, LaurentPoly.zero(), LaurentPoly.one(), 13)
-        assert seq == number_sequence(family, 12)
+        assert seq == list(islice(pq_numbers(family), 13))
 
 
 def test_recurrence_trefoil_value():

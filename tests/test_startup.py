@@ -1,4 +1,5 @@
-"""Start-up imports: the CLI loads only the standard library it runs.
+"""Start-up imports: the CLI loads only the standard library it runs, and
+each library module only the pqcalc modules below it.
 
 Each test runs a fresh interpreter, without ``site`` (``-S``), so that
 ``sys.modules`` shows what pqcalc itself imports; the test session has
@@ -83,3 +84,22 @@ def test_deferred_paths_import_what_they_use(module, call, check):
         f"assert {module!r} in sys.modules\nimport {module}\n{check}print('ok')\n"
     )
     assert _run_fresh(code) == "ok\n"
+
+
+# the library's layers, lowest first: each imports only those before it
+MODULE_ORDER = ("laurent", "skein", "qnumbers", "torus")
+
+
+@pytest.mark.parametrize("index", range(len(MODULE_ORDER)), ids=MODULE_ORDER)
+def test_each_module_loads_only_the_modules_below_it(index):
+    # a bare package stands in for pqcalc/__init__.py, which loads them all
+    code = (
+        "import importlib, sys, types\n"
+        "package = types.ModuleType('pqcalc')\n"
+        f"package.__path__ = [{str(SRC / 'pqcalc')!r}]\n"
+        "sys.modules['pqcalc'] = package\n"
+        f"importlib.import_module('pqcalc.{MODULE_ORDER[index]}')\n"
+        "print(sorted(name for name in sys.modules if name.startswith('pqcalc.')))\n"
+    )
+    want = sorted(f"pqcalc.{name}" for name in MODULE_ORDER[: index + 1])
+    assert _run_fresh(code) == f"{want}\n"
