@@ -23,21 +23,21 @@ one ``findall``.  Text it refuses (malformed, off the grid, a zero
 denominator) goes to ``_Parser``, a recursive descent that positions the
 error; it is also the reference the patterns are tested against.
 
-Rendering (``LaurentPoly.text``, ``format_poly``) goes by columns, as
-``text`` describes; ``format_json`` nests indented copies of the single-poly
-JSON document.  Every int, in output and in error messages, renders at any
-length, in subquadratic time past CPython's int/str limit.
+Rendering (``LaurentPoly.text``, ``format_poly``) makes one pass over a
+value's sorted keys and pays per term, with ``str`` for every int; a value
+holding an int past CPython's int/str limit is rendered again with
+``_int_to_str``, which converts at any length in subquadratic time, as
+every int in an error message does.  ``format_json`` nests indented copies
+of the single-poly JSON document.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 from heapq import heapify, heappop, heappush
 from itertools import islice
 from math import comb, isqrt
-from operator import itemgetter
 from typing import Union
 
 ExpVec = tuple[int, int]
@@ -81,6 +81,11 @@ class BudgetExceededError(LaurentError):
 # walk steps, for the torus values) times 64-bit words per coefficient.  A
 # term costs about 135 bytes, so this caps a result near 540 MB.
 MAX_WORK = 4 * 10**6
+
+# the most term pairs one product inside ``f ** k`` may form.  The output
+# bound above does not bound the time: a dense 100 x 100 square has 39,601
+# terms but forms 10^8 pairs, each a multiply-add in the dict kernel.
+MAX_PAIRS = 4 * 10**6
 
 
 def _power_fits(bases: tuple[dict[ExpVec, int], ...], k: int, count: int, limit: int) -> bool:
@@ -263,7 +268,9 @@ class LaurentPoly:
     def __pow__(self, k: int) -> LaurentPoly:
         """``self ** k`` by repeated squaring.  ``BudgetExceededError``
         before any product when the size of the power, bounded from the
-        support, the 1-norm and ``k``, would pass ``MAX_WORK``."""
+        support, the 1-norm and ``k``, would pass ``MAX_WORK``, and before
+        any one product that would form more than ``MAX_PAIRS`` term
+        pairs."""
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
@@ -273,14 +280,25 @@ class LaurentPoly:
                 f"power {_int_to_str(k)} of a {len(self._terms)}-term poly is over the budget "
                 f"of {MAX_WORK} terms times 64-bit coefficient words"
             )
+
+        def times(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+            pairs = len(a._terms) * len(b._terms)
+            if pairs > MAX_PAIRS:
+                raise BudgetExceededError(
+                    f"power {_int_to_str(k)} of a {len(self._terms)}-term poly takes a product "
+                    f"of {pairs} term pairs, over the budget of {MAX_PAIRS}"
+                )
+            return a * b
+
         result = LaurentPoly.one()
         base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
+        n = k
+        while n:
+            if n & 1:
+                result = times(result, base)
+            n >>= 1
+            if n:
+                base = times(base, base)
         return result
 
     # ------------------------------------------------------------------
@@ -310,51 +328,12 @@ class LaurentPoly:
     def text(self) -> str:
         """Canonical text form, e.g. ``'q - 1 + q^(-1)'``.
 
-        Rendered by columns: each distinct coefficient and ``p`` exponent
-        is converted once, only the ``q`` factor per term, and one join
-        builds the string.  The cost is one sort of the keys plus constant
-        string work per term; nothing is cached, so a second call pays it
-        again.
+        One pass over the sorted keys pays per term: a term is its sign,
+        its magnitude, its ``p`` factor, read from a dict kept for this
+        value, and its ``q`` factor, formatted in place.  Nothing is cached
+        past the call, so a second call pays again.
         """
-        d = self._terms
-        if not d:
-            return "0"
-        keys = sorted(d, reverse=True)
-        coeffs = list(map(d.__getitem__, keys))
-        ps = list(map(_P_EXP, keys))
-        # per term: sign and magnitude (the head), p factor, q factor
-        heads = {}
-        for c in set(coeffs):
-            mag = "" if c == 1 or c == -1 else _int_to_str(abs(c)) + "*"
-            heads[c] = (" - " if c < 0 else " + ") + mag
-        pieces = [None, None, None] * len(keys)
-        pieces[0::3] = map(heads.__getitem__, coeffs)
-        pfactors = {p2: _var_text("p", p2) + "*" if p2 else "" for p2 in set(ps)}
-        try:
-            # _var_text("q", q2) spelled out with plain str, as it runs per term
-            pieces[2::3] = [
-                f"q^({q2}/2)" if q2 & 1
-                else f"q^{q2 >> 1}" if q2 > 2
-                else f"q^({q2 >> 1})" if q2 < 0
-                else "q" if q2
-                else ""
-                for q2, _ in keys
-            ]
-        except ValueError:  # an exponent past the int/str digit limit
-            pieces[2::3] = [_var_text("q", q2) if q2 else "" for q2, _ in keys]
-        pieces[1::3] = map(pfactors.__getitem__, ps)
-        # the terms free of q come right after the positive q exponents;
-        # they end on their p factor, or are the constant
-        for i in range(bisect_left(keys, 0, key=_neg_q), len(keys)):
-            if keys[i][0]:
-                break
-            if ps[i]:
-                pieces[3 * i + 1] = pfactors[ps[i]][:-1]
-            else:
-                pieces[3 * i] = heads[coeffs[i]][:3] + _int_to_str(abs(coeffs[i]))
-        first = pieces[0]
-        pieces[0] = first[3:] if first[1] == "+" else "-" + first[3:]
-        return "".join(pieces)
+        return _render(_text, self._terms)
 
     def to_json_obj(self) -> dict:
         """JSON-ready dict; see ``JSON_SCHEMA``.  Coefficients are decimal
@@ -434,62 +413,91 @@ JSON_SCHEMA = {
 }
 
 
-def _var_text(name: str, e2: int) -> str:
+def _render(write, d: dict[ExpVec, int]) -> str:
+    """``write(d, str)``: every int converts with ``str``.  A value holding
+    an int past CPython's int/str digit limit, where ``str`` raises, is
+    written again by the same code with ``_int_to_str``."""
+    try:
+        return write(d, str)
+    except ValueError:
+        return write(d, _int_to_str)
+
+
+def _power(name: str, e2: int, conv) -> str:
     # doubled exponent: halves render as "(m/2)", integers render bare,
     # negative integers keep parentheses so output reparses
-    if e2 % 2 == 0:
-        e = e2 // 2
-        if e == 1:
-            return name
-        return f"{name}^{_int_to_str(e)}" if e >= 0 else f"{name}^({_int_to_str(e)})"
-    return f"{name}^({_int_to_str(e2)}/2)"
+    if e2 & 1:
+        return f"{name}^({conv(e2)}/2)"
+    e = e2 >> 1
+    return name if e == 1 else f"{name}^{conv(e)}" if e > 0 else f"{name}^({conv(e)})"
 
 
-_Q_EXP, _P_EXP = itemgetter(0), itemgetter(1)
-
-
-def _neg_q(key: ExpVec) -> int:
-    return -key[0]
+def _text(d: dict[ExpVec, int], conv) -> str:
+    """``LaurentPoly.text`` of the terms ``d``, every int through ``conv``."""
+    if not d:
+        return "0"
+    pfactors = {0: ""}  # p2 -> its factor and the "*" after it
+    out = []
+    for key in sorted(d, reverse=True):
+        q2, p2 = key
+        c = d[key]
+        pf = pfactors.get(p2)
+        if pf is None:
+            pf = pfactors[p2] = _power("p", p2, conv) + "*"
+        if c < 0:
+            head = " - " if c == -1 else f" - {conv(-c)}*"
+        else:
+            head = " + " if c == 1 else f" + {conv(c)}*"
+        if q2:
+            # _power("q", q2, conv) spelled out, as it runs per term
+            if q2 & 1:
+                out.append(f"{head}{pf}q^({conv(q2)}/2)")
+            elif q2 > 2:
+                out.append(f"{head}{pf}q^{conv(q2 >> 1)}")
+            elif q2 < 0:
+                out.append(f"{head}{pf}q^({conv(q2 >> 1)})")
+            else:
+                out.append(head + pf + "q")
+        elif p2:
+            out.append(head + pf[:-1])
+        else:  # the constant shows its magnitude, 1 included
+            out.append(head[:-1] if head[-1] == "*" else head + "1")
+    first = out[0]
+    out[0] = first[3:] if first[1] == "+" else "-" + first[3:]
+    return "".join(out)
 
 
 _COEFF_RE = re.compile(r"-?[0-9]+")
 
-# The layout ``json.dumps(f.to_json_obj(), indent=2)`` writes, spelled out
-# in the fixed pieces around each term's coefficient, q and p exponents:
-# with ``indent`` set, CPython's encoder falls back to pure Python, about
-# ten times slower than joining these pieces.
+# ``json.dumps(f.to_json_obj(), indent=2)`` writes this head, then the
+# terms as ``_json`` lays them out: with ``indent`` set, CPython's encoder
+# falls back to pure Python, about ten times slower than formatting them.
 _JSON_HEAD = '{\n  "variables": [\n    "q",\n    "p"\n  ],\n  "terms": '
-_JSON_LAYOUT = (
-    _JSON_HEAD + "[]\n}",  # no terms
-    _JSON_HEAD + '[\n    {\n      "coeff": "',  # up to the first coefficient
-    '",\n      "exp2": {\n        "q": ',  # before q
-    ',\n        "p": ',  # before p
-    '\n      }\n    },\n    {\n      "coeff": "',  # between terms
-    "\n      }\n    }\n  ]\n}",  # after the last p
-)
 
 
-def _json_pieces(f: LaurentPoly) -> list[str]:
-    """The pieces of ``format_poly(f, "json")``, to be joined."""
-    empty, first, before_q, before_p, between, tail = _JSON_LAYOUT
-    d = f._terms
+def _json(d: dict[ExpVec, int], conv) -> str:
+    """``format_poly(f, "json")`` of the terms ``d``, every int through
+    ``conv``.  Coefficients and ``p`` exponents repeat (a torus value's
+    are all 1, -1 and 0), so each converts once per value."""
     if not d:
-        return [empty]
-    keys = sorted(d, reverse=True)
-    cstrs = {c: _int_to_str(c) for c in set(d.values())}
-    pstrs = {p2: _int_to_str(p2) for p2 in set(map(_P_EXP, keys))}
-    # per term: the text up to the coefficient, coefficient, before q, q,
-    # before p, p
-    pieces = [between, None, before_q, None, before_p, None] * len(keys)
-    pieces[0] = first
-    pieces[1::6] = map(cstrs.__getitem__, map(d.__getitem__, keys))
-    try:
-        pieces[3::6] = map(str, map(_Q_EXP, keys))
-    except ValueError:  # an exponent past the int/str digit limit
-        pieces[3::6] = map(_int_to_str, map(_Q_EXP, keys))
-    pieces[5::6] = map(pstrs.__getitem__, map(_P_EXP, keys))
-    pieces.append(tail)
-    return pieces
+        return _JSON_HEAD + "[]\n}"
+    cstrs: dict[int, str] = {}
+    pstrs: dict[int, str] = {}
+    out = []
+    for key in sorted(d, reverse=True):
+        q2, p2 = key
+        c = d[key]
+        cstr = cstrs.get(c)
+        if cstr is None:
+            cstr = cstrs[c] = conv(c)
+        pstr = pstrs.get(p2)
+        if pstr is None:
+            pstr = pstrs[p2] = conv(p2)
+        out.append(
+            f'    {{\n      "coeff": "{cstr}",\n      "exp2": {{\n'
+            f'        "q": {conv(q2)},\n        "p": {pstr}\n      }}\n    }}'
+        )
+    return _JSON_HEAD + "[\n" + ",\n".join(out) + "\n  ]\n}"
 
 
 # CPython refuses to convert between int and decimal str past
@@ -550,13 +558,13 @@ def format_poly(f: LaurentPoly, mode: str = "text") -> str:
     """Render ``f`` deterministically.  ``mode`` is ``"text"`` or ``"json"``.
 
     The JSON form is byte-identical to
-    ``json.dumps(f.to_json_obj(), indent=2)``.  Like ``text``, it renders by
-    columns: the fixed layout between the ints is filled in by slices.
+    ``json.dumps(f.to_json_obj(), indent=2)``.  Like ``text``, it makes one
+    pass over the sorted keys and formats each term in place.
     """
     if mode == "text":
         return f.text()
     if mode == "json":
-        return "".join(_json_pieces(f))
+        return _render(_json, f._terms)
     raise ValueError(f"unknown format mode: {mode!r}")
 
 
@@ -694,7 +702,11 @@ _DIGITS = frozenset("0123456789")
 class _Parser:
     """Recursive descent over the grammar of ``parse``, one character at a
     time: slow, but it stops at the first character that breaks the
-    grammar, and that is the position every ``ParseError`` reports."""
+    grammar, and that is the position every ``ParseError`` reports.
+
+    Digit runs stay text until their values are needed: a fraction
+    exponent's zero and grid checks, and the terms once the whole text has
+    parsed.  So an error after a long integer costs no conversion."""
 
     def __init__(self, text: str):
         self.text = text
@@ -708,71 +720,80 @@ class _Parser:
             self.pos += 1
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def take_uint(self) -> int:
+    def take_uint(self) -> str:
         self.peek()
         m = _INT_RE.match(self.text, self.pos)
         if not m:
             self.fail("expected an integer")
         self.pos = m.end()
-        return _int_from_str(m.group())
+        return m.group()
 
-    def take_signed_int(self) -> int:
+    def take_signed_int(self) -> str:
         ch = self.peek()
-        sign = 1
+        sign = ""
         if ch in ("+", "-"):
             self.pos += 1
-            sign = -1 if ch == "-" else 1
-        return sign * self.take_uint()
+            sign = "-" if ch == "-" else ""
+        return sign + self.take_uint()
 
     def parse_expr(self) -> dict[ExpVec, int]:
-        acc: dict[ExpVec, int] = {}
+        # per term: its sign, its coefficient's digits (None for 1) and its
+        # (variable, exponent) factors, converted once all of them parsed
+        terms: list[tuple[int, str | None, list[tuple[str, int | str]]]] = []
         sign = 1
         if self.peek() == "-":
             self.pos += 1
             sign = -1
-        self.parse_term(acc, sign)
+        self.parse_term(terms, sign)
         while True:
             ch = self.peek()
             if ch == "+":
                 self.pos += 1
-                self.parse_term(acc, 1)
+                self.parse_term(terms, 1)
             elif ch == "-":
                 self.pos += 1
-                self.parse_term(acc, -1)
+                self.parse_term(terms, -1)
             elif ch == "":
                 break
             else:
                 self.fail(f"unexpected character {ch!r}")
+        acc: dict[ExpVec, int] = {}
+        for sign, coeff, factors in terms:
+            q2 = p2 = 0
+            for var, e2 in factors:
+                if isinstance(e2, str):
+                    e2 = 2 * _int_from_str(e2)
+                if var == "q":
+                    q2 += e2
+                else:
+                    p2 += e2
+            value = sign if coeff is None else sign * _int_from_str(coeff)
+            exp = (q2, p2)
+            acc[exp] = acc.get(exp, 0) + value
         return acc
 
-    def parse_term(self, acc: dict[ExpVec, int], sign: int):
+    def parse_term(self, terms: list, sign: int):
         ch = self.peek()
         coeff = None
         if ch in _DIGITS:
             coeff = self.take_uint()
         elif ch not in ("q", "p"):
             self.fail("expected a coefficient or a variable")
-        q2 = p2 = 0
+        factors = []
         while True:
             ch = self.peek()
             if ch == "*":
                 self.pos += 1
                 if self.peek() not in ("q", "p"):
                     self.fail("expected 'q' or 'p' after '*'")
-                var, e2 = self.parse_factor()
+                factors.append(self.parse_factor())
             elif ch in ("q", "p"):
-                var, e2 = self.parse_factor()
+                factors.append(self.parse_factor())
             else:
                 break
-            if var == "q":
-                q2 += e2
-            else:
-                p2 += e2
-        value = sign * (1 if coeff is None else coeff)
-        exp = (q2, p2)
-        acc[exp] = acc.get(exp, 0) + value
+        terms.append((sign, coeff, factors))
 
-    def parse_factor(self) -> tuple[str, int]:
+    def parse_factor(self) -> tuple[str, int | str]:
         var = self.peek()
         self.pos += 1
         if self.peek() != "^":
@@ -780,28 +801,33 @@ class _Parser:
         self.pos += 1
         return var, self.parse_exponent()
 
-    def parse_exponent(self) -> int:
+    def parse_exponent(self) -> int | str:
+        """The doubled exponent, or a whole exponent's signed digits, to be
+        converted and doubled with its term."""
         ch = self.peek()
         if ch == "(":
             self.pos += 1
             start = self.pos
             num = self.take_signed_int()
-            den = 1
+            den = None
             if self.peek() == "/":
                 self.pos += 1
-                den = self.take_uint()
+                den = _int_from_str(self.take_uint())
                 if den == 0:
                     self.fail("zero denominator in exponent", start)
             if self.peek() != ")":
                 self.fail("expected ')'")
             self.pos += 1
-            doubled, rest = divmod(2 * num, den)
+            if den is None:
+                return num
+            value = _int_from_str(num)
+            doubled, rest = divmod(2 * value, den)
             if rest:
-                frac = f"{_int_to_str(num)}/{_int_to_str(den)}"
+                frac = f"{_int_to_str(value)}/{_int_to_str(den)}"
                 raise GridError(f"exponent {frac} is not an integer multiple of 1/2", start)
             return doubled
         if ch in ("+", "-") or ch in _DIGITS:
-            return 2 * self.take_signed_int()
+            return self.take_signed_int()
         self.fail("expected an exponent")
 
 

@@ -1,5 +1,6 @@
 """Kernel tests: arithmetic, division, roots, parsing, rendering, numerics."""
 
+import contextlib
 import json
 import random
 import re
@@ -187,6 +188,30 @@ def test_pow_refuses_before_any_product():
     finally:
         tracemalloc.stop()
     assert peak < 100_000
+
+
+@pytest.mark.parametrize("k, pairs", [(2, 100), (3, 190)])
+def test_pow_bounds_the_pairs_of_each_product(monkeypatch, k, pairs):
+    # a 10-term line: f ** 2 squares 10 x 10 pairs; f ** 3 then multiplies
+    # its 10 x 19 result by the base.  The output bound passes both.
+    f = LaurentPoly({(2 * i, 0): 1 for i in range(10)})
+    product = f * f if k == 2 else f * f * f
+    monkeypatch.setattr("pqcalc.laurent.MAX_PAIRS", pairs)
+    assert f**k == product
+    monkeypatch.setattr("pqcalc.laurent.MAX_PAIRS", pairs - 1)
+    with pytest.raises(
+        BudgetExceededError,
+        match=rf"power {k} of a 10-term poly takes a product of {pairs} term pairs, "
+        rf"over the budget of {pairs - 1}$",
+    ):
+        f**k
+
+
+def test_pow_refuses_a_dense_square_before_the_product():
+    # 39,601 output terms fit MAX_WORK, but squaring forms 10^8 term pairs
+    f = LaurentPoly({(2 * i, 2 * j): 1 for i in range(100) for j in range(100)})
+    with pytest.raises(BudgetExceededError, match="product of 100000000 term pairs"):
+        f**2
 
 
 def test_pow_of_a_unit_monomial_is_never_refused(monkeypatch):
@@ -737,6 +762,43 @@ def test_long_texts_match_the_descent_parser(text):
     assert outcome(_parse_text, text) == outcome(_descend, text)
 
 
+@pytest.mark.parametrize(
+    "text, converted",
+    [
+        # an error after a long integer converts nothing
+        ("q^" + "9" * 500_000 + "x", []),
+        ("5*q + " + "9" * 10_000 + "*q^2 $", []),
+        # a fraction converts its denominator for the zero check, then its
+        # numerator for the grid check
+        ("q^(" + "9" * 10_000 + "/2", ["2"]),
+        ("q^(1/0)", ["0"]),
+        ("q^(-1/3) + $", ["3", "-1"]),
+        # a valid text converts each digit run once, after the whole text
+        ("12*q^(3/2) - 7*p^-2 + q^(5) 2", ["2", "3"]),
+        ("12*q^(3/2) - 7*p^-2 + q^(5)", ["2", "3", "12", "-2", "7", "5"]),
+    ],
+)
+def test_descent_converts_digit_runs_once_their_values_are_needed(monkeypatch, text, converted):
+    calls, depth = [], []
+
+    def counting(digits):
+        # the outermost calls only: _int_from_str recurses through its name
+        # for a sign and for long runs
+        if not depth:
+            calls.append(digits)
+        depth.append(digits)
+        try:
+            return _int_from_str(digits)
+        finally:
+            depth.pop()
+
+    monkeypatch.setattr("pqcalc.laurent._int_from_str", counting)
+    want = outcome(_descend, text)
+    assert calls == converted
+    monkeypatch.undo()
+    assert outcome(_descend, text) == want
+
+
 def test_parse_keeps_no_state_per_term():
     # a backtracking repeat over the terms would hold about 230 bytes per
     # character of this text; the token list holds about 40
@@ -773,14 +835,20 @@ def test_format_orders_by_q_then_p():
     assert f.text() == "q^2 + p*q + p^(-1)*q + p^3"
 
 
-def _str_unlimited(values):
+@contextlib.contextmanager
+def _no_digit_limit():
     # str() past CPython's int/str digit limit, which is restored after
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return [str(v) for v in values]
+        yield
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def _str_unlimited(values):
+    with _no_digit_limit():
+        return [str(v) for v in values]
 
 
 def reference_text(terms: dict) -> str:
@@ -795,19 +863,26 @@ def reference_text(terms: dict) -> str:
 
     if not terms:
         return "0"
-    ordered = sorted(terms.items(), reverse=True)
-    mags = _str_unlimited(abs(c) for _, c in ordered)
     out = []
-    for ((q2, p2), c), mag in zip(ordered, mags):
-        factors = [power(name, e2) for name, e2 in (("p", p2), ("q", q2)) if e2]
-        if mag != "1" or not factors:
-            factors.insert(0, mag)
-        if out:
-            sign = " - " if c < 0 else " + "
-        else:
-            sign = "-" if c < 0 else ""
-        out.append(sign + "*".join(factors))
+    with _no_digit_limit():
+        for (q2, p2), c in sorted(terms.items(), reverse=True):
+            mag = str(abs(c))
+            factors = [power(name, e2) for name, e2 in (("p", p2), ("q", q2)) if e2]
+            if mag != "1" or not factors:
+                factors.insert(0, mag)
+            if out:
+                sign = " - " if c < 0 else " + "
+            else:
+                sign = "-" if c < 0 else ""
+            out.append(sign + "*".join(factors))
     return "".join(out)
+
+
+def reference_json(f: LaurentPoly) -> str:
+    """``json.dumps`` of the JSON oracle ``to_json_obj``, at any length."""
+    obj = f.to_json_obj()
+    with _no_digit_limit():
+        return json.dumps(obj, indent=2)
 
 
 def _huge(k, r, sign):
@@ -823,6 +898,17 @@ coeffs = st.one_of(
 )
 term_dicts = st.dictionaries(st.tuples(exp2s, exp2s), coeffs, max_size=8)
 
+# 300 terms: 100 q exponents beside each p in {0, 1, -3}, with 1 and -1
+# repeated (and a few 3s), so the renderers' per-value dicts of p factors
+# and coefficients hit far more often than they miss; then the same value
+# with one coefficient, and with one q exponent, past the int/str limit,
+# which sends the whole value to the fallback converter
+_MANY = {
+    (q2, p2): (1, -1, -1, 1, 3, -1)[(q2 + p2) % 6] for q2 in range(-50, 50) for p2 in (0, 1, -3)
+}
+_MANY_LONG_COEFF = {**_MANY, (7, 1): -(10**4400 + 1)}
+_MANY_LONG_Q = {(10**4400 + 1 if exp == (7, 1) else exp[0], exp[1]): c for exp, c in _MANY.items()}
+
 
 @given(terms=term_dicts)
 @example(terms={})
@@ -832,6 +918,9 @@ term_dicts = st.dictionaries(st.tuples(exp2s, exp2s), coeffs, max_size=8)
 @example(terms={(0, 3): -1, (0, 0): 1, (0, -2): 1})
 @example(terms={(0, 2): 1, (1, -1): -3, (-1, 0): 1, (2, 0): 1})
 @example(terms={(-3, 5): -(2**64 + 1), (0, -1): 7, (0, 0): -1})
+@example(terms=_MANY)
+@example(terms=_MANY_LONG_COEFF)
+@example(terms=_MANY_LONG_Q)
 @settings(deadline=None)
 def test_text_matches_the_reference(terms):
     assert LaurentPoly(terms).text() == reference_text(terms)
@@ -983,10 +1072,13 @@ big_coeffs = st.integers(min_value=-(2**80), max_value=2**80).filter(bool)
 @given(terms=st.lists(st.tuples(st.tuples(exp2s, exp2s), big_coeffs), max_size=6))
 @example(terms=[])
 @example(terms=[((-3, -1), 2**64 + 1), ((-1, 0), -(2**65))])
+@example(terms=list(_MANY.items()))
+@example(terms=list(_MANY_LONG_COEFF.items()))
+@example(terms=list(_MANY_LONG_Q.items()))
 @settings(deadline=None)
 def test_format_json_matches_the_encoder(terms):
     f = LaurentPoly(terms)
-    assert format_poly(f, "json") == json.dumps(f.to_json_obj(), indent=2)
+    assert format_poly(f, "json") == reference_json(f)
 
 
 def test_json_orders_terms_descending():
