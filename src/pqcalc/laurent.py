@@ -414,9 +414,8 @@ JSON_SCHEMA = {
 
 
 def _render(write, d: dict[ExpVec, int]) -> str:
-    """``write(d, str)``: every int converts with ``str``.  A value holding
-    an int past CPython's int/str digit limit, where ``str`` raises, is
-    written again by the same code with ``_int_to_str``."""
+    """``write(d, str)``, or, for a value holding an int past CPython's
+    int/str digit limit, where ``str`` raises, ``write(d, _int_to_str)``."""
     try:
         return write(d, str)
     except ValueError:
@@ -469,35 +468,44 @@ def _text(d: dict[ExpVec, int], conv) -> str:
 
 _COEFF_RE = re.compile(r"-?[0-9]+")
 
-# ``json.dumps(f.to_json_obj(), indent=2)`` writes this head, then the
-# terms as ``_json`` lays them out: with ``indent`` set, CPython's encoder
-# falls back to pure Python, about ten times slower than formatting them.
+# The layout ``json.dumps(f.to_json_obj(), indent=2)`` writes, spelled out
+# in the fixed pieces around each term's coefficient, q and p exponents:
+# with ``indent`` set, CPython's encoder falls back to pure Python, about
+# ten times slower than joining these pieces.
 _JSON_HEAD = '{\n  "variables": [\n    "q",\n    "p"\n  ],\n  "terms": '
+_JSON_LAYOUT = (
+    _JSON_HEAD + "[]\n}",  # no terms
+    _JSON_HEAD + '[\n    {\n      "coeff": "',  # up to the first coefficient
+    '",\n      "exp2": {\n        "q": ',  # before q
+    ',\n        "p": ',  # before p
+    '\n      }\n    },\n    {\n      "coeff": "',  # between terms
+    "\n      }\n    }\n  ]\n}",  # after the last p
+)
 
 
 def _json(d: dict[ExpVec, int], conv) -> str:
     """``format_poly(f, "json")`` of the terms ``d``, every int through
-    ``conv``.  Coefficients and ``p`` exponents repeat (a torus value's
-    are all 1, -1 and 0), so each converts once per value."""
+    ``conv``.  The layout's pieces are shared, so a term's only new string
+    is its ``q`` exponent: coefficients and ``p`` exponents repeat (a torus
+    value's are all 1, -1 and 0), and each converts once per value, into
+    ``strs``."""
+    empty, first, before_q, before_p, between, tail = _JSON_LAYOUT
     if not d:
-        return _JSON_HEAD + "[]\n}"
-    cstrs: dict[int, str] = {}
-    pstrs: dict[int, str] = {}
-    out = []
+        return empty
+    strs: dict[int, str] = {}
+    pieces = [first]
     for key in sorted(d, reverse=True):
         q2, p2 = key
         c = d[key]
-        cstr = cstrs.get(c)
+        cstr = strs.get(c)
         if cstr is None:
-            cstr = cstrs[c] = conv(c)
-        pstr = pstrs.get(p2)
+            cstr = strs[c] = conv(c)
+        pstr = strs.get(p2)
         if pstr is None:
-            pstr = pstrs[p2] = conv(p2)
-        out.append(
-            f'    {{\n      "coeff": "{cstr}",\n      "exp2": {{\n'
-            f'        "q": {conv(q2)},\n        "p": {pstr}\n      }}\n    }}'
-        )
-    return _JSON_HEAD + "[\n" + ",\n".join(out) + "\n  ]\n}"
+            pstr = strs[p2] = conv(p2)
+        pieces += (cstr, before_q, conv(q2), before_p, pstr, between)
+    pieces[-1] = tail
+    return "".join(pieces)
 
 
 # CPython refuses to convert between int and decimal str past
