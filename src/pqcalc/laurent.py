@@ -738,11 +738,9 @@ class _Parser:
 
     def take_signed_int(self) -> str:
         ch = self.peek()
-        sign = ""
         if ch in ("+", "-"):
             self.pos += 1
-            sign = "-" if ch == "-" else ""
-        return sign + self.take_uint()
+        return ("-" if ch == "-" else "") + self.take_uint()
 
     def parse_expr(self) -> dict[ExpVec, int]:
         # per term: its sign, its coefficient's digits (None for 1) and its
