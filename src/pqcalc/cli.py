@@ -7,6 +7,9 @@ each runs the same handler.  Output goes to stdout (``--format text``
 or ``--format json``), diagnostics to stderr.  Exit codes: 0 on success,
 1 when a verify suite finds a counterexample, 2 on usage or input errors,
 3 on an internal error, an exception that no bad input explains.
+
+Each subparser binds the handler it runs.  ``verify`` renders the checks
+that ``pqcalc.checks`` names and computes; this module knows none of them.
 """
 
 from __future__ import annotations
@@ -14,83 +17,8 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from typing import NamedTuple
 
-from . import laurent, qnumbers, skein, torus
-
-
-# ----------------------------------------------------------------------
-# verification suites
-
-
-class Check(NamedTuple):
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-def _check(name: str, found: qnumbers.Counterexample | None) -> Check:
-    if found is None:
-        return Check(name, True)
-    detail = f"first counterexample at n={found.n}: got {found.got}, expected {found.want}"
-    return Check(name, False, detail)
-
-
-def _suite_recurrence(max_n: int) -> list[Check]:
-    checks = []
-    for family in qnumbers.Family:
-        names = (f"recurrence-closure[{family.value}]", f"sum-agreement[{family.value}]")
-        checks += map(_check, names, qnumbers.recurrence_counterexamples(family, max_n))
-    return checks
-
-
-def _suite_delta_identity(max_n: int) -> list[Check]:
-    return [
-        _check("torus2-equals-deformed-number", torus.torus2_counterexample(max_n)),
-        _check("torus2-matches-closed-form-odd-n", torus.closed_form_counterexample(max_n)),
-    ]
-
-
-def _suite_homfly_factor(max_n: int) -> list[Check]:
-    return [_check("homfly-monomial-factor", qnumbers.homfly_factor_counterexample(max_n))]
-
-
-def _fields(record) -> str:
-    return "(" + ", ".join(f"{name}={getattr(record, name)}" for name in record._fields) + ")"
-
-
-def _compare(name: str, convert, value, want) -> Check:
-    """One coefficient map; a root off the grid fails the check."""
-    try:
-        got = convert(value)
-    except (laurent.NotAPerfectSquareError, skein.NotSolvableOnGridError) as exc:
-        return Check(name, False, str(exc))
-    if got == want:
-        return Check(name, True)
-    return Check(name, False, f"got {_fields(got)}, expected {_fields(want)}")
-
-
-def _suite_coeff_maps(_max_n: int) -> list[Check]:
-    checks = []
-    for label in ("alexander", "jones"):
-        pair = qnumbers.family_params(f"{label}-fermionic")
-        link = skein.link_coeffs_from_pq(pair)
-        bosonic = qnumbers.family_params(f"{label}-bosonic")
-        knot = skein.KnotCoefficients(*skein.link_coeffs_from_pq(bosonic))
-        checks += [
-            _compare(f"knot-to-link[{label}]", skein.knot_to_link_coeffs, knot, link),
-            _compare(f"pair-from-link-coeffs[{label}]", skein.pq_from_link_coeffs, link, pair),
-        ]
-    return checks
-
-
-_SUITES = {
-    "recurrence": _suite_recurrence,
-    "delta-identity": _suite_delta_identity,
-    "homfly-factor": _suite_homfly_factor,
-    "coeff-maps": _suite_coeff_maps,
-}
-SUITE_NAMES = tuple(_SUITES)
+from . import checks, laurent, qnumbers, skein, torus
 
 
 # ----------------------------------------------------------------------
@@ -194,39 +122,26 @@ def _cmd_sequence(args, fmt: str) -> int:
 def _cmd_verify(args, fmt: str) -> int:
     if args.max_n < 1:
         raise ValueError("--max-n must be at least 1")
-    names = SUITE_NAMES if args.suite == "all" else (args.suite,)
-    checks = [check for name in names for check in _SUITES[name](args.max_n)]
-    passed = sum(check.passed for check in checks)
+    report = checks.run(args.suite, args.max_n)
+    passed = sum(check.passed for check in report)
     if fmt == "json":
         import json
 
         payload = {
             "suite": args.suite,
             "max_n": args.max_n,
-            "checks": [check._asdict() for check in checks],
-            "all_passed": passed == len(checks),
+            "checks": [check._asdict() for check in report],
+            "all_passed": passed == len(report),
         }
         print(json.dumps(payload, indent=2))
     else:
-        for check in checks:
+        for check in report:
             line = f"{'PASS' if check.passed else 'FAIL'}  {check.name}"
             if not check.passed and check.detail:
                 line += f": {check.detail}"
             print(line)
-        print(f"{passed}/{len(checks)} checks passed")
-    return 0 if passed == len(checks) else 1
-
-
-_HANDLERS = {
-    "number": _cmd_number,
-    "family-params": _cmd_family_params,
-    "pq-number": _cmd_number,
-    "skein-coeffs": _cmd_skein_coeffs,
-    "knot-to-link": _cmd_skein_coeffs,
-    "torus-alexander": _cmd_torus,
-    "sequence": _cmd_sequence,
-    "verify": _cmd_verify,
-}
+        print(f"{passed}/{len(report)} checks passed")
+    return 0 if passed == len(report) else 1
 
 
 # ----------------------------------------------------------------------
@@ -265,6 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("number", parents=[fmt_parent],
                        help="deformed integer [n] of a built-in or custom family")
+    p.set_defaults(handler=_cmd_number)
     p.add_argument("--family", required=True,
                    help="one of: " + ", ".join(qnumbers.FAMILY_NAMES) + ", custom")
     p.add_argument("--n", required=True, type=_int_arg)
@@ -273,6 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family-params", parents=[fmt_parent],
                        help="parameter pair (P, Q) of a family, or solved from --l1/--l2")
+    p.set_defaults(handler=_cmd_family_params)
     p.add_argument("--family", help="one of: " + ", ".join(qnumbers.FAMILY_NAMES))
     p.add_argument("--l1", help="link coefficient l1 expression")
     p.add_argument("--l2", help="link coefficient l2 expression")
@@ -282,11 +199,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--P", required=True)
     p.add_argument("--Q", required=True)
     p.add_argument("--n", required=True, type=_int_arg)
-    p.set_defaults(family="custom")
+    p.set_defaults(handler=_cmd_number, family="custom")
 
     p = sub.add_parser("skein-coeffs", parents=[fmt_parent],
                        help="link coefficients (l1, l2) from a family, a (P, Q) pair, "
                             "or knot coefficients (k1, k2)")
+    p.set_defaults(handler=_cmd_skein_coeffs)
     p.add_argument("--family")
     p.add_argument("--k1")
     p.add_argument("--k2")
@@ -297,15 +215,17 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="link coefficients recovered from knot coefficients")
     p.add_argument("--k1", required=True)
     p.add_argument("--k2", required=True)
-    p.set_defaults(family=None, P=None, Q=None)
+    p.set_defaults(handler=_cmd_skein_coeffs, family=None, P=None, Q=None)
 
     p = sub.add_parser("torus-alexander", parents=[fmt_parent],
                        help="closed-form torus Alexander polynomial D(n, l), gcd(n, l) = 1")
+    p.set_defaults(handler=_cmd_torus)
     p.add_argument("--n", required=True, type=_int_arg)
     p.add_argument("--l", required=True, type=_int_arg)
 
     p = sub.add_parser("sequence", parents=[fmt_parent],
                        help="values of the recurrence X[n+1] = l1*X[n] + l2*X[n-1]")
+    p.set_defaults(handler=_cmd_sequence)
     p.add_argument("--l1", required=True)
     p.add_argument("--l2", required=True)
     p.add_argument("--p0", required=True, help="seed X[0] expression")
@@ -315,7 +235,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[fmt_parent],
                        help="run self-verification suites; exit 1 on any counterexample")
-    p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
+    p.set_defaults(handler=_cmd_verify)
+    p.add_argument("--suite", choices=(*checks.SUITES, "all"), default="all")
     p.add_argument("--max-n", type=int, default=100)
 
     return parser
@@ -333,7 +254,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     fmt = getattr(args, "format", "text")
     try:
-        return _HANDLERS[args.command](args, fmt)
+        return args.handler(args, fmt)
     except MemoryError:
         # formatting a message may itself run out of memory
         sys.stderr.write(_OUT_OF_MEMORY)

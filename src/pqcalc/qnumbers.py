@@ -85,19 +85,17 @@ def family_params(family: Family | PQPair | str) -> PQPair:
     """Resolve a family tag (or name string) to its parameter pair.
 
     A ``PQPair`` passes through unchanged, so callers can accept either a
-    built-in family or custom parameters.
+    built-in family or custom parameters.  Anything else raises
+    ``ValueError``.
     """
     if isinstance(family, PQPair):
         return family
-    if isinstance(family, str):
-        try:
-            family = Family(family)
-        except ValueError:
-            raise ValueError(
-                f"unknown family {family!r}; expected one of: "
-                + ", ".join(FAMILY_NAMES)
-            ) from None
-    return _PARAMS[family]
+    try:
+        return _PARAMS[Family(family)]
+    except ValueError:
+        raise ValueError(
+            f"unknown family {family!r}; expected one of: " + ", ".join(FAMILY_NAMES)
+        ) from None
 
 
 def pq_number(family: Family | PQPair | str, n: int) -> LaurentPoly:
@@ -117,11 +115,14 @@ def pq_number(family: Family | PQPair | str, n: int) -> LaurentPoly:
 
     Before either route runs, the size of ``[n]`` is bounded from P, Q and
     n alone, and ``BudgetExceededError`` is raised when its terms times
-    64-bit words per coefficient would pass ``MAX_WORK``.
+    64-bit words per coefficient would pass ``MAX_WORK``.  An ``n`` that is
+    not an ``int`` raises ``TypeError`` first.
 
     >>> pq_number("alexander-bosonic", 3)
     LaurentPoly('q^2 + 1 + q^(-2)')
     """
+    if not isinstance(n, int):
+        raise TypeError(f"n must be an int, not {type(n).__name__}")
     pair = family_params(family)
     if n < 0:
         raise ValueError("n must be nonnegative")

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from jsonschema import validate
 
 from pqcalc import cli, qnumbers, skein
-from pqcalc.cli import SUITE_NAMES, main
+from pqcalc.cli import main
 from pqcalc.laurent import JSON_SCHEMA, LaurentPoly, NotAPerfectSquareError, _int_from_str, parse
 from pqcalc.qnumbers import Family, number_sequence, pq_number
 
@@ -362,7 +362,7 @@ def test_internal_errors_exit_3(capsys, monkeypatch):
     def broken(args, fmt):
         raise RuntimeError("engine bug")
 
-    monkeypatch.setitem(cli._HANDLERS, "torus-alexander", broken)
+    monkeypatch.setattr(cli, "_cmd_torus", broken)
     rc, out, err = run_cli(capsys, "torus-alexander", "--n", "3", "--l", "2")
     assert rc == 3
     assert out == ""
@@ -373,7 +373,7 @@ def test_out_of_memory_exits_3(capsys, monkeypatch):
     def exhausted(args, fmt):
         raise MemoryError
 
-    monkeypatch.setitem(cli._HANDLERS, "number", exhausted)
+    monkeypatch.setattr(cli, "_cmd_number", exhausted)
     rc, out, err = run_cli(capsys, "number", "--family", "alexander-fermionic", "--n", "3")
     assert rc == 3
     assert out == ""

@@ -60,6 +60,28 @@ def test_family_params_rejects_unknown_names():
     assert "alexander-fermionic" in str(info.value)
 
 
+@pytest.mark.parametrize("value", [3, None, 1.5, ("q^(1/2)", "-q^(-1/2)"), ["jones-bosonic"]])
+def test_family_params_rejects_values_that_name_no_family(value):
+    # neither a Family, a PQPair nor a family name: the unknown-family
+    # ValueError, as for a wrong name, and not a KeyError
+    with pytest.raises(ValueError, match="^unknown family .*; expected one of: alexander-"):
+        family_params(value)
+    with pytest.raises(ValueError, match="^unknown family "):
+        pq_number(value, 3)
+
+
+def _unreachable(*args):
+    raise AssertionError(f"called with {args!r}")
+
+
+@pytest.mark.parametrize("n", [3.0, 2.5, "3", None])
+def test_pq_number_refuses_an_n_that_is_not_an_int(monkeypatch, n):
+    # refused before any work: not even the family is resolved
+    monkeypatch.setattr(qnumbers, "family_params", _unreachable)
+    with pytest.raises(TypeError, match=f"^n must be an int, not {type(n).__name__}$"):
+        pq_number(Family.ALEXANDER_FERMIONIC, n)
+
+
 def test_family_names_are_the_cli_spellings():
     assert FAMILY_NAMES == (
         "alexander-fermionic",

@@ -4,7 +4,7 @@ rely on."""
 
 import pytest
 
-from pqcalc.cli import Check
+from pqcalc.checks import Check
 from pqcalc.laurent import parse
 from pqcalc.qnumbers import Counterexample, PQPair
 from pqcalc.skein import KnotCoefficients, SkeinCoefficients

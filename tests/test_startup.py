@@ -87,7 +87,7 @@ def test_deferred_paths_import_what_they_use(module, call, check):
 
 
 # the library's layers, lowest first: each imports only those before it
-MODULE_ORDER = ("laurent", "skein", "qnumbers", "torus")
+MODULE_ORDER = ("laurent", "skein", "qnumbers", "torus", "checks")
 
 
 @pytest.mark.parametrize("index", range(len(MODULE_ORDER)), ids=MODULE_ORDER)
