@@ -5,7 +5,7 @@ and cross-check the l = 2 column against the deformed integers."""
 import argparse
 from math import gcd
 
-from pqcalc import alexander_torus, torus2_counterexample
+from pqcalc import alexander_torus, torus2_counterexamples
 
 
 def main():
@@ -24,7 +24,7 @@ def main():
 
     print()
     top = 2 * args.bound
-    agree = torus2_counterexample(top) is None
+    agree = torus2_counterexamples(top)[0] is None
     print(f"l = 2 column equals the alexander-fermionic integers up to "
           f"n = {top}: {agree}")
 

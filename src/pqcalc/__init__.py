@@ -54,8 +54,7 @@ from .torus import (
     NotCoprimeError,
     alexander_torus,
     alexander_torus2,
-    closed_form_counterexample,
-    torus2_counterexample,
+    torus2_counterexamples,
 )
 
 __version__ = "0.1.0"
@@ -101,7 +100,6 @@ __all__ = [
     "NotCoprimeError",
     "alexander_torus",
     "alexander_torus2",
-    "closed_form_counterexample",
-    "torus2_counterexample",
+    "torus2_counterexamples",
     "__version__",
 ]

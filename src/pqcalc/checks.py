@@ -55,8 +55,8 @@ SUITES = {
         for f in qnumbers.Family
     ),
     "delta-identity": (
-        (("torus2-equals-deformed-number",), lambda n: (torus.torus2_counterexample(n),)),
-        (("torus2-matches-closed-form-odd-n",), lambda n: (torus.closed_form_counterexample(n),)),
+        (("torus2-equals-deformed-number", "torus2-matches-closed-form-odd-n"),
+         lambda n: torus.torus2_counterexamples(n)),
     ),
     "homfly-factor": (
         (("homfly-monomial-factor",), lambda n: (qnumbers.homfly_factor_counterexample(n),)),

@@ -88,6 +88,13 @@ MAX_WORK = 4 * 10**6
 MAX_PAIRS = 4 * 10**6
 
 
+def _require_int(name: str, value) -> None:
+    # the one type rule for a caller's index, count or bound, checked
+    # before any work
+    if not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+
+
 def _power_fits(bases: tuple[dict[ExpVec, int], ...], k: int, count: int, limit: int) -> bool:
     """Does a sum of ``count`` products of ``k`` terms, each a term of one
     of ``bases``, fit in ``limit`` terms times 64-bit coefficient words?
@@ -915,7 +922,10 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     popped and skipped.  Every key a step touches lies below the exponent
     it processes, so each key in the remainder has exactly one live heap
     entry, the heap order is exact, and the cost is
-    O(steps * |den| * log) rather than O(steps * |remainder|).
+    O(steps * |den| * log) rather than O(steps * |remainder|).  The
+    remainder is keyed by negated exponents, so a min-heap pops the
+    highest first and holds the remainder's own keys: a step pops a key,
+    removes that same tuple, and builds one new tuple, the quotient term's.
 
     >>> exact_div(parse("q - q^(-1)"), parse("q^(1/2) - q^(-1/2)"))
     LaurentPoly('q^(1/2) + q^(-1/2)')
@@ -926,22 +936,28 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         return LaurentPoly.zero()
     (num_lo, num_hi) = _component_bounds(num)
     (den_lo, den_hi) = _component_bounds(den)
-    lo = (num_lo[0] - den_lo[0], num_lo[1] - den_lo[1])
-    hi = (num_hi[0] - den_hi[0], num_hi[1] - den_hi[1])
     (lead_q, lead_p), lead_coeff = den.leading_term()
-    # the leading term cancels the processed key by construction
-    tail = [(exp, c) for exp, c in den._terms.items() if exp != (lead_q, lead_p)]
-    rem = dict(num._terms)
-    heap = [(-q2, -p2) for q2, p2 in rem]
+    # the box of quotient exponents, as bounds on the negated remainder key
+    # (-q2, -p2) the quotient term (q2 - lead_q, p2 - lead_p) comes from
+    nq_lo = den_hi[0] - num_hi[0] - lead_q
+    nq_hi = den_lo[0] - num_lo[0] - lead_q
+    np_lo = den_hi[1] - num_hi[1] - lead_p
+    np_hi = den_lo[1] - num_lo[1] - lead_p
+    # the tail as offsets from a processed key to the keys its quotient
+    # term updates; the leading term cancels the processed key itself
+    tail = [(lead_q - dq, lead_p - dp, dc) for (dq, dp), dc in den._terms.items()
+            if (dq, dp) != (lead_q, lead_p)]
+    rem = {(-q2, -p2): c for (q2, p2), c in num._terms.items()}
+    heap = list(rem)
     heapify(heap)
     quot: dict[ExpVec, int] = {}
     while heap:
-        neg_q, neg_p = heappop(heap)
-        coeff = rem.pop((-neg_q, -neg_p))
+        key = heappop(heap)
+        coeff = rem.pop(key)
         if not coeff:
             continue
-        t_exp = (-neg_q - lead_q, -neg_p - lead_p)
-        if not (lo[0] <= t_exp[0] <= hi[0] and lo[1] <= t_exp[1] <= hi[1]):
+        nq, np = key
+        if not (nq_lo <= nq <= nq_hi and np_lo <= np <= np_hi):
             raise NonExactDivisionError(f"{num} is not divisible by {den}")
         t_coeff, residue = divmod(coeff, lead_coeff)
         if residue:
@@ -949,19 +965,22 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
                 f"coefficient {_int_to_str(coeff)} is not divisible by the leading "
                 f"coefficient {_int_to_str(lead_coeff)} of {den}"
             )
-        quot[t_exp] = t_coeff
-        for (dq, dp), dc in tail:
-            _sub_term(rem, heap, (t_exp[0] + dq, t_exp[1] + dp), t_coeff * dc)
+        quot[(-nq - lead_q, -np - lead_p)] = t_coeff
+        for oq, op, dc in tail:
+            _sub_term(rem, heap, (nq + oq, np + op), t_coeff * dc)
     return LaurentPoly._raw(quot)
 
 
 def _sub_term(rem: dict[ExpVec, int], heap: list[ExpVec], key: ExpVec, value: int):
-    # rem[key] -= value; only a key new to rem goes on the heap.  A key that
+    # rem[key] -= value, keys negated so the min-heap pops the highest
+    # exponent first; only a key new to rem goes on the heap.  A key that
     # cancels stays in rem, at zero, until its heap entry pops it
     old = rem.get(key)
     if old is None:
-        heappush(heap, (-key[0], -key[1]))
-    rem[key] = (old or 0) - value
+        heappush(heap, key)
+        rem[key] = -value
+    else:
+        rem[key] = old - value
 
 
 def sqrt_perfect_square(f: LaurentPoly) -> LaurentPoly:
@@ -974,10 +993,10 @@ def sqrt_perfect_square(f: LaurentPoly) -> LaurentPoly:
     per-variable box argument as in ``exact_div`` bounds the search, so a
     polynomial that is not a perfect square fails cleanly.
 
-    The residue's exponents sit in the same lazily pruned max-heap as in
-    ``exact_div``, cancelled keys kept at zero until popped; every key a
-    step touches lies below the one it processes, so the cost is
-    O(steps * |root| * log) rather than O(steps * |residue|).
+    The residue's exponents sit in the same lazily pruned heap of negated
+    keys as in ``exact_div``, cancelled keys kept at zero until popped;
+    every key a step touches lies below the one it processes, so the cost
+    is O(steps * |root| * log) rather than O(steps * |residue|).
 
     >>> sqrt_perfect_square(parse("q - 2 + q^(-1)"))
     LaurentPoly('q^(1/2) - q^(-1/2)')
@@ -999,21 +1018,23 @@ def sqrt_perfect_square(f: LaurentPoly) -> LaurentPoly:
     (vq, vp), (dq, dp) = _component_bounds(f)
     if vq % 2 or vp % 2:
         raise NotAPerfectSquareError(f"trailing exponents of {f} are off the square grid")
-    lo = (vq // 2, vp // 2)
-    hi = (dq // 2, dp // 2)
-    head = (lq // 2, lp // 2)
-    root: dict[ExpVec, int] = {head: root_lc}
-    rem = dict(f._terms)
-    del rem[(lq, lp)]
-    heap = [(-q2, -p2) for q2, p2 in rem]
+    hq, hp = lq // 2, lp // 2
+    # the box of root exponents, as bounds on the negated residue key
+    # (-q2, -p2) the root term (q2 - hq, p2 - hp) comes from
+    nq_lo, nq_hi = -(dq // 2) - hq, -(vq // 2) - hq
+    np_lo, np_hi = -(dp // 2) - hp, -(vp // 2) - hp
+    root: dict[ExpVec, int] = {(hq, hp): root_lc}
+    rem = {(-q2, -p2): c for (q2, p2), c in f._terms.items()}
+    del rem[(-lq, -lp)]
+    heap = list(rem)
     heapify(heap)
     while heap:
-        neg_q, neg_p = heappop(heap)
-        coeff = rem.pop((-neg_q, -neg_p))
+        key = heappop(heap)
+        coeff = rem.pop(key)
         if not coeff:
             continue
-        t_exp = (-neg_q - head[0], -neg_p - head[1])
-        if not (lo[0] <= t_exp[0] <= hi[0] and lo[1] <= t_exp[1] <= hi[1]):
+        nq, np = key
+        if not (nq_lo <= nq <= nq_hi and np_lo <= np <= np_hi):
             raise NotAPerfectSquareError(
                 f"{f} is not a perfect square on the half-integer grid"
             )
@@ -1024,11 +1045,12 @@ def sqrt_perfect_square(f: LaurentPoly) -> LaurentPoly:
             )
         # residue update: rem -= (2*root + t) * t, with root not yet
         # containing t; the head, root's first entry, cancels the
-        # processed key
+        # processed key.  (tq, tp) is the negated exponent of t
+        tq, tp = nq + hq, np + hp
         for (rq, rp), rc in islice(root.items(), 1, None):
-            _sub_term(rem, heap, (t_exp[0] + rq, t_exp[1] + rp), 2 * t_coeff * rc)
-        _sub_term(rem, heap, (2 * t_exp[0], 2 * t_exp[1]), t_coeff * t_coeff)
-        root[t_exp] = t_coeff
+            _sub_term(rem, heap, (tq - rq, tp - rp), 2 * t_coeff * rc)
+        _sub_term(rem, heap, (2 * tq, 2 * tp), t_coeff * t_coeff)
+        root[(-tq, -tp)] = t_coeff
     return LaurentPoly._raw(root)
 
 

@@ -53,6 +53,7 @@ from .laurent import (
     _dot,
     _int_to_str,
     _power_fits,
+    _require_int,
     parse,
 )
 from .skein import PQPair, link_coeffs_from_pq, recurrence_generate
@@ -121,8 +122,7 @@ def pq_number(family: Family | PQPair | str, n: int) -> LaurentPoly:
     >>> pq_number("alexander-bosonic", 3)
     LaurentPoly('q^2 + 1 + q^(-2)')
     """
-    if not isinstance(n, int):
-        raise TypeError(f"n must be an int, not {type(n).__name__}")
+    _require_int("n", n)
     pair = family_params(family)
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -185,6 +185,7 @@ def number_sequence(family: Family | PQPair | str, n_max: int) -> list[LaurentPo
 
 def _require_bound(n_max: int) -> None:
     # the one rule for a sequence's last index and for every check's bound
+    _require_int("n_max", n_max)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
 
@@ -244,6 +245,7 @@ def _homfly_want(n: int, alexander: LaurentPoly) -> LaurentPoly:
 def homfly_factorization_check(n: int) -> bool:
     """Does the HOMFLY fermionic [n] equal p^(n-1) times the Alexander
     fermionic [n]?"""
+    _require_int("n", n)
     if n < 1:
         raise ValueError("n must be at least 1")
     return pq_number(Family.HOMFLY_FERMIONIC, n) == _homfly_want(

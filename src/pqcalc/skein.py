@@ -21,7 +21,14 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .laurent import LaurentPoly, NotAPerfectSquareError, _dot, exact_div, sqrt_perfect_square
+from .laurent import (
+    LaurentPoly,
+    NotAPerfectSquareError,
+    _dot,
+    _require_int,
+    exact_div,
+    sqrt_perfect_square,
+)
 
 
 class PQPair(NamedTuple):
@@ -123,7 +130,9 @@ def recurrence_generate(
     count: int,
 ) -> list[LaurentPoly]:
     """First ``count`` values of X[n+1] = l1*X[n] + l2*X[n-1] from the
-    given seeds.  ``count`` includes the seeds themselves."""
+    given seeds.  ``count`` includes the seeds themselves, and is an
+    ``int`` (else ``TypeError``) of at least 2 (else ``ValueError``)."""
+    _require_int("count", count)
     if count < 2:
         raise ValueError("count must be at least 2")
     l1, l2 = coeffs

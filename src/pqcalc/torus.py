@@ -21,12 +21,11 @@ and sorted in C, and the memory is that of the output.  When m plus the
 output terms would pass ``MAX_WORK``, the kernel's ``BudgetExceededError``
 (a ``ValueError``) is raised before any term is built.  The quotient above
 remains the independent check: the tests and the acceptance gate compare
-the two, and ``closed_form_counterexample`` compares
-``alexander_torus(n, 2)`` with the division in ``alexander_torus2``.  The
-l = 2 column extends to even n (where the closed form above does not
-apply) via a sign twist in the numerator, and that extended column
-reproduces the Alexander fermionic deformed integers exactly, as
-``torus2_counterexample`` checks.
+the two, and ``torus2_counterexamples`` compares ``alexander_torus(n, 2)``
+with the division in ``alexander_torus2``.  The l = 2 column extends to
+even n (where the closed form above does not apply) via a sign twist in
+the numerator, and that extended column reproduces the Alexander
+fermionic deformed integers exactly, which the same walk checks.
 """
 
 from __future__ import annotations
@@ -36,7 +35,14 @@ from itertools import cycle, islice, repeat
 from math import gcd
 
 from . import qnumbers
-from .laurent import MAX_WORK, BudgetExceededError, LaurentPoly, _int_to_str, exact_div
+from .laurent import (
+    MAX_WORK,
+    BudgetExceededError,
+    LaurentPoly,
+    _int_to_str,
+    _require_int,
+    exact_div,
+)
 
 
 class NotCoprimeError(ValueError):
@@ -80,6 +86,8 @@ def alexander_torus(n: int, l: int) -> LaurentPoly:
     >>> alexander_torus(3, 5)
     LaurentPoly('q^4 - q^3 + q - 1 + q^(-1) - q^(-3) + q^(-4)')
     """
+    _require_int("n", n)
+    _require_int("l", l)
     if n < 1 or l < 1:
         raise ValueError("torus parameters must be positive")
     if gcd(n, l) != 1:
@@ -118,6 +126,7 @@ def alexander_torus2(n: int) -> LaurentPoly:
     Odd n uses (q^(n/2) + q^(-n/2)) / (q^(1/2) + q^(-1/2)); even n flips
     the sign of the low term, giving the two-component link values.
     """
+    _require_int("n", n)
     if n < 1:
         raise ValueError("n must be at least 1")
     sign = 1 if n % 2 else -1
@@ -126,21 +135,32 @@ def alexander_torus2(n: int) -> LaurentPoly:
     return exact_div(num, den)
 
 
-def torus2_counterexample(n_max: int) -> qnumbers.Counterexample | None:
-    """The first n <= n_max where the l = 2 column is not the Alexander
-    fermionic deformed integer: got ``alexander_torus2(n)``, want [n]."""
+def torus2_counterexamples(
+    n_max: int,
+) -> tuple[qnumbers.Counterexample | None, qnumbers.Counterexample | None]:
+    """``(deformed, closed_form)`` up to ``n_max``, from one walk of the
+    l = 2 column that divides each n once.  deformed: the first n where
+    ``alexander_torus2(n)`` (got) is not the Alexander fermionic [n]
+    (want).  closed_form: the first odd n where ``alexander_torus(n, 2)``
+    (got) is not ``alexander_torus2(n)`` (want).  A side stops once it
+    has its counterexample, and the walk once both have.
+
+    >>> torus2_counterexamples(30)
+    (None, None)
+    """
     qnumbers._require_bound(n_max)
     fermionic = islice(qnumbers.pq_numbers(qnumbers.Family.ALEXANDER_FERMIONIC), 1, None)
-    return qnumbers.first_counterexample(
-        (n, alexander_torus2(n), want) for n, want in zip(range(1, n_max + 1), fermionic)
-    )
-
-
-def closed_form_counterexample(n_max: int) -> qnumbers.Counterexample | None:
-    """The first odd n <= n_max where the closed form leaves the l = 2
-    column: got ``alexander_torus(n, 2)``, want ``alexander_torus2(n)``."""
-    qnumbers._require_bound(n_max)
-    return qnumbers.first_counterexample(
-        (n, alexander_torus(n, 2), alexander_torus2(n)) for n in range(1, n_max + 1, 2)
-    )
-
+    deformed = closed_form = None
+    for n in range(1, n_max + 1):
+        # the closed-form side checks odd n until it has its counterexample
+        check_closed = n % 2 == 1 and closed_form is None
+        if deformed is not None and not check_closed:
+            if closed_form is not None:
+                break  # both sides have their counterexample
+            continue
+        column = alexander_torus2(n)
+        if deformed is None and column != (want := next(fermionic)):
+            deformed = qnumbers.Counterexample(n, column, want)
+        if check_closed and (got := alexander_torus(n, 2)) != column:
+            closed_form = qnumbers.Counterexample(n, got, column)
+    return deformed, closed_form

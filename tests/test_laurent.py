@@ -375,13 +375,20 @@ def test_exact_div_derived_value_multiplies_back():
     assert quotient == parse("q - 1 + q^(-1)")
 
 
+def _message(text: str) -> str:
+    # pin a whole error message, which the CLI prints as "error: ..."
+    return f"^{re.escape(text)}$"
+
+
 def test_exact_div_detects_remainder():
-    with pytest.raises(NonExactDivisionError):
+    with pytest.raises(NonExactDivisionError, match=_message("q + 1 is not divisible by q - 1")):
         exact_div(parse("q + 1"), parse("q - 1"))
 
 
 def test_exact_div_detects_nonintegral_coefficients():
-    with pytest.raises(NonExactDivisionError):
+    with pytest.raises(NonExactDivisionError, match=_message(
+        "coefficient 1 is not divisible by the leading coefficient 2 of 2"
+    )):
         exact_div(parse("q + 1"), parse("2"))
 
 
@@ -401,7 +408,9 @@ def test_exact_div_restores_a_cancelled_remainder_key():
     den = parse("2*q + 2*q^(-1) + 2*q^(-3)")
     assert exact_div(num, den) == parse("-q^3 + q - q^(-1)")
     assert exact_div(num * parse("p - 1"), den) == parse("-q^3 + q - q^(-1)") * parse("p - 1")
-    with pytest.raises(NonExactDivisionError):
+    with pytest.raises(NonExactDivisionError, match=_message(
+        "-2*q^4 - 2*q^(-4) is not divisible by 2*q + 2*q^(-1) + 2*q^(-3)"
+    )):
         exact_div(num + 2, den)
 
 
@@ -440,14 +449,19 @@ def test_sqrt_examples():
 
 
 def test_sqrt_rejects_non_squares():
-    with pytest.raises(NotAPerfectSquareError):
-        sqrt_perfect_square(parse("q + 1"))
-    with pytest.raises(NotAPerfectSquareError):
-        sqrt_perfect_square(parse("-q^2"))
-    with pytest.raises(NotAPerfectSquareError):
-        sqrt_perfect_square(parse("q^(1/2)"))  # root would land off the grid
-    with pytest.raises(NotAPerfectSquareError):
-        sqrt_perfect_square(parse("2*q^2"))
+    for text, message in [
+        # a candidate root term outside the box
+        ("q + 1", "q + 1 is not a perfect square on the half-integer grid"),
+        # a residue coefficient not divisible by twice the root's head
+        ("q^2 + q + 1", "q^2 + q + 1 is not a perfect square on the half-integer grid"),
+        ("-q^2", "leading coefficient -1 of -q^2 is negative"),
+        # the root would land off the grid
+        ("q^(1/2)", "leading exponents of q^(1/2) are off the square grid"),
+        ("q^2 + q^(1/2)", "trailing exponents of q^2 + q^(1/2) are off the square grid"),
+        ("2*q^2", "leading coefficient 2 of 2*q^2 is not a perfect square"),
+    ]:
+        with pytest.raises(NotAPerfectSquareError, match=_message(message)):
+            sqrt_perfect_square(parse(text))
 
 
 def test_sqrt_of_plain_q_is_half_power():
@@ -468,13 +482,17 @@ def test_sqrt_skips_and_restores_cancelled_residue_keys():
     )
     assert root * root == square
     assert sqrt_perfect_square(square) == root
-    with pytest.raises(NotAPerfectSquareError):
+    with pytest.raises(NotAPerfectSquareError, match=_message(
+        f"{square + parse('q^(-4)')} is not a perfect square on the half-integer grid"
+    )):
         sqrt_perfect_square(square + parse("q^(-4)"))
 
 
 def test_sqrt_rejects_zero():
     # no principal (positive leading) root exists for 0
-    with pytest.raises(NotAPerfectSquareError):
+    with pytest.raises(NotAPerfectSquareError, match=_message(
+        "the zero polynomial has no principal square root"
+    )):
         sqrt_perfect_square(LaurentPoly.zero())
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import pqcalc
-from pqcalc import laurent, qnumbers, torus
+from pqcalc import checks, laurent, qnumbers, torus
 from pqcalc.laurent import BudgetExceededError, LaurentPoly, parse, poly_sum
 from pqcalc.qnumbers import (
     FAMILY_NAMES,
@@ -305,8 +305,7 @@ def test_sequence_refuses_a_vanishing_product(pair):
 _BOUND_CHECKS = {
     "recurrence": lambda n: recurrence_counterexamples(Family.JONES_BOSONIC, n),
     "homfly-factor": homfly_factor_counterexample,
-    "torus2": torus.torus2_counterexample,
-    "closed-form": torus.closed_form_counterexample,
+    "torus2": torus.torus2_counterexamples,
 }
 
 
@@ -317,6 +316,35 @@ def test_checks_refuse_a_bound_below_one(check, bound):
     with pytest.raises(ValueError, match="n_max must be at least 1"):
         check(bound)
     assert check(1) in (None, (None, None))
+
+
+_JONES_COEFFS = link_coeffs_from_pq(family_params(Family.JONES_BOSONIC))
+
+# every public function that takes a bound, count or index, by the name of
+# that argument; pq_number's n has its own test above
+_INT_ARGS = {
+    "number_sequence": ("n_max", lambda b: number_sequence(Family.JONES_BOSONIC, b)),
+    "recurrence_counterexamples": ("n_max", _BOUND_CHECKS["recurrence"]),
+    "homfly_factor_counterexample": ("n_max", homfly_factor_counterexample),
+    "torus2_counterexamples": ("n_max", torus.torus2_counterexamples),
+    "checks.run": ("n_max", lambda b: checks.run("all", b)),
+    "recurrence_generate": (
+        "count", lambda b: recurrence_generate(_JONES_COEFFS, LaurentPoly.zero(), LaurentPoly.one(), b)
+    ),
+    "homfly_factorization_check": ("n", homfly_factorization_check),
+    "alexander_torus[n]": ("n", lambda b: torus.alexander_torus(b, 2)),
+    "alexander_torus[l]": ("l", lambda b: torus.alexander_torus(2, b)),
+    "alexander_torus2": ("n", torus.alexander_torus2),
+}
+
+
+@pytest.mark.parametrize("arg, call", _INT_ARGS.values(), ids=_INT_ARGS)
+@pytest.mark.parametrize("bound", [3.0, 2.5, "3", None])
+def test_bounds_that_are_not_ints_are_refused(arg, call, bound):
+    # one rule and one message; number_sequence used to read 3.0 as 3
+    with pytest.raises(TypeError, match=f"^{arg} must be an int, not {type(bound).__name__}$"):
+        call(bound)
+    call(3)  # the int is served
 
 
 @pytest.mark.parametrize("family", list(Family))

@@ -10,14 +10,13 @@ from hypothesis import assume, given, settings
 
 from pqcalc.laurent import LaurentPoly, eval_numeric, exact_div, parse
 from pqcalc.qnumbers import Counterexample, Family, pq_number
-from pqcalc import torus
+from pqcalc import checks, torus
 from pqcalc.torus import (
     BudgetExceededError,
     NotCoprimeError,
     alexander_torus,
     alexander_torus2,
-    closed_form_counterexample,
-    torus2_counterexample,
+    torus2_counterexamples,
 )
 
 
@@ -242,39 +241,61 @@ def test_delta_identity_check():
 
 
 def test_counterexample_checks_pass():
-    assert torus2_counterexample(60) is None
-    assert closed_form_counterexample(60) is None
+    assert torus2_counterexamples(60) == (None, None)
 
 
-def _poison_column_two(monkeypatch, k: int, bad: LaurentPoly):
-    """Make ``alexander_torus2`` return ``bad`` for every n >= k."""
+def _poison_column_two(monkeypatch, bad_at) -> list[int]:
+    """Make ``alexander_torus2(n)`` return ``bad_at(n)`` when that is not
+    None; the returned list records every n it is called with."""
     real = torus.alexander_torus2
-    monkeypatch.setattr(torus, "alexander_torus2", lambda n: bad if n >= k else real(n))
+    calls = []
+
+    def poisoned(n):
+        calls.append(n)
+        bad = bad_at(n)
+        return real(n) if bad is None else bad
+
+    monkeypatch.setattr(torus, "alexander_torus2", poisoned)
+    return calls
+
+
+def _deformed(n, got):
+    # got is the l = 2 column, want the deformed integer
+    return Counterexample(n, got, pq_number(Family.ALEXANDER_FERMIONIC, n))
+
+
+def _closed(n, want):
+    # got is the closed form, want the l = 2 column; only odd n are checked
+    return Counterexample(n, alexander_torus(n, 2), want)
 
 
 def test_counterexample_checks_report_the_first_bad_n(monkeypatch):
+    # both sides fail, at different n: the closed form first sees the bad
+    # column at the odd n after k
     k, bad = 6, parse("q^2")
-    _poison_column_two(monkeypatch, k, bad)
-    # got is the l = 2 column, want the deformed integer
-    assert torus2_counterexample(60) == Counterexample(
-        k, bad, pq_number(Family.ALEXANDER_FERMIONIC, k)
-    )
-    # got is the closed form, want the l = 2 column; only odd n are checked
-    assert closed_form_counterexample(60) == Counterexample(k + 1, alexander_torus(k + 1, 2), bad)
+    calls = _poison_column_two(monkeypatch, lambda n: bad if n >= k else None)
+    assert torus2_counterexamples(60) == (_deformed(k, bad), _closed(k + 1, bad))
+    # the walk stops once both sides have their counterexample
+    assert calls == list(range(1, k + 2))
     # below k both checks still pass
-    assert torus2_counterexample(k - 1) is None
-    assert closed_form_counterexample(k - 1) is None
+    assert torus2_counterexamples(k - 1) == (None, None)
 
 
 def test_counterexample_checks_fail_from_a_poisoned_odd_n(monkeypatch):
+    # both sides fail at the same n
     k, bad = 9, parse("q")
-    _poison_column_two(monkeypatch, k, bad)
-    assert torus2_counterexample(k - 1) is None
-    assert closed_form_counterexample(k - 1) is None
-    assert torus2_counterexample(k) == Counterexample(
-        k, bad, pq_number(Family.ALEXANDER_FERMIONIC, k)
-    )
-    assert closed_form_counterexample(k) == Counterexample(k, alexander_torus(k, 2), bad)
+    _poison_column_two(monkeypatch, lambda n: bad if n >= k else None)
+    assert torus2_counterexamples(k - 1) == (None, None)
+    assert torus2_counterexamples(k) == (_deformed(k, bad), _closed(k, bad))
+
+
+def test_only_the_deformed_side_fails_at_an_even_n(monkeypatch):
+    # the closed form checks odd n only, so it passes over every n while
+    # the deformed side stops dividing past its counterexample
+    k, bad = 8, parse("q")
+    calls = _poison_column_two(monkeypatch, lambda n: bad if n == k else None)
+    assert torus2_counterexamples(20) == (_deformed(k, bad), None)
+    assert calls == [*range(1, k + 1), *range(k + 1, 21, 2)]
 
 
 def test_closed_form_counterexample_finds_a_wrong_closed_form(monkeypatch):
@@ -282,6 +303,18 @@ def test_closed_form_counterexample_finds_a_wrong_closed_form(monkeypatch):
     k, bad = 7, parse("q")
     real = torus.alexander_torus
     monkeypatch.setattr(torus, "alexander_torus", lambda n, l: bad if n >= k else real(n, l))
-    assert closed_form_counterexample(k - 1) is None
-    assert closed_form_counterexample(60) == Counterexample(k, bad, alexander_torus2(k))
-    assert torus2_counterexample(60) is None
+    calls = _poison_column_two(monkeypatch, lambda n: None)
+    assert torus2_counterexamples(k - 1) == (None, None)
+    calls.clear()
+    assert torus2_counterexamples(60) == (None, Counterexample(k, bad, alexander_torus2(k)))
+    # the deformed side, still open, walks on to 60 and divides each n once
+    assert calls == list(range(1, 61))
+
+
+def test_delta_identity_suite_divides_each_n_once(monkeypatch):
+    # the two delta-identity checks share one value of the l = 2 column per
+    # n; two separate walks would divide N + ceil(N/2) times
+    calls = _poison_column_two(monkeypatch, lambda n: None)
+    report = checks.run("delta-identity", 25)
+    assert [check.passed for check in report] == [True, True]
+    assert calls == list(range(1, 26))
