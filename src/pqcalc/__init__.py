@@ -7,99 +7,21 @@ evaluates the closed-form torus Alexander polynomials, all as exact Laurent
 polynomials in q and p on a half-integer exponent grid.
 """
 
-from .laurent import (
-    JSON_SCHEMA,
-    BudgetExceededError,
-    GridError,
-    LaurentError,
-    LaurentPoly,
-    NegativePowerOfZError,
-    NonExactDivisionError,
-    NotAPerfectSquareError,
-    ParseError,
-    eval_numeric,
-    exact_div,
-    format_json,
-    format_poly,
-    parse,
-    poly_sum,
-    sqrt_perfect_square,
-    substitute_z,
-)
-from .qnumbers import (
-    FAMILY_NAMES,
-    Counterexample,
-    Family,
-    PQPair,
-    family_params,
-    first_counterexample,
-    homfly_factor_counterexample,
-    homfly_factorization_check,
-    number_sequence,
-    pq_number,
-    pq_numbers,
-    recurrence_counterexamples,
-)
-from .skein import (
-    DegenerateSkeinError,
-    KnotCoefficients,
-    NotSolvableOnGridError,
-    SkeinCoefficients,
-    knot_to_link_coeffs,
-    link_coeffs_from_pq,
-    pq_from_link_coeffs,
-    recurrence_generate,
-)
-from .torus import (
-    NotCoprimeError,
-    alexander_torus,
-    alexander_torus2,
-    torus2_counterexamples,
-)
+from . import checks, laurent, qnumbers, skein, torus
+from .checks import *
+from .laurent import *
+from .qnumbers import *
+from .skein import *
+from .torus import *
 
 __version__ = "0.1.0"
 
+# each module lists the names it owns in its own __all__
 __all__ = [
-    "JSON_SCHEMA",
-    "BudgetExceededError",
-    "GridError",
-    "LaurentError",
-    "LaurentPoly",
-    "NegativePowerOfZError",
-    "NonExactDivisionError",
-    "NotAPerfectSquareError",
-    "ParseError",
-    "eval_numeric",
-    "exact_div",
-    "format_json",
-    "format_poly",
-    "parse",
-    "poly_sum",
-    "sqrt_perfect_square",
-    "substitute_z",
-    "FAMILY_NAMES",
-    "Counterexample",
-    "Family",
-    "PQPair",
-    "family_params",
-    "first_counterexample",
-    "homfly_factor_counterexample",
-    "homfly_factorization_check",
-    "number_sequence",
-    "pq_number",
-    "pq_numbers",
-    "recurrence_counterexamples",
-    "DegenerateSkeinError",
-    "KnotCoefficients",
-    "NotSolvableOnGridError",
-    "SkeinCoefficients",
-    "knot_to_link_coeffs",
-    "link_coeffs_from_pq",
-    "pq_from_link_coeffs",
-    "recurrence_generate",
-    "NotCoprimeError",
-    "alexander_torus",
-    "alexander_torus2",
-    "torus2_counterexamples",
+    *laurent.__all__,
+    *qnumbers.__all__,
+    *skein.__all__,
+    *torus.__all__,
+    *checks.__all__,
     "__version__",
 ]

@@ -1,14 +1,128 @@
-"""The ``verify`` checks, named and computed once.  ``SUITES`` maps each suite
-to ``(names, outcomes)`` entries in report order: ``outcomes(max_n)`` gives
-each name ``None`` (pass), a ``Counterexample`` or a failure detail.  ``run``
-makes ``Check`` records for the CLI to render.  Library calls are looked up
-on their modules when a check runs, so a function replaced there is used."""
+"""The ``verify`` checks, named and computed once, and the walks they run.
+
+A walk compares two derivations n by n and gives each side the first
+``Counterexample(n, got, want)`` or ``None``.  Every walk keeps one rule: a
+side stops once it has its counterexample, and the walk stops once every
+side has one, so no value past that is computed.
+
+- ``recurrence_counterexamples``: the skein recurrence against the sum form.
+- ``torus2_counterexamples``: the l = 2 torus column against the Alexander
+  fermionic [n] and against the closed form.
+- ``homfly_factor_counterexample``: the HOMFLY [n] against p^(n-1) times
+  the Alexander [n].
+
+``SUITES`` maps each suite to ``(names, outcomes)`` entries in report order:
+``outcomes(max_n)`` gives each name ``None`` (pass), a ``Counterexample`` or
+a failure detail.  ``run`` makes ``Check`` records for the CLI to render;
+these three serve the CLI and are not re-exported by the package.  Library
+calls are looked up on their modules when a check runs, so a function
+replaced there is used.
+"""
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+from itertools import islice
 from typing import NamedTuple
 
 from . import laurent, qnumbers, skein, torus
+
+__all__ = [
+    "Counterexample",
+    "first_counterexample",
+    "homfly_factor_counterexample",
+    "recurrence_counterexamples",
+    "torus2_counterexamples",
+]
+
+
+class Counterexample(NamedTuple):
+    """The first failing case of a check: at ``n`` the value computed was
+    ``got`` where ``want`` was expected."""
+
+    n: int
+    got: laurent.LaurentPoly
+    want: laurent.LaurentPoly
+
+
+def first_counterexample(
+    cases: Iterable[tuple[int, laurent.LaurentPoly, laurent.LaurentPoly]],
+) -> Counterexample | None:
+    """The first case ``(n, got, want)`` with ``got != want``, or ``None``.
+    The cases after it are not drawn, so a lazy stream stops there."""
+    for n, got, want in cases:
+        if got != want:
+            return Counterexample(n, got, want)
+    return None
+
+
+def recurrence_counterexamples(
+    family: qnumbers.Family | skein.PQPair | str, max_n: int
+) -> tuple[Counterexample | None, Counterexample | None]:
+    """``(closure, agreement)`` up to ``max_n``.  closure: the first n >= 2
+    where one step of ``skein.recurrence_generate`` from the sum form's
+    [n-2] and [n-1] (got) is not its [n] (want).  agreement: the first n
+    where ``number_sequence``'s [n] (got) is not the sum form's (want).
+    One walk of ``pq_numbers``.
+
+    >>> recurrence_counterexamples("jones-fermionic", 30)
+    (None, None)
+    """
+    seq = qnumbers.number_sequence(family, max_n)
+    coeffs = skein.link_coeffs_from_pq(qnumbers.family_params(family))
+    closure = agreement = older = newer = None  # newer is the sum form's [n-1]
+    for n, want in zip(range(max_n + 1), qnumbers.pq_numbers(family)):
+        if agreement is None and seq[n] != want:
+            agreement = Counterexample(n, seq[n], want)
+        if closure is None and n >= 2:
+            got = skein.recurrence_generate(coeffs, older, newer, 3)[-1]
+            if got != want:
+                closure = Counterexample(n, got, want)
+        if closure is not None and agreement is not None:
+            break
+        older, newer = newer, want
+    return closure, agreement
+
+
+def torus2_counterexamples(
+    n_max: int,
+) -> tuple[Counterexample | None, Counterexample | None]:
+    """``(deformed, closed_form)`` up to ``n_max``, from one walk of the
+    l = 2 column that divides each n once.  deformed: the first n where
+    ``alexander_torus2(n)`` (got) is not the Alexander fermionic [n]
+    (want).  closed_form: the first odd n where ``alexander_torus(n, 2)``
+    (got) is not ``alexander_torus2(n)`` (want).
+
+    >>> torus2_counterexamples(30)
+    (None, None)
+    """
+    qnumbers._require_bound(n_max)
+    fermionic = islice(qnumbers.pq_numbers(qnumbers.Family.ALEXANDER_FERMIONIC), 1, None)
+    deformed = closed_form = None
+    for n in range(1, n_max + 1):
+        # the closed-form side checks odd n until it has its counterexample
+        check_closed = n % 2 == 1 and closed_form is None
+        if deformed is not None and not check_closed:
+            if closed_form is not None:
+                break
+            continue
+        column = torus.alexander_torus2(n)
+        if deformed is None and column != (want := next(fermionic)):
+            deformed = Counterexample(n, column, want)
+        if check_closed and (got := torus.alexander_torus(n, 2)) != column:
+            closed_form = Counterexample(n, got, column)
+    return deformed, closed_form
+
+
+def homfly_factor_counterexample(max_n: int) -> Counterexample | None:
+    """The first n in 1..max_n where ``homfly_factorization_check`` fails,
+    got the HOMFLY [n] and want p^(n-1) times the Alexander [n], from one
+    walk of each sum-form stream."""
+    qnumbers._require_bound(max_n)
+    homfly = qnumbers.pq_numbers(qnumbers.Family.HOMFLY_FERMIONIC)
+    alexander = qnumbers.pq_numbers(qnumbers.Family.ALEXANDER_FERMIONIC)
+    cases = islice(zip(range(max_n + 1), homfly, alexander), 1, None)
+    return first_counterexample((n, got, qnumbers._homfly_want(n, alex)) for n, got, alex in cases)
 
 
 class Check(NamedTuple):
@@ -17,10 +131,10 @@ class Check(NamedTuple):
     detail: str = ""
 
 
-def _check(name: str, outcome: qnumbers.Counterexample | str | None) -> Check:
+def _check(name: str, outcome: Counterexample | str | None) -> Check:
     if outcome is None:
         return Check(name, True)
-    if isinstance(outcome, qnumbers.Counterexample):
+    if isinstance(outcome, Counterexample):
         outcome = f"first counterexample at n={outcome.n}: got {outcome.got}, expected {outcome.want}"
     return Check(name, False, outcome)
 
@@ -51,15 +165,15 @@ def _coeff_maps(label: str) -> tuple[str | None, str | None]:
 SUITES = {
     "recurrence": tuple(
         ((f"recurrence-closure[{f.value}]", f"sum-agreement[{f.value}]"),
-         lambda n, f=f: qnumbers.recurrence_counterexamples(f, n))
+         lambda n, f=f: recurrence_counterexamples(f, n))
         for f in qnumbers.Family
     ),
     "delta-identity": (
         (("torus2-equals-deformed-number", "torus2-matches-closed-form-odd-n"),
-         lambda n: torus.torus2_counterexamples(n)),
+         torus2_counterexamples),
     ),
     "homfly-factor": (
-        (("homfly-monomial-factor",), lambda n: (qnumbers.homfly_factor_counterexample(n),)),
+        (("homfly-monomial-factor",), lambda n: (homfly_factor_counterexample(n),)),
     ),
     "coeff-maps": tuple(
         ((f"knot-to-link[{label}]", f"pair-from-link-coeffs[{label}]"),

@@ -40,6 +40,26 @@ from itertools import islice
 from math import comb, isqrt
 from typing import Union
 
+__all__ = [
+    "JSON_SCHEMA",
+    "BudgetExceededError",
+    "GridError",
+    "LaurentError",
+    "LaurentPoly",
+    "NegativePowerOfZError",
+    "NonExactDivisionError",
+    "NotAPerfectSquareError",
+    "ParseError",
+    "eval_numeric",
+    "exact_div",
+    "format_json",
+    "format_poly",
+    "parse",
+    "poly_sum",
+    "sqrt_perfect_square",
+    "substitute_z",
+]
+
 ExpVec = tuple[int, int]
 """Doubled exponent pair ``(2*e_q, 2*e_p)``.  Tuple comparison of these pairs
 is exactly the canonical term order."""
@@ -90,8 +110,8 @@ MAX_PAIRS = 4 * 10**6
 
 def _require_int(name: str, value) -> None:
     # the one type rule for a caller's index, count or bound, checked
-    # before any work
-    if not isinstance(value, int):
+    # before any work; a bool is an int to Python but never an index
+    if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an int, not {type(value).__name__}")
 
 
@@ -160,7 +180,11 @@ class LaurentPoly:
         else:
             items = terms.items() if isinstance(terms, Mapping) else terms
             data = {}
-            for exp, coeff in items:
+            for item in items:
+                try:
+                    exp, coeff = item
+                except ValueError:
+                    raise TypeError("terms must be (exponent, coefficient) pairs") from None
                 if not isinstance(coeff, int) or isinstance(coeff, bool):
                     raise TypeError(f"coefficients must be int, got {type(coeff).__name__}")
                 if not isinstance(exp, tuple) or len(exp) != 2:

@@ -28,10 +28,12 @@ definition used here because it needs no division and stays valid when
   the skein chain: ``skein.recurrence_generate`` on the link coefficients
   ``skein.link_coeffs_from_pq(pair)``, so a pair with ``P*Q = 0`` raises
   ``DegenerateSkeinError``.  The two sum-form routes never use the
-  recurrence, so ``recurrence_counterexamples`` checks the recurrence
-  against ``pq_numbers``.
+  recurrence, so ``checks.recurrence_counterexamples`` checks the
+  recurrence against ``pq_numbers``.
 
-``PQPair`` lives in ``skein`` and is imported here.
+``homfly_factorization_check(n)`` compares the HOMFLY and Alexander [n] at
+one n; the walks that check these identities up to a bound live in
+``checks``.  ``PQPair`` lives in ``skein`` and is imported here.
 
 Six fixed families cover the classical knot polynomial specializations, in
 fermionic (half exponents, mixed signs) and bosonic (integer exponents)
@@ -41,10 +43,9 @@ form for each of Alexander, Jones, and HOMFLY.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Iterator
-from itertools import accumulate, count, islice, repeat
+from collections.abc import Iterator
+from itertools import accumulate, count, repeat
 from operator import mul
-from typing import NamedTuple
 
 from .laurent import (
     MAX_WORK,
@@ -57,6 +58,16 @@ from .laurent import (
     parse,
 )
 from .skein import PQPair, link_coeffs_from_pq, recurrence_generate
+
+__all__ = [
+    "FAMILY_NAMES",
+    "Family",
+    "family_params",
+    "homfly_factorization_check",
+    "number_sequence",
+    "pq_number",
+    "pq_numbers",
+]
 
 
 class Family(enum.Enum):
@@ -190,52 +201,6 @@ def _require_bound(n_max: int) -> None:
         raise ValueError("n_max must be at least 1")
 
 
-class Counterexample(NamedTuple):
-    """The first failing case of a check: at ``n`` the value computed was
-    ``got`` where ``want`` was expected."""
-
-    n: int
-    got: LaurentPoly
-    want: LaurentPoly
-
-
-def first_counterexample(
-    cases: Iterable[tuple[int, LaurentPoly, LaurentPoly]],
-) -> Counterexample | None:
-    """The first case ``(n, got, want)`` with ``got != want``, or ``None``.
-    The cases after it are not drawn, so a lazy stream stops there."""
-    for n, got, want in cases:
-        if got != want:
-            return Counterexample(n, got, want)
-    return None
-
-
-def recurrence_counterexamples(
-    family: Family | PQPair | str, max_n: int
-) -> tuple[Counterexample | None, Counterexample | None]:
-    """``(closure, agreement)`` up to ``max_n``.  closure: the first n >= 2
-    where one step of ``skein.recurrence_generate`` from the sum form's
-    [n-2] and [n-1] (got) is not its [n] (want).  agreement: the first n
-    where ``number_sequence``'s [n] (got) is not the sum form's (want).
-    One walk of ``pq_numbers``.
-
-    >>> recurrence_counterexamples("jones-fermionic", 30)
-    (None, None)
-    """
-    seq = number_sequence(family, max_n)
-    coeffs = link_coeffs_from_pq(family_params(family))
-    closure = agreement = older = newer = None  # newer is the sum form's [n-1]
-    for n, want in zip(range(max_n + 1), pq_numbers(family)):
-        if agreement is None and seq[n] != want:
-            agreement = Counterexample(n, seq[n], want)
-        if closure is None and n >= 2:
-            got = recurrence_generate(coeffs, older, newer, 3)[-1]
-            if got != want:
-                closure = Counterexample(n, got, want)
-        older, newer = newer, want
-    return closure, agreement
-
-
 def _homfly_want(n: int, alexander: LaurentPoly) -> LaurentPoly:
     # the HOMFLY parameters are the Alexander ones scaled by p, and [n] is
     # homogeneous of degree n-1 in (P, Q)
@@ -251,13 +216,3 @@ def homfly_factorization_check(n: int) -> bool:
     return pq_number(Family.HOMFLY_FERMIONIC, n) == _homfly_want(
         n, pq_number(Family.ALEXANDER_FERMIONIC, n)
     )
-
-
-def homfly_factor_counterexample(max_n: int) -> Counterexample | None:
-    """The first n in 1..max_n where ``homfly_factorization_check`` fails,
-    got the HOMFLY [n] and want p^(n-1) times the Alexander [n], from one
-    walk of each sum-form stream."""
-    _require_bound(max_n)
-    homfly, alexander = pq_numbers(Family.HOMFLY_FERMIONIC), pq_numbers(Family.ALEXANDER_FERMIONIC)
-    cases = islice(zip(range(max_n + 1), homfly, alexander), 1, None)
-    return first_counterexample((n, got, _homfly_want(n, alex)) for n, got, alex in cases)

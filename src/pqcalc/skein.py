@@ -30,6 +30,18 @@ from .laurent import (
     sqrt_perfect_square,
 )
 
+__all__ = [
+    "DegenerateSkeinError",
+    "KnotCoefficients",
+    "NotSolvableOnGridError",
+    "PQPair",
+    "SkeinCoefficients",
+    "knot_to_link_coeffs",
+    "link_coeffs_from_pq",
+    "pq_from_link_coeffs",
+    "recurrence_generate",
+]
+
 
 class PQPair(NamedTuple):
     """Deformation parameters.  ``P = Q`` is allowed (the sum form still

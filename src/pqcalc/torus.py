@@ -21,20 +21,20 @@ and sorted in C, and the memory is that of the output.  When m plus the
 output terms would pass ``MAX_WORK``, the kernel's ``BudgetExceededError``
 (a ``ValueError``) is raised before any term is built.  The quotient above
 remains the independent check: the tests and the acceptance gate compare
-the two, and ``torus2_counterexamples`` compares ``alexander_torus(n, 2)``
-with the division in ``alexander_torus2``.  The l = 2 column extends to
-even n (where the closed form above does not apply) via a sign twist in
-the numerator, and that extended column reproduces the Alexander
-fermionic deformed integers exactly, which the same walk checks.
+the two, and ``checks.torus2_counterexamples`` compares
+``alexander_torus(n, 2)`` with the division in ``alexander_torus2``.  The
+l = 2 column extends to even n (where the closed form above does not
+apply) via a sign twist in the numerator, and that extended column
+reproduces the Alexander fermionic deformed integers exactly, which the
+same walk checks.  This module imports only ``laurent``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import cycle, islice, repeat
+from itertools import cycle, repeat
 from math import gcd
 
-from . import qnumbers
 from .laurent import (
     MAX_WORK,
     BudgetExceededError,
@@ -43,6 +43,8 @@ from .laurent import (
     _require_int,
     exact_div,
 )
+
+__all__ = ["NotCoprimeError", "alexander_torus", "alexander_torus2"]
 
 
 class NotCoprimeError(ValueError):
@@ -120,6 +122,10 @@ def alexander_torus(n: int, l: int) -> LaurentPoly:
     return LaurentPoly._raw(dict(zip(zip(exps, repeat(0)), cycle((1, -1)))))
 
 
+# q^(1/2) + q^(-1/2), the divisor of every l = 2 value
+_HALF_SUM = LaurentPoly._raw({(1, 0): 1, (-1, 0): 1})
+
+
 def alexander_torus2(n: int) -> LaurentPoly:
     """The l = 2 column for every n >= 1.
 
@@ -130,37 +136,5 @@ def alexander_torus2(n: int) -> LaurentPoly:
     if n < 1:
         raise ValueError("n must be at least 1")
     sign = 1 if n % 2 else -1
-    num = LaurentPoly.monomial(1, n) + LaurentPoly.monomial(sign, -n)
-    den = LaurentPoly.monomial(1, 1) + LaurentPoly.monomial(1, -1)
-    return exact_div(num, den)
-
-
-def torus2_counterexamples(
-    n_max: int,
-) -> tuple[qnumbers.Counterexample | None, qnumbers.Counterexample | None]:
-    """``(deformed, closed_form)`` up to ``n_max``, from one walk of the
-    l = 2 column that divides each n once.  deformed: the first n where
-    ``alexander_torus2(n)`` (got) is not the Alexander fermionic [n]
-    (want).  closed_form: the first odd n where ``alexander_torus(n, 2)``
-    (got) is not ``alexander_torus2(n)`` (want).  A side stops once it
-    has its counterexample, and the walk once both have.
-
-    >>> torus2_counterexamples(30)
-    (None, None)
-    """
-    qnumbers._require_bound(n_max)
-    fermionic = islice(qnumbers.pq_numbers(qnumbers.Family.ALEXANDER_FERMIONIC), 1, None)
-    deformed = closed_form = None
-    for n in range(1, n_max + 1):
-        # the closed-form side checks odd n until it has its counterexample
-        check_closed = n % 2 == 1 and closed_form is None
-        if deformed is not None and not check_closed:
-            if closed_form is not None:
-                break  # both sides have their counterexample
-            continue
-        column = alexander_torus2(n)
-        if deformed is None and column != (want := next(fermionic)):
-            deformed = qnumbers.Counterexample(n, column, want)
-        if check_closed and (got := alexander_torus(n, 2)) != column:
-            closed_form = qnumbers.Counterexample(n, got, column)
-    return deformed, closed_form
+    # n >= 1, so the two keys differ
+    return exact_div(LaurentPoly._raw({(n, 0): 1, (-n, 0): sign}), _HALF_SUM)

@@ -55,6 +55,7 @@ def test_constructor_accepts_text_and_int():
     assert LaurentPoly("q - 1") == parse("q - 1")
     assert LaurentPoly(5) == LaurentPoly.monomial(5)
     assert LaurentPoly(0).is_zero
+    assert LaurentPoly([[(0, 0), 1]]) == 1
 
 
 def test_int_equality_and_hash_agree():
@@ -96,10 +97,14 @@ def test_constructor_rejects_non_int_exponents(terms):
         [([0, 2], 1)],
         {"qp": 1},
         [(2, 1)],
+        [(1, 2, 3)],
+        [((0, 0),)],
     ],
 )
 def test_constructor_rejects_keys_that_are_not_pairs(terms):
-    with pytest.raises(TypeError, match=r"exponents must be \(q2, p2\) pairs"):
+    # a key that is not (q2, p2), or an item that is not (key, coefficient)
+    pairs = r"(exponents must be \(q2, p2\)|terms must be \(exponent, coefficient\)) pairs"
+    with pytest.raises(TypeError, match=pairs):
         LaurentPoly(terms)
 
 

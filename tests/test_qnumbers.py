@@ -9,20 +9,23 @@ from hypothesis import example, given, settings
 
 import pqcalc
 from pqcalc import checks, laurent, qnumbers, torus
+from pqcalc.checks import (
+    Counterexample,
+    first_counterexample,
+    homfly_factor_counterexample,
+    recurrence_counterexamples,
+    torus2_counterexamples,
+)
 from pqcalc.laurent import BudgetExceededError, LaurentPoly, parse, poly_sum
 from pqcalc.qnumbers import (
     FAMILY_NAMES,
-    Counterexample,
     Family,
     PQPair,
     family_params,
-    first_counterexample,
-    homfly_factor_counterexample,
     homfly_factorization_check,
     number_sequence,
     pq_number,
     pq_numbers,
-    recurrence_counterexamples,
 )
 from pqcalc.skein import DegenerateSkeinError, link_coeffs_from_pq, recurrence_generate
 
@@ -74,7 +77,7 @@ def _unreachable(*args):
     raise AssertionError(f"called with {args!r}")
 
 
-@pytest.mark.parametrize("n", [3.0, 2.5, "3", None])
+@pytest.mark.parametrize("n", [3.0, 2.5, "3", None, True])
 def test_pq_number_refuses_an_n_that_is_not_an_int(monkeypatch, n):
     # refused before any work: not even the family is resolved
     monkeypatch.setattr(qnumbers, "family_params", _unreachable)
@@ -305,7 +308,7 @@ def test_sequence_refuses_a_vanishing_product(pair):
 _BOUND_CHECKS = {
     "recurrence": lambda n: recurrence_counterexamples(Family.JONES_BOSONIC, n),
     "homfly-factor": homfly_factor_counterexample,
-    "torus2": torus.torus2_counterexamples,
+    "torus2": torus2_counterexamples,
 }
 
 
@@ -326,7 +329,7 @@ _INT_ARGS = {
     "number_sequence": ("n_max", lambda b: number_sequence(Family.JONES_BOSONIC, b)),
     "recurrence_counterexamples": ("n_max", _BOUND_CHECKS["recurrence"]),
     "homfly_factor_counterexample": ("n_max", homfly_factor_counterexample),
-    "torus2_counterexamples": ("n_max", torus.torus2_counterexamples),
+    "torus2_counterexamples": ("n_max", torus2_counterexamples),
     "checks.run": ("n_max", lambda b: checks.run("all", b)),
     "recurrence_generate": (
         "count", lambda b: recurrence_generate(_JONES_COEFFS, LaurentPoly.zero(), LaurentPoly.one(), b)
@@ -339,7 +342,7 @@ _INT_ARGS = {
 
 
 @pytest.mark.parametrize("arg, call", _INT_ARGS.values(), ids=_INT_ARGS)
-@pytest.mark.parametrize("bound", [3.0, 2.5, "3", None])
+@pytest.mark.parametrize("bound", [3.0, 2.5, "3", None, True])
 def test_bounds_that_are_not_ints_are_refused(arg, call, bound):
     # one rule and one message; number_sequence used to read 3.0 as 3
     with pytest.raises(TypeError, match=f"^{arg} must be an int, not {type(bound).__name__}$"):
@@ -377,6 +380,24 @@ def test_recurrence_closure_catches_a_broken_step(monkeypatch, family):
     # and the closure check, which steps from its values, sees the bug
     monkeypatch.setattr("pqcalc.skein._dot", _overwriting_dot)
     assert recurrence_counterexamples(family, 10)[0] is not None
+
+
+def test_recurrence_walk_stops_once_both_sides_fail(monkeypatch):
+    # the sum form's [k] poisoned: the closure step and the recurrence both
+    # miss it at n = k, so the walk draws no value past [k]
+    k, bad = 6, parse("q^7 - p")
+    real = qnumbers.pq_numbers
+    drawn = []
+
+    def poisoned(family):
+        for n, value in enumerate(real(family)):
+            drawn.append(n)
+            yield bad if n == k else value
+
+    monkeypatch.setattr(qnumbers, "pq_numbers", poisoned)
+    closure, agreement = recurrence_counterexamples(Family.JONES_BOSONIC, 12)
+    assert closure.n == agreement.n == k
+    assert drawn == list(range(k + 1))
 
 
 @pytest.mark.parametrize(

@@ -4,9 +4,9 @@ rely on."""
 
 import pytest
 
-from pqcalc.checks import Check
+from pqcalc.checks import Check, Counterexample
 from pqcalc.laurent import parse
-from pqcalc.qnumbers import Counterexample, PQPair
+from pqcalc.qnumbers import PQPair
 from pqcalc.skein import KnotCoefficients, SkeinCoefficients
 
 RECORDS = [

@@ -1,8 +1,9 @@
-"""Start-up imports: the CLI loads only the standard library it runs, and
-each library module only the pqcalc modules below it.
+"""Start-up imports and ownership: the CLI loads only the standard library
+it runs, each library module only the pqcalc modules it builds on, and each
+public name is listed once, by the module that defines it.
 
-Each test runs a fresh interpreter, without ``site`` (``-S``), so that
-``sys.modules`` shows what pqcalc itself imports; the test session has
+Each import test runs a fresh interpreter, without ``site`` (``-S``), so
+that ``sys.modules`` shows what pqcalc itself imports; the test session has
 imported everything already.  No timing is asserted.
 """
 
@@ -12,6 +13,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import pqcalc
+from pqcalc import checks, laurent, qnumbers, skein, torus
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 DEFERRED = ("dataclasses", "inspect", "json", "decimal", "fractions")
@@ -86,20 +90,62 @@ def test_deferred_paths_import_what_they_use(module, call, check):
     assert _run_fresh(code) == "ok\n"
 
 
-# the library's layers, lowest first: each imports only those before it
-MODULE_ORDER = ("laurent", "skein", "qnumbers", "torus", "checks")
+# each library module and the pqcalc modules it loads, itself included
+MODULE_LOADS = {
+    "laurent": ("laurent",),
+    "skein": ("laurent", "skein"),
+    "qnumbers": ("laurent", "skein", "qnumbers"),
+    "torus": ("laurent", "torus"),
+    "checks": ("laurent", "skein", "qnumbers", "torus", "checks"),
+}
 
 
-@pytest.mark.parametrize("index", range(len(MODULE_ORDER)), ids=MODULE_ORDER)
-def test_each_module_loads_only_the_modules_below_it(index):
+@pytest.mark.parametrize("module", MODULE_LOADS)
+def test_each_module_loads_only_the_modules_below_it(module):
     # a bare package stands in for pqcalc/__init__.py, which loads them all
     code = (
         "import importlib, sys, types\n"
         "package = types.ModuleType('pqcalc')\n"
         f"package.__path__ = [{str(SRC / 'pqcalc')!r}]\n"
         "sys.modules['pqcalc'] = package\n"
-        f"importlib.import_module('pqcalc.{MODULE_ORDER[index]}')\n"
+        f"importlib.import_module('pqcalc.{module}')\n"
         "print(sorted(name for name in sys.modules if name.startswith('pqcalc.')))\n"
     )
-    want = sorted(f"pqcalc.{name}" for name in MODULE_ORDER[: index + 1])
+    want = sorted(f"pqcalc.{name}" for name in MODULE_LOADS[module])
     assert _run_fresh(code) == f"{want}\n"
+
+
+# the package's names, and those of them that the verify walks own
+PACKAGE_NAMES = {
+    "JSON_SCHEMA", "BudgetExceededError", "GridError", "LaurentError", "LaurentPoly",
+    "NegativePowerOfZError", "NonExactDivisionError", "NotAPerfectSquareError", "ParseError",
+    "eval_numeric", "exact_div", "format_json", "format_poly", "parse", "poly_sum",
+    "sqrt_perfect_square", "substitute_z",
+    "FAMILY_NAMES", "Family", "family_params", "homfly_factorization_check",
+    "number_sequence", "pq_number", "pq_numbers",
+    "DegenerateSkeinError", "KnotCoefficients", "NotSolvableOnGridError", "PQPair",
+    "SkeinCoefficients", "knot_to_link_coeffs", "link_coeffs_from_pq", "pq_from_link_coeffs",
+    "recurrence_generate",
+    "NotCoprimeError", "alexander_torus", "alexander_torus2",
+    "Counterexample", "first_counterexample", "homfly_factor_counterexample",
+    "recurrence_counterexamples", "torus2_counterexamples",
+    "__version__",
+}
+WALK_NAMES = ("Counterexample", "first_counterexample", "homfly_factor_counterexample",
+              "recurrence_counterexamples", "torus2_counterexamples")
+
+
+def test_each_public_name_is_listed_once_by_the_module_that_owns_it():
+    assert set(pqcalc.__all__) == PACKAGE_NAMES
+    owners = (laurent, qnumbers, skein, torus, checks)
+    listed = [name for owner in owners for name in owner.__all__]
+    # the package lists no name itself, and no module lists another's
+    assert sorted(listed) == sorted(PACKAGE_NAMES - {"__version__"})
+    for owner in owners:
+        for name in owner.__all__:
+            value = getattr(owner, name)
+            assert getattr(pqcalc, name) is value, name
+            assert getattr(value, "__module__", owner.__name__) == owner.__name__, name
+    for name in WALK_NAMES:
+        assert name in checks.__all__
+        assert not hasattr(qnumbers, name) and not hasattr(torus, name), name

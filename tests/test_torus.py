@@ -8,15 +8,15 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
+from pqcalc.checks import Counterexample, torus2_counterexamples
 from pqcalc.laurent import LaurentPoly, eval_numeric, exact_div, parse
-from pqcalc.qnumbers import Counterexample, Family, pq_number
+from pqcalc.qnumbers import Family, pq_number
 from pqcalc import checks, torus
 from pqcalc.torus import (
     BudgetExceededError,
     NotCoprimeError,
     alexander_torus,
     alexander_torus2,
-    torus2_counterexamples,
 )
 
 
