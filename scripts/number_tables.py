@@ -3,11 +3,13 @@
 
 Handy for eyeballing how the six parameter choices shape the same
 recurrence; the homfly rows are the alexander rows times a power of p.
+Each row is printed as the recurrence stream makes it.
 """
 
 import argparse
+from itertools import islice
 
-from pqcalc import Family, number_sequence
+from pqcalc import Family, recurrence_numbers
 
 
 def main():
@@ -19,7 +21,7 @@ def main():
 
     for family in Family:
         print(f"== {family.value}")
-        for n, value in enumerate(number_sequence(family, args.max_n)):
+        for n, value in enumerate(islice(recurrence_numbers(family), args.max_n + 1)):
             print(f"  [{n:2d}]  {value}")
         print()
 

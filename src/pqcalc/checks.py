@@ -5,7 +5,8 @@ A walk compares two derivations n by n and gives each side the first
 side stops once it has its counterexample, and the walk stops once every
 side has one, so no value past that is computed.
 
-- ``recurrence_counterexamples``: the skein recurrence against the sum form.
+- ``recurrence_counterexamples``: the skein recurrence against the sum form,
+  both drawn as lazy streams, one value at a time.
 - ``torus2_counterexamples``: the l = 2 torus column against the Alexander
   fermionic [n] and against the closed form.
 - ``homfly_factor_counterexample``: the HOMFLY [n] against p^(n-1) times
@@ -62,18 +63,21 @@ def recurrence_counterexamples(
     """``(closure, agreement)`` up to ``max_n``.  closure: the first n >= 2
     where one step of ``skein.recurrence_generate`` from the sum form's
     [n-2] and [n-1] (got) is not its [n] (want).  agreement: the first n
-    where ``number_sequence``'s [n] (got) is not the sum form's (want).
-    One walk of ``pq_numbers``.
+    where the ``recurrence_numbers`` stream's [n] (got) is not the sum
+    form's (want).  One walk of ``pq_numbers``, which draws the recurrence
+    stream while the agreement side is open, so it holds two recurrence
+    values at a time.
 
     >>> recurrence_counterexamples("jones-fermionic", 30)
     (None, None)
     """
-    seq = qnumbers.number_sequence(family, max_n)
+    qnumbers._require_bound(max_n)
     coeffs = skein.link_coeffs_from_pq(qnumbers.family_params(family))
+    recurrence = qnumbers.recurrence_numbers(family)
     closure = agreement = older = newer = None  # newer is the sum form's [n-1]
     for n, want in zip(range(max_n + 1), qnumbers.pq_numbers(family)):
-        if agreement is None and seq[n] != want:
-            agreement = Counterexample(n, seq[n], want)
+        if agreement is None and (got := next(recurrence)) != want:
+            agreement = Counterexample(n, got, want)
         if closure is None and n >= 2:
             got = skein.recurrence_generate(coeffs, older, newer, 3)[-1]
             if got != want:

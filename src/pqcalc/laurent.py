@@ -115,6 +115,15 @@ def _require_int(name: str, value) -> None:
         raise TypeError(f"{name} must be an int, not {type(value).__name__}")
 
 
+def _require_poly(name: str, value) -> LaurentPoly:
+    # the one rule for a value argument: a plain int is the constant it
+    # names, as in arithmetic, and a LaurentPoly is returned as itself
+    poly = LaurentPoly._coerce(value)
+    if poly is None:
+        raise TypeError(f"{name} must be a LaurentPoly or an int, not {type(value).__name__}")
+    return poly
+
+
 def _power_fits(bases: tuple[dict[ExpVec, int], ...], k: int, count: int, limit: int) -> bool:
     """Does a sum of ``count`` products of ``k`` terms, each a term of one
     of ``bases``, fit in ``limit`` terms times 64-bit coefficient words?

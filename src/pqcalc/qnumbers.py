@@ -14,22 +14,27 @@ definition used here because it needs no division and stays valid when
   integer work and at most n terms.  Any other pair sums the power tables
   ``P^i * Q^(n-1-i)``, rebuilt on every call.  Either way an ``[n]`` over
   ``MAX_WORK`` is refused before it is built.
-- ``pq_numbers(pair)`` yields ``[0], [1], [2], ...`` by the geometric step
+- ``pq_numbers(pair)`` streams ``[0], [1], [2], ...`` by the geometric step
   ``[n+1] = P*[n] + Q^n``, keeping only the current ``[n]`` and ``Q^n``.
   Use it to walk a run of ``[n]``: each next value costs one fused sum of
   products (``laurent._dot``) and the product for the next ``Q^n``.
   Reaching one large ``[n]`` this way costs every value below it, far
   more than ``pq_number``.
-- ``number_sequence(pair, n_max)`` lists ``[0]..[n_max]`` by the
+- ``recurrence_numbers(pair)`` streams ``[0], [1], [2], ...`` by the
   three-term recurrence
 
       [n+1] = (P + Q)*[n] - P*Q*[n-1],    [0] = 0, [1] = 1,
 
-  the skein chain: ``skein.recurrence_generate`` on the link coefficients
+  the skein chain: ``skein.recurrence`` on the link coefficients
   ``skein.link_coeffs_from_pq(pair)``, so a pair with ``P*Q = 0`` raises
-  ``DegenerateSkeinError``.  The two sum-form routes never use the
-  recurrence, so ``checks.recurrence_counterexamples`` checks the
-  recurrence against ``pq_numbers``.
+  ``DegenerateSkeinError``.  It too keeps only the last two values.
+  ``number_sequence(pair, n_max)`` lists its ``[0]..[n_max]``.  The two
+  sum-form routes never use the recurrence, so
+  ``checks.recurrence_counterexamples`` checks the recurrence stream
+  against ``pq_numbers``.
+
+Both streams resolve the family, and refuse a bad one, when called, before
+the first value is drawn.
 
 ``homfly_factorization_check(n)`` compares the HOMFLY and Alexander [n] at
 one n; the walks that check these identities up to a bound live in
@@ -44,7 +49,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterator
-from itertools import accumulate, count, repeat
+from itertools import accumulate, count, islice, repeat
 from operator import mul
 
 from .laurent import (
@@ -55,9 +60,10 @@ from .laurent import (
     _int_to_str,
     _power_fits,
     _require_int,
+    _require_poly,
     parse,
 )
-from .skein import PQPair, link_coeffs_from_pq, recurrence_generate
+from .skein import PQPair, link_coeffs_from_pq, recurrence
 
 __all__ = [
     "FAMILY_NAMES",
@@ -67,6 +73,7 @@ __all__ = [
     "number_sequence",
     "pq_number",
     "pq_numbers",
+    "recurrence_numbers",
 ]
 
 
@@ -96,12 +103,14 @@ FAMILY_NAMES = tuple(family.value for family in Family)
 def family_params(family: Family | PQPair | str) -> PQPair:
     """Resolve a family tag (or name string) to its parameter pair.
 
-    A ``PQPair`` passes through unchanged, so callers can accept either a
-    built-in family or custom parameters.  Anything else raises
-    ``ValueError``.
+    A ``PQPair`` of two ``LaurentPoly`` values passes through unchanged, so
+    callers can accept either a built-in family or custom parameters; a
+    plain int member is the constant it names, and a member of any other
+    type raises ``TypeError``.  Anything else raises ``ValueError``.
     """
     if isinstance(family, PQPair):
-        return family
+        P, Q = _require_poly("P", family.P), _require_poly("Q", family.Q)
+        return family if P is family.P and Q is family.Q else PQPair(P, Q)
     try:
         return _PARAMS[Family(family)]
     except ValueError:
@@ -175,7 +184,10 @@ def pq_numbers(family: Family | PQPair | str) -> Iterator[LaurentPoly]:
     """[0], [1], [2], ... in the sum form, without end, by the geometric
     step [n+1] = P*[n] + Q^n, one fused sum of products.  Only the current
     [n] and Q^n are kept."""
-    pair = family_params(family)
+    return _pq_numbers(family_params(family))
+
+
+def _pq_numbers(pair: PQPair) -> Iterator[LaurentPoly]:
     one = LaurentPoly.one()
     value = LaurentPoly.zero()
     q_pow = one
@@ -185,13 +197,19 @@ def pq_numbers(family: Family | PQPair | str) -> Iterator[LaurentPoly]:
         q_pow = q_pow * pair.Q
 
 
-def number_sequence(family: Family | PQPair | str, n_max: int) -> list[LaurentPoly]:
-    """[0], [1], ..., [n_max] generated by the three-term recurrence,
-    ``skein.recurrence_generate`` from the seeds 0 and 1.  A pair with
-    ``P*Q = 0`` raises ``DegenerateSkeinError``."""
-    _require_bound(n_max)
+def recurrence_numbers(family: Family | PQPair | str) -> Iterator[LaurentPoly]:
+    """[0], [1], [2], ... by the three-term recurrence, without end:
+    ``skein.recurrence`` on the link coefficients from the seeds 0 and 1.
+    Only the last two values are kept.  A pair with ``P*Q = 0`` raises
+    ``DegenerateSkeinError`` when this is called."""
     coeffs = link_coeffs_from_pq(family_params(family))
-    return recurrence_generate(coeffs, LaurentPoly.zero(), LaurentPoly.one(), n_max + 1)
+    return recurrence(coeffs, LaurentPoly.zero(), LaurentPoly.one())
+
+
+def number_sequence(family: Family | PQPair | str, n_max: int) -> list[LaurentPoly]:
+    """[0], [1], ..., [n_max] of ``recurrence_numbers``, as a list."""
+    _require_bound(n_max)
+    return list(islice(recurrence_numbers(family), n_max + 1))
 
 
 def _require_bound(n_max: int) -> None:

@@ -12,13 +12,17 @@ This module holds the pair record ``PQPair`` and converts between the
 three coefficient views: the pair (P, Q), the link coefficients (l1, l2),
 and the "knot" coefficients (k1, k2) read off a recurrence with integer
 exponents, whose square roots recover the half-exponent link coefficients.
-``recurrence_generate`` is the one implementation of the recurrence;
-``qnumbers.number_sequence`` runs it from the seeds 0 and 1.  This module
-imports only ``laurent``, so ``qnumbers`` can build on it.
+``recurrence`` is the one implementation of the recurrence, a lazy stream
+that keeps only the last two values; ``recurrence_generate`` lists its
+first values, and ``qnumbers.recurrence_numbers`` runs it from the seeds 0
+and 1.  This module imports only ``laurent``, so ``qnumbers`` can build on
+it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from itertools import islice
 from typing import NamedTuple
 
 from .laurent import (
@@ -26,6 +30,7 @@ from .laurent import (
     NotAPerfectSquareError,
     _dot,
     _require_int,
+    _require_poly,
     exact_div,
     sqrt_perfect_square,
 )
@@ -39,6 +44,7 @@ __all__ = [
     "knot_to_link_coeffs",
     "link_coeffs_from_pq",
     "pq_from_link_coeffs",
+    "recurrence",
     "recurrence_generate",
 ]
 
@@ -135,20 +141,38 @@ def knot_to_link_coeffs(kc: KnotCoefficients) -> SkeinCoefficients:
     return SkeinCoefficients(l1, l2)
 
 
+def recurrence(
+    coeffs: SkeinCoefficients, p0: LaurentPoly, p1: LaurentPoly
+) -> Iterator[LaurentPoly]:
+    """X[0], X[1], X[2], ... of X[n+1] = l1*X[n] + l2*X[n-1] from the seeds
+    ``X[0] = p0`` and ``X[1] = p1``, without end.  Only the last two values
+    are kept, and each next value is one fused sum of products
+    (``laurent._dot``).  A plain int is the constant it names; any other
+    ``l1``, ``l2``, ``p0`` or ``p1`` that is not a ``LaurentPoly`` raises
+    ``TypeError`` when this is called, before any value is drawn."""
+    l1, l2 = coeffs
+    return _recurrence(_require_poly("l1", l1), _require_poly("l2", l2),
+                       _require_poly("p0", p0), _require_poly("p1", p1))
+
+
+def _recurrence(l1: LaurentPoly, l2: LaurentPoly, older: LaurentPoly,
+                newer: LaurentPoly) -> Iterator[LaurentPoly]:
+    yield older
+    while True:
+        yield newer
+        older, newer = newer, _dot(((l1, newer), (l2, older)))
+
+
 def recurrence_generate(
     coeffs: SkeinCoefficients,
     p0: LaurentPoly,
     p1: LaurentPoly,
     count: int,
 ) -> list[LaurentPoly]:
-    """First ``count`` values of X[n+1] = l1*X[n] + l2*X[n-1] from the
-    given seeds.  ``count`` includes the seeds themselves, and is an
-    ``int`` (else ``TypeError``) of at least 2 (else ``ValueError``)."""
+    """First ``count`` values of ``recurrence(coeffs, p0, p1)``.  ``count``
+    includes the seeds themselves, and is an ``int`` (else ``TypeError``)
+    of at least 2 (else ``ValueError``)."""
     _require_int("count", count)
     if count < 2:
         raise ValueError("count must be at least 2")
-    l1, l2 = coeffs
-    seq = [p0, p1]
-    while len(seq) < count:
-        seq.append(_dot(((l1, seq[-1]), (l2, seq[-2]))))
-    return seq
+    return list(islice(recurrence(coeffs, p0, p1), count))

@@ -453,17 +453,17 @@ def _failures(capsys, fmt, *argv):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_verify_sum_agreement_counterexample(capsys, monkeypatch, fmt):
     # the recurrence's [k] of one family replaced: only the comparison with
-    # the sum form reads number_sequence, so the closure check still passes
+    # the sum form reads the recurrence stream, so the closure check still
+    # passes
     k, bad, target = 7, parse("q^5"), Family.ALEXANDER_BOSONIC
-    real = qnumbers.number_sequence
+    real = qnumbers.recurrence_numbers
 
-    def poisoned(family, n_max):
-        seq = real(family, n_max)
-        if qnumbers.family_params(family) == qnumbers.family_params(target):
-            seq[k] = bad
-        return seq
+    def poisoned(family):
+        hit = qnumbers.family_params(family) == qnumbers.family_params(target)
+        for n, value in enumerate(real(family)):
+            yield bad if hit and n == k else value
 
-    monkeypatch.setattr("pqcalc.qnumbers.number_sequence", poisoned)
+    monkeypatch.setattr("pqcalc.qnumbers.recurrence_numbers", poisoned)
     rc, failed = _failures(capsys, fmt, "--suite", "recurrence", "--max-n", "12")
     assert rc == 1
     # got is the recurrence value, expected the sum form

@@ -26,6 +26,7 @@ from pqcalc.qnumbers import (
     number_sequence,
     pq_number,
     pq_numbers,
+    recurrence_numbers,
 )
 from pqcalc.skein import DegenerateSkeinError, link_coeffs_from_pq, recurrence_generate
 
@@ -71,6 +72,35 @@ def test_family_params_rejects_values_that_name_no_family(value):
         family_params(value)
     with pytest.raises(ValueError, match="^unknown family "):
         pq_number(value, 3)
+
+
+def test_family_params_takes_plain_int_members_as_constants():
+    q = parse("q")
+    pair = family_params(PQPair(q, 1))
+    assert pair == PQPair(q, LaurentPoly.one()) and pair.P is q
+    assert pq_number(PQPair(q, 1), 3) == parse("q^2 + q + 1")
+    assert list(islice(pq_numbers(PQPair(q, 1)), 4)) == number_sequence(PQPair(q, 1), 3)
+    assert list(islice(recurrence_numbers(PQPair(-1, q)), 4)) == number_sequence(PQPair(-1, q), 3)
+
+
+@pytest.mark.parametrize("member", ["P", "Q"])
+@pytest.mark.parametrize("value", ["q", 1.5, None])
+def test_family_params_refuses_members_of_other_types(member, value):
+    pair = PQPair(**{"P": parse("q"), "Q": parse("p"), member: value})
+    message = f"^{member} must be a LaurentPoly or an int, not {type(value).__name__}$"
+    for call in (family_params, lambda f: pq_number(f, 3), pq_numbers, recurrence_numbers,
+                 lambda f: number_sequence(f, 3)):
+        with pytest.raises(TypeError, match=message):
+            call(pair)
+
+
+def test_streams_refuse_a_bad_family_when_called():
+    # before any value is drawn, as number_sequence does
+    for stream in (pq_numbers, recurrence_numbers):
+        with pytest.raises(ValueError, match="^unknown family 'nope'"):
+            stream("nope")
+    with pytest.raises(DegenerateSkeinError):
+        recurrence_numbers(PQPair(parse("q"), LaurentPoly.zero()))
 
 
 def _unreachable(*args):
@@ -382,6 +412,21 @@ def test_recurrence_closure_catches_a_broken_step(monkeypatch, family):
     assert recurrence_counterexamples(family, 10)[0] is not None
 
 
+def _count_recurrence_draws(monkeypatch, k=None, bad=None):
+    """Wrap ``recurrence_numbers`` to list each n it yields, with ``bad``
+    in place of [k]; returns the list."""
+    real = qnumbers.recurrence_numbers
+    drawn = []
+
+    def counted(family):
+        for n, value in enumerate(real(family)):
+            drawn.append(n)
+            yield bad if n == k else value
+
+    monkeypatch.setattr(qnumbers, "recurrence_numbers", counted)
+    return drawn
+
+
 def test_recurrence_walk_stops_once_both_sides_fail(monkeypatch):
     # the sum form's [k] poisoned: the closure step and the recurrence both
     # miss it at n = k, so the walk draws no value past [k]
@@ -395,9 +440,34 @@ def test_recurrence_walk_stops_once_both_sides_fail(monkeypatch):
             yield bad if n == k else value
 
     monkeypatch.setattr(qnumbers, "pq_numbers", poisoned)
+    recurred = _count_recurrence_draws(monkeypatch)
     closure, agreement = recurrence_counterexamples(Family.JONES_BOSONIC, 12)
     assert closure.n == agreement.n == k
     assert drawn == list(range(k + 1))
+    assert recurred == list(range(k + 1))
+
+
+def test_recurrence_walk_stops_drawing_the_recurrence_at_its_counterexample(monkeypatch):
+    # the recurrence's [k] poisoned: the agreement side stops there, while
+    # the closure side, which steps from the sum form, walks on to max_n
+    k, bad = 4, parse("q^7 - p")
+    recurred = _count_recurrence_draws(monkeypatch, k, bad)
+    closure, agreement = recurrence_counterexamples(Family.JONES_BOSONIC, 12)
+    assert closure is None
+    assert agreement == Counterexample(k, bad, pq_number(Family.JONES_BOSONIC, k))
+    assert recurred == list(range(k + 1))
+
+
+def test_recurrence_walk_holds_two_recurrence_values():
+    # two values of each stream take about 0.4 MB; building number_sequence's
+    # whole list before the walk peaked at 11.8 MB
+    tracemalloc.start()
+    try:
+        assert recurrence_counterexamples("homfly-bosonic", 400) == (None, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 @pytest.mark.parametrize(

@@ -19,6 +19,7 @@ from pqcalc.skein import (
     knot_to_link_coeffs,
     link_coeffs_from_pq,
     pq_from_link_coeffs,
+    recurrence,
     recurrence_generate,
 )
 
@@ -209,3 +210,39 @@ def test_recurrence_count_validation():
     coeffs = SkeinCoefficients(parse("q"), parse("1"))
     with pytest.raises(ValueError):
         recurrence_generate(coeffs, LaurentPoly.zero(), LaurentPoly.one(), 1)
+
+
+def test_recurrence_stream_runs_past_any_count():
+    coeffs = link_coeffs_from_pq(family_params(Family.JONES_FERMIONIC))
+    seeds = parse("1 - q"), parse("p^(1/2)")
+    stream = recurrence(coeffs, *seeds)
+    assert list(islice(stream, 30)) == recurrence_generate(coeffs, *seeds, 30)
+    assert list(islice(stream, 5)) == recurrence_generate(coeffs, *seeds, 35)[30:]
+
+
+def test_recurrence_takes_plain_ints_as_constants():
+    # ints as seeds, as in the sequence command's 0 and 1
+    coeffs = link_coeffs_from_pq(family_params("alexander-bosonic"))
+    assert recurrence_generate(coeffs, 0, 1, 4) == qnumbers.number_sequence("alexander-bosonic", 3)
+    # ints as coefficients: the Fibonacci numbers
+    fib = [0, 1, 1, 2, 3, 5, 8, 13]
+    assert recurrence_generate(SkeinCoefficients(1, 1), 0, 1, 8) == [LaurentPoly(c) for c in fib]
+    assert recurrence_generate(SkeinCoefficients(parse("q"), -1), 1, parse("q"), 4) == [
+        parse("1"), parse("q"), parse("q^2 - 1"), parse("q^3 - 2q")
+    ]
+    # a LaurentPoly seed comes back as the same object
+    p0, p1 = parse("q"), parse("p")
+    first, second = islice(recurrence(SkeinCoefficients(1, 1), p0, p1), 2)
+    assert first is p0 and second is p1
+
+
+@pytest.mark.parametrize("arg", ["l1", "l2", "p0", "p1"])
+@pytest.mark.parametrize("value", ["1", 1.0, None])
+def test_recurrence_refuses_other_types_when_called(arg, value):
+    args = {"l1": parse("q"), "l2": 1, "p0": 0, "p1": 1, arg: value}
+    coeffs = SkeinCoefficients(args["l1"], args["l2"])
+    message = f"^{arg} must be a LaurentPoly or an int, not {type(value).__name__}$"
+    with pytest.raises(TypeError, match=message):
+        recurrence(coeffs, args["p0"], args["p1"])
+    with pytest.raises(TypeError, match=message):
+        recurrence_generate(coeffs, args["p0"], args["p1"], 3)

@@ -122,10 +122,10 @@ PACKAGE_NAMES = {
     "eval_numeric", "exact_div", "format_json", "format_poly", "parse", "poly_sum",
     "sqrt_perfect_square", "substitute_z",
     "FAMILY_NAMES", "Family", "family_params", "homfly_factorization_check",
-    "number_sequence", "pq_number", "pq_numbers",
+    "number_sequence", "pq_number", "pq_numbers", "recurrence_numbers",
     "DegenerateSkeinError", "KnotCoefficients", "NotSolvableOnGridError", "PQPair",
     "SkeinCoefficients", "knot_to_link_coeffs", "link_coeffs_from_pq", "pq_from_link_coeffs",
-    "recurrence_generate",
+    "recurrence", "recurrence_generate",
     "NotCoprimeError", "alexander_torus", "alexander_torus2",
     "Counterexample", "first_counterexample", "homfly_factor_counterexample",
     "recurrence_counterexamples", "torus2_counterexamples",
