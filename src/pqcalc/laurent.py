@@ -27,8 +27,10 @@ Rendering (``LaurentPoly.text``, ``format_poly``) makes one pass over a
 value's sorted keys and pays per term, with ``str`` for every int; a value
 holding an int past CPython's int/str limit is rendered again with
 ``_int_to_str``, which converts at any length in subquadratic time, as
-every int in an error message does.  ``format_json`` nests indented copies
-of the single-poly JSON document.
+every int in an error message does.  Text formats each term in place; JSON
+joins three pieces per term, a head per coefficient and a tail per ``p``
+exponent, each built once per value, around the term's ``q`` exponent.
+``format_json`` nests indented copies of the single-poly JSON document.
 """
 
 from __future__ import annotations
@@ -117,7 +119,10 @@ def _require_int(name: str, value) -> None:
 
 def _require_poly(name: str, value) -> LaurentPoly:
     # the one rule for a value argument: a plain int is the constant it
-    # names, as in arithmetic, and a LaurentPoly is returned as itself
+    # names, as in arithmetic, and a LaurentPoly is returned as itself,
+    # checked first, as every render and division entry pays for this
+    if isinstance(value, LaurentPoly):
+        return value
     poly = LaurentPoly._coerce(value)
     if poly is None:
         raise TypeError(f"{name} must be a LaurentPoly or an int, not {type(value).__name__}")
@@ -525,26 +530,39 @@ _JSON_LAYOUT = (
 
 def _json(d: dict[ExpVec, int], conv) -> str:
     """``format_poly(f, "json")`` of the terms ``d``, every int through
-    ``conv``.  The layout's pieces are shared, so a term's only new string
-    is its ``q`` exponent: coefficients and ``p`` exponents repeat (a torus
-    value's are all 1, -1 and 0), and each converts once per value, into
-    ``strs``."""
+    ``conv``.  A term is three pieces: its coefficient's head (the
+    coefficient and the layout up to ``"q": ``), its ``q`` exponent, and
+    its ``p`` exponent's tail (the layout from ``"p": `` to the next term's
+    ``"coeff": "``).  Coefficients and ``p`` exponents repeat (a torus
+    value's are all 1, -1 and 0), so heads and tails are built once per
+    value and shared, and a term's only new string is its ``q`` exponent.
+    The last term is written after the loop, its tail ending in the
+    document's closing layout, so a one-term value caches nothing."""
     empty, first, before_q, before_p, between, tail = _JSON_LAYOUT
     if not d:
         return empty
-    strs: dict[int, str] = {}
+    heads: dict[int, str] = {}
+    tails: dict[int, str] = {}
     pieces = [first]
-    for key in sorted(d, reverse=True):
+    keys = sorted(d, reverse=True)
+    last = keys.pop()
+    for key in keys:
         q2, p2 = key
         c = d[key]
-        cstr = strs.get(c)
-        if cstr is None:
-            cstr = strs[c] = conv(c)
-        pstr = strs.get(p2)
-        if pstr is None:
-            pstr = strs[p2] = conv(p2)
-        pieces += (cstr, before_q, conv(q2), before_p, pstr, between)
-    pieces[-1] = tail
+        head = heads.get(c)
+        if head is None:
+            head = heads[c] = conv(c) + before_q
+        ptail = tails.get(p2)
+        if ptail is None:
+            ptail = tails[p2] = f"{before_p}{conv(p2)}{between}"
+        # three appends, which CPython runs as one specialized instruction
+        # each, cost less than building and extending by a tuple
+        pieces.append(head)
+        pieces.append(conv(q2))
+        pieces.append(ptail)
+    q2, p2 = last
+    c = d[last]
+    pieces += (heads.get(c) or conv(c) + before_q, conv(q2), f"{before_p}{conv(p2)}{tail}")
     return "".join(pieces)
 
 
@@ -607,8 +625,11 @@ def format_poly(f: LaurentPoly, mode: str = "text") -> str:
 
     The JSON form is byte-identical to
     ``json.dumps(f.to_json_obj(), indent=2)``.  Like ``text``, it makes one
-    pass over the sorted keys and formats each term in place.
+    pass over the sorted keys.  A plain int ``f`` is the constant it
+    names; any other type that is not a ``LaurentPoly`` raises
+    ``TypeError``.
     """
+    f = _require_poly("f", f)
     if mode == "text":
         return f.text()
     if mode == "json":
@@ -622,7 +643,8 @@ def format_json(polys: Mapping[str, LaurentPoly] | Sequence[LaurentPoly]) -> str
 
     Byte-identical to ``json.dumps(obj, indent=2)``, where ``obj`` holds
     each poly's ``to_json_obj()``: each entry is ``format_poly(f, "json")``
-    indented one level, as the encoder nests a value.
+    indented one level, as the encoder nests a value, so a plain int entry
+    is a constant and an entry of any other type raises ``TypeError``.
     """
     if isinstance(polys, Mapping):
         import json
@@ -896,10 +918,12 @@ def _canonical(data: dict[ExpVec, int]) -> dict[ExpVec, int]:
 
 
 def poly_sum(polys: Iterable[LaurentPoly]) -> LaurentPoly:
-    """Sum many polynomials in one accumulation pass."""
+    """Sum many polynomials in one accumulation pass.  A plain int is the
+    constant it names; any other type that is not a ``LaurentPoly`` raises
+    ``TypeError``."""
     acc: dict[ExpVec, int] = {}
     for f in polys:
-        for exp, coeff in f._terms.items():
+        for exp, coeff in _require_poly("each summand", f)._terms.items():
             acc[exp] = acc.get(exp, 0) + coeff
     return LaurentPoly._raw(_canonical(acc))
 
@@ -960,9 +984,13 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     highest first and holds the remainder's own keys: a step pops a key,
     removes that same tuple, and builds one new tuple, the quotient term's.
 
+    A plain int ``num`` or ``den`` is the constant it names; any other
+    type that is not a ``LaurentPoly`` raises ``TypeError``.
+
     >>> exact_div(parse("q - q^(-1)"), parse("q^(1/2) - q^(-1/2)"))
     LaurentPoly('q^(1/2) + q^(-1/2)')
     """
+    num, den = _require_poly("num", num), _require_poly("den", den)
     if den.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero:
@@ -1029,11 +1057,14 @@ def sqrt_perfect_square(f: LaurentPoly) -> LaurentPoly:
     The residue's exponents sit in the same lazily pruned heap of negated
     keys as in ``exact_div``, cancelled keys kept at zero until popped;
     every key a step touches lies below the one it processes, so the cost
-    is O(steps * |root| * log) rather than O(steps * |residue|).
+    is O(steps * |root| * log) rather than O(steps * |residue|).  A plain
+    int ``f`` is the constant it names; any other type that is not a
+    ``LaurentPoly`` raises ``TypeError``.
 
     >>> sqrt_perfect_square(parse("q - 2 + q^(-1)"))
     LaurentPoly('q^(1/2) - q^(-1/2)')
     """
+    f = _require_poly("f", f)
     if f.is_zero:
         raise NotAPerfectSquareError("the zero polynomial has no principal square root")
     (lq, lp), lead_coeff = f.leading_term()
@@ -1109,10 +1140,13 @@ def eval_numeric(
     exponents require is rational; otherwise a ``Decimal`` computed with
     ``digits`` significant digits.  The tests use it as a numeric oracle
     apart from the kernel's arithmetic; symbolic equality is the contract.
+    A plain int ``f`` is the constant it names; any other type that is not
+    a ``LaurentPoly`` raises ``TypeError``.
     """
     from decimal import Decimal, localcontext
     from fractions import Fraction
 
+    f = _require_poly("f", f)
     q_val = Fraction(q_val)
     p_val = Fraction(p_val)
     if q_val <= 0 or p_val <= 0:

@@ -85,11 +85,14 @@ class KnotCoefficients(NamedTuple):
 
 
 def link_coeffs_from_pq(pair: PQPair) -> SkeinCoefficients:
-    """(P, Q) to (l1, l2) = (P + Q, -P*Q)."""
-    prod = pair.P * pair.Q
+    """(P, Q) to (l1, l2) = (P + Q, -P*Q).  A plain int member is the
+    constant it names; any other type that is not a ``LaurentPoly`` raises
+    ``TypeError``."""
+    P, Q = _require_poly("P", pair.P), _require_poly("Q", pair.Q)
+    prod = P * Q
     if prod.is_zero:
         raise DegenerateSkeinError("P*Q = 0 collapses the relation to one term")
-    return SkeinCoefficients(pair.P + pair.Q, -prod)
+    return SkeinCoefficients(P + Q, -prod)
 
 
 def pq_from_link_coeffs(coeffs: SkeinCoefficients) -> PQPair:
@@ -98,9 +101,12 @@ def pq_from_link_coeffs(coeffs: SkeinCoefficients) -> PQPair:
     P takes the branch with the principal (positive leading) square root of
     the discriminant, matching the built-in families.  Fails when the
     discriminant is not a perfect square on the grid, including the
-    degenerate repeated-root case (discriminant zero).
+    degenerate repeated-root case (discriminant zero).  A plain int member
+    is the constant it names; any other type that is not a ``LaurentPoly``
+    raises ``TypeError``.
     """
-    disc = coeffs.l1 * coeffs.l1 + 4 * coeffs.l2
+    l1, l2 = _require_poly("l1", coeffs.l1), _require_poly("l2", coeffs.l2)
+    disc = l1 * l1 + 4 * l2
     try:
         root = sqrt_perfect_square(disc)
     except NotAPerfectSquareError as exc:
@@ -111,7 +117,7 @@ def pq_from_link_coeffs(coeffs: SkeinCoefficients) -> PQPair:
     # polynomials over F2 have no zero divisors, so root = l1 mod 2 and
     # both halvings are exact
     two = LaurentPoly.monomial(2)
-    return PQPair(exact_div(coeffs.l1 + root, two), exact_div(coeffs.l1 - root, two))
+    return PQPair(exact_div(l1 + root, two), exact_div(l1 - root, two))
 
 
 def knot_to_link_coeffs(kc: KnotCoefficients) -> SkeinCoefficients:
@@ -122,18 +128,21 @@ def knot_to_link_coeffs(kc: KnotCoefficients) -> SkeinCoefficients:
     Both sign conventions for k2 occur in practice (the recurrence minus
     sign may or may not be folded into the stored value).  A square has a
     positive leading coefficient, so the admissible branch of ``-k2`` vs
-    ``k2`` is unambiguous and both spellings are accepted.
+    ``k2`` is unambiguous and both spellings are accepted.  A plain int
+    member is the constant it names; any other type that is not a
+    ``LaurentPoly`` raises ``TypeError``.
     """
-    radicand = -kc.k2
+    k1, k2 = _require_poly("k1", kc.k1), _require_poly("k2", kc.k2)
+    radicand = -k2
     if radicand.is_zero:
         raise NotAPerfectSquareError("l2 root failed: k2 = 0 has no nonzero square root")
     if radicand.leading_term()[1] < 0:
-        radicand = kc.k2
+        radicand = k2
     try:
         l2 = sqrt_perfect_square(radicand)
     except NotAPerfectSquareError as exc:
         raise NotAPerfectSquareError(f"l2 root failed: radicand {radicand}: {exc}") from exc
-    second = kc.k1 - 2 * l2
+    second = k1 - 2 * l2
     try:
         l1 = sqrt_perfect_square(second)
     except NotAPerfectSquareError as exc:

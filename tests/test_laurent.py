@@ -36,6 +36,7 @@ from pqcalc.laurent import (
 from pqcalc.laurent import _descend, _dot, _int_from_str, _match_text, _parse_text
 
 from pqcalc.qnumbers import Family, pq_number
+from pqcalc.skein import PQPair
 from pqcalc.torus import NotCoprimeError, alexander_torus
 
 from poly_strategies import exp2s, monomials, nonzero_polys, polys, positive_leading_polys
@@ -951,8 +952,14 @@ def test_text_matches_the_reference(terms):
 
 @pytest.mark.parametrize(
     "value",
-    [alexander_torus(199, 211), pq_number(Family.HOMFLY_FERMIONIC, 300)],
-    ids=["D(199,211)", "homfly[300]"],
+    [
+        alexander_torus(199, 211),
+        pq_number(Family.HOMFLY_FERMIONIC, 300),
+        # the JSON head cache's worst case: 200 terms, 200 distinct
+        # coefficients, every one past 2^64
+        pq_number(PQPair(parse("2*q"), parse("3")), 200),
+    ],
+    ids=["D(199,211)", "homfly[300]", "(2q,3)[200]"],
 )
 def test_big_values_render_as_the_reference(value):
     assert value.text() == reference_text(dict(value.terms()))
@@ -981,6 +988,40 @@ def test_parse_format_round_trip(f):
 def test_format_mode_validation():
     with pytest.raises(ValueError):
         format_poly(parse("q"), "yaml")
+
+
+def test_value_entries_take_plain_ints_as_constants():
+    assert format_poly(3) == "3"
+    assert format_poly(-3, "json") == format_poly(LaurentPoly(-3), "json")
+    assert format_json([1, parse("q")]) == format_json([LaurentPoly(1), parse("q")])
+    assert format_json({"c": 0}) == format_json({"c": LaurentPoly.zero()})
+    assert exact_div(parse("q^2"), 1) == parse("q^2")
+    assert exact_div(6, parse("2")) == exact_div(parse("6"), 2) == LaurentPoly(3)
+    assert sqrt_perfect_square(4) == LaurentPoly(2)
+    assert eval_numeric(3, 2) == 3
+    assert poly_sum([1, parse("q"), -3]) == parse("q - 2")
+
+
+@pytest.mark.parametrize("value", ["q", 1.5, None])
+def test_value_entries_refuse_other_types(value):
+    calls = {
+        "f": [
+            lambda v: format_poly(v),
+            lambda v: format_poly(v, "json"),
+            lambda v: format_json([parse("q"), v]),
+            lambda v: format_json({"c": v}),
+            sqrt_perfect_square,
+            lambda v: eval_numeric(v, 2),
+        ],
+        "num": [lambda v: exact_div(v, 1)],
+        "den": [lambda v: exact_div(parse("q"), v)],
+        "each summand": [lambda v: poly_sum([parse("q"), v])],
+    }
+    for name, entries in calls.items():
+        message = f"^{name} must be a LaurentPoly or an int, not {type(value).__name__}$"
+        for call in entries:
+            with pytest.raises(TypeError, match=message):
+                call(value)
 
 
 # ----------------------------------------------------------------------

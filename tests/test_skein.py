@@ -236,6 +236,32 @@ def test_recurrence_takes_plain_ints_as_constants():
     assert first is p0 and second is p1
 
 
+def test_coefficient_maps_take_plain_int_members_as_constants():
+    assert link_coeffs_from_pq(PQPair(2, 3)) == SkeinCoefficients(5, -6)
+    assert knot_to_link_coeffs(KnotCoefficients(6, -1)) == SkeinCoefficients(2, 1)
+    assert pq_from_link_coeffs(SkeinCoefficients(5, -6)) == PQPair(3, 2)
+    q = parse("q")
+    assert link_coeffs_from_pq(PQPair(q, -1)) == SkeinCoefficients(parse("q - 1"), q)
+    assert pq_from_link_coeffs(SkeinCoefficients(parse("q - 1"), q)) == PQPair(q, -1)
+
+
+@pytest.mark.parametrize(
+    "call, record, members",
+    [
+        (link_coeffs_from_pq, PQPair, ("P", "Q")),
+        (knot_to_link_coeffs, KnotCoefficients, ("k1", "k2")),
+        (pq_from_link_coeffs, SkeinCoefficients, ("l1", "l2")),
+    ],
+)
+@pytest.mark.parametrize("value", ["q", 1.5, None])
+def test_coefficient_maps_refuse_members_of_other_types(call, record, members, value):
+    for member in members:
+        args = {name: LaurentPoly(2) for name in members} | {member: value}
+        message = f"^{member} must be a LaurentPoly or an int, not {type(value).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            call(record(**args))
+
+
 @pytest.mark.parametrize("arg", ["l1", "l2", "p0", "p1"])
 @pytest.mark.parametrize("value", ["1", 1.0, None])
 def test_recurrence_refuses_other_types_when_called(arg, value):
