@@ -71,7 +71,7 @@ def recurrence_counterexamples(
     >>> recurrence_counterexamples("jones-fermionic", 30)
     (None, None)
     """
-    qnumbers._require_bound(max_n)
+    laurent._require_int("n_max", max_n, 1, counts=True)
     coeffs = skein.link_coeffs_from_pq(qnumbers.family_params(family))
     recurrence = qnumbers.recurrence_numbers(family)
     closure = agreement = older = newer = None  # newer is the sum form's [n-1]
@@ -100,7 +100,7 @@ def torus2_counterexamples(
     >>> torus2_counterexamples(30)
     (None, None)
     """
-    qnumbers._require_bound(n_max)
+    laurent._require_int("n_max", n_max, 1, counts=True)
     fermionic = islice(qnumbers.pq_numbers(qnumbers.Family.ALEXANDER_FERMIONIC), 1, None)
     deformed = closed_form = None
     for n in range(1, n_max + 1):
@@ -122,7 +122,7 @@ def homfly_factor_counterexample(max_n: int) -> Counterexample | None:
     """The first n in 1..max_n where ``homfly_factorization_check`` fails,
     got the HOMFLY [n] and want p^(n-1) times the Alexander [n], from one
     walk of each sum-form stream."""
-    qnumbers._require_bound(max_n)
+    laurent._require_int("n_max", max_n, 1, counts=True)
     homfly = qnumbers.pq_numbers(qnumbers.Family.HOMFLY_FERMIONIC)
     alexander = qnumbers.pq_numbers(qnumbers.Family.ALEXANDER_FERMIONIC)
     cases = islice(zip(range(max_n + 1), homfly, alexander), 1, None)
@@ -188,10 +188,11 @@ SUITES = {
 
 
 def run(suite: str, max_n: int) -> list[Check]:
-    """The checks of one suite, or of all for ``"all"``, up to ``max_n`` >= 1."""
+    """The checks of one suite, or of all for ``"all"``, up to ``max_n``,
+    from 1 to ``laurent.MAX_WORK``, as for every walk here."""
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of: {', '.join(SUITES)}, all")
-    qnumbers._require_bound(max_n)
+    laurent._require_int("n_max", max_n, 1, counts=True)
     entries = [entry for name in SUITES if suite in (name, "all") for entry in SUITES[name]]
     return [_check(name, outcome) for names, outcomes in entries
             for name, outcome in zip(names, outcomes(max_n), strict=True)]

@@ -120,8 +120,6 @@ def _cmd_sequence(args, fmt: str) -> int:
 
 
 def _cmd_verify(args, fmt: str) -> int:
-    if args.max_n < 1:
-        raise ValueError("--max-n must be at least 1")
     report = checks.run(args.suite, args.max_n)
     passed = sum(check.passed for check in report)
     if fmt == "json":
@@ -153,9 +151,9 @@ _INT_ARG_RE = re.compile(r"[+-]?[0-9]+")
 
 def _int_arg(text: str) -> int:
     """An integer argument: ASCII ``[+-]?[0-9]+`` at any length, the rule
-    of the expression grammar's integers, so that a long ``--n`` reaches
-    the library's typed errors.  Anything else keeps argparse's ``invalid
-    int value`` message."""
+    of the expression grammar's integers, so that every range check, a
+    long value's included, is the library's.  Anything else keeps
+    argparse's ``invalid int value`` message."""
     if _INT_ARG_RE.fullmatch(text) is None:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     return laurent._int_from_str(text)
@@ -230,14 +228,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l2", required=True)
     p.add_argument("--p0", required=True, help="seed X[0] expression")
     p.add_argument("--p1", required=True, help="seed X[1] expression")
-    p.add_argument("--count", required=True, type=int,
+    p.add_argument("--count", required=True, type=_int_arg,
                    help="total values to print, seeds included (at least 2)")
 
     p = sub.add_parser("verify", parents=[fmt_parent],
                        help="run self-verification suites; exit 1 on any counterexample")
     p.set_defaults(handler=_cmd_verify)
     p.add_argument("--suite", choices=(*checks.SUITES, "all"), default="all")
-    p.add_argument("--max-n", type=int, default=100)
+    p.add_argument("--max-n", type=_int_arg, default=100)
 
     return parser
 

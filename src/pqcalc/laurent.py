@@ -100,8 +100,10 @@ class BudgetExceededError(LaurentError):
 
 
 # the most work one requested value may take, counted in output terms (and
-# walk steps, for the torus values) times 64-bit words per coefficient.  A
-# term costs about 135 bytes, so this caps a result near 540 MB.
+# walk steps, for the torus values; root terms per step, for the square
+# root) times 64-bit words per coefficient, and the most values a count or
+# bound may ask for.  A term costs about 135 bytes, so this caps a result
+# near 540 MB.
 MAX_WORK = 4 * 10**6
 
 # the most term pairs one product inside ``f ** k`` may form.  The output
@@ -110,11 +112,19 @@ MAX_WORK = 4 * 10**6
 MAX_PAIRS = 4 * 10**6
 
 
-def _require_int(name: str, value) -> None:
-    # the one type rule for a caller's index, count or bound, checked
-    # before any work; a bool is an int to Python but never an index
+def _require_int(name: str, value, least: int | None = None, counts: bool = False) -> None:
+    # the one rule for a caller's index, count or bound, checked before
+    # any work: an int (a bool is an int to Python but never an index), at
+    # least ``least``, and, for a value that counts the values to make, at
+    # most MAX_WORK
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}")
+    if counts and value > MAX_WORK:
+        raise BudgetExceededError(
+            f"{name} = {_int_to_str(value)} is over the budget of {MAX_WORK} values"
+        )
 
 
 def _require_poly(name: str, value) -> LaurentPoly:
@@ -1057,8 +1067,11 @@ def sqrt_perfect_square(f: LaurentPoly) -> LaurentPoly:
     The residue's exponents sit in the same lazily pruned heap of negated
     keys as in ``exact_div``, cancelled keys kept at zero until popped;
     every key a step touches lies below the one it processes, so the cost
-    is O(steps * |root| * log) rather than O(steps * |residue|).  A plain
-    int ``f`` is the constant it names; any other type that is not a
+    is O(steps * |root| * log) rather than O(steps * |residue|).  That is
+    O(box^2) on an input of three terms, so the work is metered: each step
+    adds the root's terms times the 64-bit words of the coefficient it
+    matches, and past ``MAX_WORK`` ``BudgetExceededError`` is raised.  A
+    plain int ``f`` is the constant it names; any other type that is not a
     ``LaurentPoly`` raises ``TypeError``.
 
     >>> sqrt_perfect_square(parse("q - 2 + q^(-1)"))
@@ -1092,6 +1105,7 @@ def sqrt_perfect_square(f: LaurentPoly) -> LaurentPoly:
     del rem[(-lq, -lp)]
     heap = list(rem)
     heapify(heap)
+    work = 0
     while heap:
         key = heappop(heap)
         coeff = rem.pop(key)
@@ -1106,6 +1120,12 @@ def sqrt_perfect_square(f: LaurentPoly) -> LaurentPoly:
         if residue:
             raise NotAPerfectSquareError(
                 f"{f} is not a perfect square on the half-integer grid"
+            )
+        work += len(root) * (1 + coeff.bit_length() // 64)
+        if work > MAX_WORK:
+            raise BudgetExceededError(
+                f"the square root of {f} is over the budget of {MAX_WORK} "
+                "root terms times 64-bit coefficient words"
             )
         # residue update: rem -= (2*root + t) * t, with root not yet
         # containing t; the head, root's first entry, cancels the
@@ -1182,8 +1202,8 @@ def substitute_z(z_coeffs) -> LaurentPoly:
 
     ``z_coeffs`` gives the coefficient of each power of ``z``, either as a
     sequence indexed by power or as an int-keyed mapping.  Coefficients may
-    be ``LaurentPoly`` or int.  A power must be an ``int`` (``TypeError``
-    otherwise, ``bool`` included); negative powers raise
+    be ``LaurentPoly`` or int, and a power must be an ``int``; anything else
+    raises ``TypeError``, ``bool`` included.  Negative powers raise
     ``NegativePowerOfZError``: the target grid has no inverse for ``z``.
     """
     if isinstance(z_coeffs, Mapping):
@@ -1193,12 +1213,8 @@ def substitute_z(z_coeffs) -> LaurentPoly:
     z = LaurentPoly.monomial(1, 1) + LaurentPoly.monomial(-1, -1)
     pairs = []
     for power, coeff in items:
-        if not isinstance(power, int) or isinstance(power, bool):
-            raise TypeError(f"powers of z must be int, got {type(power).__name__}")
+        _require_int("power of z", power)
         if power < 0:
             raise NegativePowerOfZError(f"negative power of z: {_int_to_str(power)}")
-        poly = LaurentPoly._coerce(coeff)
-        if poly is None:
-            raise TypeError(f"coefficients must be LaurentPoly or int, got {coeff!r}")
-        pairs.append((poly, z**power))
+        pairs.append((_require_poly("coefficient", coeff), z**power))
     return _dot(pairs)

@@ -207,16 +207,10 @@ def recurrence_numbers(family: Family | PQPair | str) -> Iterator[LaurentPoly]:
 
 
 def number_sequence(family: Family | PQPair | str, n_max: int) -> list[LaurentPoly]:
-    """[0], [1], ..., [n_max] of ``recurrence_numbers``, as a list."""
-    _require_bound(n_max)
+    """[0], [1], ..., [n_max] of ``recurrence_numbers``, as a list, for an
+    ``n_max`` from 1 to ``MAX_WORK``."""
+    _require_int("n_max", n_max, 1, counts=True)
     return list(islice(recurrence_numbers(family), n_max + 1))
-
-
-def _require_bound(n_max: int) -> None:
-    # the one rule for a sequence's last index and for every check's bound
-    _require_int("n_max", n_max)
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
 
 
 def _homfly_want(n: int, alexander: LaurentPoly) -> LaurentPoly:
@@ -228,9 +222,7 @@ def _homfly_want(n: int, alexander: LaurentPoly) -> LaurentPoly:
 def homfly_factorization_check(n: int) -> bool:
     """Does the HOMFLY fermionic [n] equal p^(n-1) times the Alexander
     fermionic [n]?"""
-    _require_int("n", n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _require_int("n", n, 1)
     return pq_number(Family.HOMFLY_FERMIONIC, n) == _homfly_want(
         n, pq_number(Family.ALEXANDER_FERMIONIC, n)
     )

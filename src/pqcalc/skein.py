@@ -180,8 +180,7 @@ def recurrence_generate(
 ) -> list[LaurentPoly]:
     """First ``count`` values of ``recurrence(coeffs, p0, p1)``.  ``count``
     includes the seeds themselves, and is an ``int`` (else ``TypeError``)
-    of at least 2 (else ``ValueError``)."""
-    _require_int("count", count)
-    if count < 2:
-        raise ValueError("count must be at least 2")
+    of at least 2 (else ``ValueError``) and at most ``MAX_WORK`` (else
+    ``BudgetExceededError``)."""
+    _require_int("count", count, 2, counts=True)
     return list(islice(recurrence(coeffs, p0, p1), count))

@@ -88,10 +88,8 @@ def alexander_torus(n: int, l: int) -> LaurentPoly:
     >>> alexander_torus(3, 5)
     LaurentPoly('q^4 - q^3 + q - 1 + q^(-1) - q^(-3) + q^(-4)')
     """
-    _require_int("n", n)
-    _require_int("l", l)
-    if n < 1 or l < 1:
-        raise ValueError("torus parameters must be positive")
+    _require_int("n", n, 1)
+    _require_int("l", l, 1)
     if gcd(n, l) != 1:
         raise NotCoprimeError(f"gcd({_int_to_str(n)}, {_int_to_str(l)}) != 1")
     m, g = min(n, l), max(n, l)
@@ -130,11 +128,11 @@ def alexander_torus2(n: int) -> LaurentPoly:
     """The l = 2 column for every n >= 1.
 
     Odd n uses (q^(n/2) + q^(-n/2)) / (q^(1/2) + q^(-1/2)); even n flips
-    the sign of the low term, giving the two-component link values.
+    the sign of the low term, giving the two-component link values.  The
+    quotient has n terms, so an n past ``MAX_WORK`` raises
+    ``BudgetExceededError`` before the division.
     """
-    _require_int("n", n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _require_int("n", n, 1, counts=True)
     sign = 1 if n % 2 else -1
     # n >= 1, so the two keys differ
     return exact_div(LaurentPoly._raw({(n, 0): 1, (-n, 0): sign}), _HALF_SUM)

@@ -306,10 +306,42 @@ def test_integer_arguments_take_what_int_takes(capsys, value, want):
         assert out == pq_number(Family.ALEXANDER_FERMIONIC, want).text() + "\n"
 
 
+# the two count flags: the argv before the flag, the flag, and the
+# library's refusal of a value below its least
+_COUNT_FLAGS = {
+    "count": (["sequence", "--l1", "q", "--l2", "1", "--p0", "0", "--p1", "1"], "--count",
+              "count must be at least 2"),
+    "max-n": (["verify", "--suite", "delta-identity"], "--max-n", "n_max must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("argv, flag, least", _COUNT_FLAGS.values(), ids=_COUNT_FLAGS)
+@pytest.mark.parametrize(
+    "value, want",
+    [(" 5 ", None), ("+5", 5), ("0_5", None), ("-" + _LONG, -(10**5000)), ("\u0663", None)],
+    ids=["spaces", "plus", "underscore", "long-negative", "arabic-indic-digit"],
+)
+def test_count_flags_take_what_int_takes(capsys, argv, flag, least, value, want):
+    # one integer-flag parser: --count and --max-n take what --n takes
+    rc, out, err = run_cli(capsys, *argv, f"{flag}={value}")
+    if want is None:
+        assert (rc, out) == (2, "")
+        assert err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n")
+    elif want < 0:
+        assert (rc, out, err) == (2, "", f"error: {least}\n")
+    else:
+        assert (rc, err) == (0, "")
+        assert out == run_cli(capsys, *argv, flag, str(want))[1]
+
+
 BUDGET_ROWS = [
     ["number", "--family", "alexander-fermionic", "--n", "100000000"],
     ["number", "--family", "custom", "--P", "q+1", "--Q", "1", "--n", "20000"],
     ["number", "--family", "custom", "--P", "1000000000*q", "--Q", "1", "--n", "60000"],
+    # the radicand 1 + 4*q^(-1/2) + 4*q^(-2000), whose root takes O(box^2) work
+    ["family-params", "--l1", "1", "--l2", "q^(-1/2) + q^(-2000)"],
+    [*_COUNT_FLAGS["count"][0], "--count", _LONG],
+    [*_COUNT_FLAGS["max-n"][0], "--max-n", _LONG],
 ]
 
 

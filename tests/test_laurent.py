@@ -494,6 +494,34 @@ def test_sqrt_skips_and_restores_cancelled_residue_keys():
         sqrt_perfect_square(square + parse("q^(-4)"))
 
 
+@pytest.mark.parametrize(
+    "root, work",
+    [
+        # step i matches a one-word coefficient 2 against i root terms
+        ("1 + " + " + ".join(f"q^(-{i})" for i in range(1, 10)), 45),
+        # one step matches 2^71, two words, against the head
+        (f"1 + {2**70}*q^(-1)", 2),
+    ],
+)
+def test_sqrt_budget_boundaries(monkeypatch, root, work):
+    root = parse(root)
+    square = root * root
+    monkeypatch.setattr("pqcalc.laurent.MAX_WORK", work)
+    assert sqrt_perfect_square(square) == root
+    monkeypatch.setattr("pqcalc.laurent.MAX_WORK", work - 1)
+    with pytest.raises(BudgetExceededError, match=_message(
+        f"the square root of {square} is over the budget of {work - 1} root terms "
+        "times 64-bit coefficient words"
+    )):
+        sqrt_perfect_square(square)
+
+
+def test_sqrt_refuses_a_three_term_input_past_the_budget():
+    # O(box^2) work before a residue key leaves the box
+    with pytest.raises(BudgetExceededError, match="over the budget of 4000000 root terms"):
+        sqrt_perfect_square(parse("1 + 4*q^(-1/2) + q^(-100000)"))
+
+
 def test_sqrt_rejects_zero():
     # no principal (positive leading) root exists for 0
     with pytest.raises(NotAPerfectSquareError, match=_message(
@@ -1343,8 +1371,15 @@ def test_substitute_z_rejects_negative_powers():
 
 @pytest.mark.parametrize("power", [1.5, 1.0, True, False, "3", Fraction(2)])
 def test_substitute_z_takes_integer_powers_only(power):
-    with pytest.raises(TypeError, match="powers of z must be int"):
+    with pytest.raises(TypeError, match="^power of z must be an int, not "):
         substitute_z({power: 1})
+
+
+@pytest.mark.parametrize("coeff", ["q", 1.5, None])
+def test_substitute_z_takes_poly_or_int_coefficients_only(coeff):
+    message = f"^coefficient must be a LaurentPoly or an int, not {type(coeff).__name__}$"
+    with pytest.raises(TypeError, match=message):
+        substitute_z([1, coeff])
 
 
 @given(k=st.integers(0, 6))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import pqcalc
-from pqcalc import checks, laurent, qnumbers, torus
+from pqcalc import checks, laurent, qnumbers, skein, torus
 from pqcalc.checks import (
     Counterexample,
     first_counterexample,
@@ -378,6 +378,56 @@ def test_bounds_that_are_not_ints_are_refused(arg, call, bound):
     with pytest.raises(TypeError, match=f"^{arg} must be an int, not {type(bound).__name__}$"):
         call(bound)
     call(3)  # the int is served
+
+
+# every entry on the integer rule: (argument, least value, whether it
+# counts the values to make, the call, the first builder it reaches)
+_RULE_ENTRIES = {
+    "number_sequence": ("n_max", 1, True, _INT_ARGS["number_sequence"][1],
+                        (qnumbers, "recurrence_numbers")),
+    "recurrence_counterexamples": ("n_max", 1, True, _BOUND_CHECKS["recurrence"],
+                                   (qnumbers, "pq_numbers")),
+    "homfly_factor_counterexample": ("n_max", 1, True, homfly_factor_counterexample,
+                                     (qnumbers, "pq_numbers")),
+    "torus2_counterexamples": ("n_max", 1, True, torus2_counterexamples,
+                               (qnumbers, "pq_numbers")),
+    "checks.run": ("n_max", 1, True, _INT_ARGS["checks.run"][1], (qnumbers, "pq_numbers")),
+    "recurrence_generate": ("count", 2, True, _INT_ARGS["recurrence_generate"][1],
+                            (skein, "recurrence")),
+    "homfly_factorization_check": ("n", 1, False, homfly_factorization_check,
+                                   (qnumbers, "pq_number")),
+    "alexander_torus[n]": ("n", 1, False, _INT_ARGS["alexander_torus[n]"][1],
+                           (torus, "_edge_rows")),
+    "alexander_torus[l]": ("l", 1, False, _INT_ARGS["alexander_torus[l]"][1],
+                           (torus, "_edge_rows")),
+    "alexander_torus2": ("n", 1, True, torus.alexander_torus2, (torus, "exact_div")),
+}
+
+
+@pytest.mark.parametrize("arg, least, counts, call, builder", _RULE_ENTRIES.values(),
+                         ids=_RULE_ENTRIES)
+def test_one_integer_rule_at_every_entry(monkeypatch, arg, least, counts, call, builder):
+    # every refusal comes before the builder; what the rule lets through
+    # reaches it, at the least value and, for a count, at MAX_WORK exactly
+    monkeypatch.setattr(*builder, _unreachable)
+    for value in (True, 3.0):
+        with pytest.raises(TypeError, match=f"^{arg} must be an int, not {type(value).__name__}$"):
+            call(value)
+    with pytest.raises(ValueError, match=f"^{arg} must be at least {least}$") as info:
+        call(least - 1)
+    assert info.type is ValueError
+    served = [least, laurent.MAX_WORK] if counts else [least]
+    for value in served:
+        with pytest.raises(AssertionError, match="^called with "):
+            call(value)
+    if counts:
+        for value in (laurent.MAX_WORK + 1, 10**5000):
+            quoted = laurent._int_to_str(value)
+            with pytest.raises(
+                BudgetExceededError,
+                match=f"^{arg} = {quoted} is over the budget of {laurent.MAX_WORK} values$",
+            ):
+                call(value)
 
 
 @pytest.mark.parametrize("family", list(Family))

@@ -1,6 +1,7 @@
 """Start-up imports and ownership: the CLI loads only the standard library
-it runs, each library module only the pqcalc modules it builds on, and each
-public name is listed once, by the module that defines it.
+it runs, each library module only the pqcalc modules it builds on, each
+public name is listed once, by the module that defines it, and each shared
+argument rule's message is written once, in ``laurent``.
 
 Each import test runs a fresh interpreter, without ``site`` (``-S``), so
 that ``sys.modules`` shows what pqcalc itself imports; the test session has
@@ -149,3 +150,15 @@ def test_each_public_name_is_listed_once_by_the_module_that_owns_it():
     for name in WALK_NAMES:
         assert name in checks.__all__
         assert not hasattr(qnumbers, name) and not hasattr(torus, name), name
+
+
+# the shared rules for an integer and for a value argument: each message is
+# written once, in laurent, and every other module calls the rule
+SHARED_MESSAGES = ("must be an int, not", "must be at least", "must be a LaurentPoly or an int")
+
+
+def test_each_shared_rule_message_is_written_only_in_laurent():
+    sources = {path.name: path.read_text() for path in sorted((SRC / "pqcalc").glob("*.py"))}
+    writers = {message: [name for name, text in sources.items() if message in text]
+               for message in SHARED_MESSAGES}
+    assert writers == {message: ["laurent.py"] for message in SHARED_MESSAGES}
