@@ -10,14 +10,18 @@ import argparse
 from itertools import islice
 
 from pqcalc import Family, recurrence_numbers
+from pqcalc.cli import _int_arg
+from pqcalc.laurent import _require_int
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-n", type=int, default=8, help="largest n (default 8)")
+    ap.add_argument("--max-n", type=_int_arg, default=8, help="largest n (default 8)")
     args = ap.parse_args()
-    if args.max_n < 1:
-        ap.error("--max-n must be at least 1")
+    try:
+        _require_int("--max-n", args.max_n, 1, counts=True)
+    except ValueError as exc:
+        ap.error(str(exc))
 
     for family in Family:
         print(f"== {family.value}")

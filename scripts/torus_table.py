@@ -6,15 +6,19 @@ import argparse
 from math import gcd
 
 from pqcalc import alexander_torus, torus2_counterexamples
+from pqcalc.cli import _int_arg
+from pqcalc.laurent import _require_int
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--bound", type=int, default=7,
+    ap.add_argument("--bound", type=_int_arg, default=7,
                     help="largest torus parameter (default 7)")
     args = ap.parse_args()
-    if args.bound < 2:
-        ap.error("--bound must be at least 2")
+    try:
+        _require_int("--bound", args.bound, 2)
+    except ValueError as exc:
+        ap.error(str(exc))
 
     for n in range(2, args.bound + 1):
         for l in range(n + 1, args.bound + 1):

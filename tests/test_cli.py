@@ -276,6 +276,14 @@ def test_long_integer_arguments_reach_the_budget_error(capsys, argv, quoted):
     assert "is over the budget of 4000000" in err
 
 
+@pytest.mark.parametrize("n, l", [("2", _LONG_PLUS_1), (_LONG_PLUS_1, "2")],
+                         ids=["short-long", "long-short"])
+def test_a_small_and_a_long_torus_parameter_exit_2(capsys, n, l):
+    rc, out, err = run_cli(capsys, "torus-alexander", "--n", n, "--l", l)
+    assert (rc, out) == (2, "")
+    assert err == f"error: D({n}, {l}) is over the budget of 4000000 walk steps and terms\n"
+
+
 @pytest.mark.parametrize(
     "value",
     [_LONG + "x", "-" + _LONG + "_0", "+-" + _LONG, "3x", ""],

@@ -126,6 +126,34 @@ def test_leading_and_trailing_terms():
     assert f.trailing_term() == ((-2, 0), -1)
     with pytest.raises(ValueError):
         LaurentPoly.zero().leading_term()
+    with pytest.raises(ValueError, match="no trailing term"):
+        LaurentPoly.zero().trailing_term()
+
+
+def test_truth_is_nonzero():
+    assert not LaurentPoly.zero()
+    assert parse("q")
+
+
+# each operator returns NotImplemented on an operand that is neither a
+# LaurentPoly nor an int, so Python raises TypeError
+_FOREIGN_OPERATIONS = {
+    "add": lambda f: f + "x",
+    "sub": lambda f: f - 1.5,
+    "rsub": lambda f: "x" - f,
+    "mul": lambda f: f * 1.5,
+    "pow": lambda f: f ** 2.0,
+}
+
+
+@pytest.mark.parametrize("operation", _FOREIGN_OPERATIONS.values(), ids=_FOREIGN_OPERATIONS)
+def test_operators_refuse_foreign_operands(operation):
+    with pytest.raises(TypeError):
+        operation(parse("q"))
+
+
+def test_equality_with_a_foreign_operand_is_false():
+    assert (parse("q") == "q") is False
 
 
 # ----------------------------------------------------------------------

@@ -397,9 +397,9 @@ _RULE_ENTRIES = {
     "homfly_factorization_check": ("n", 1, False, homfly_factorization_check,
                                    (qnumbers, "pq_number")),
     "alexander_torus[n]": ("n", 1, False, _INT_ARGS["alexander_torus[n]"][1],
-                           (torus, "_edge_rows")),
+                           (torus, "gcd")),
     "alexander_torus[l]": ("l", 1, False, _INT_ARGS["alexander_torus[l]"][1],
-                           (torus, "_edge_rows")),
+                           (torus, "gcd")),
     "alexander_torus2": ("n", 1, True, torus.alexander_torus2, (torus, "exact_div")),
 }
 

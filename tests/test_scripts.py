@@ -55,3 +55,20 @@ def test_number_tables_refuses_a_max_n_below_1(max_n):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "--max-n must be at least 1" in proc.stderr
+
+
+@pytest.mark.parametrize("value", [" 2 ", "0_5", "٣"])
+@pytest.mark.parametrize("script, flag", [("number_tables.py", "--max-n"),
+                                          ("torus_table.py", "--bound")])
+def test_script_flags_take_the_cli_integer_rule(script, flag, value):
+    proc = run_script(script, flag, value)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"argument {flag}: invalid int value" in proc.stderr
+
+
+def test_number_tables_refuses_a_max_n_past_the_budget():
+    proc = run_script("number_tables.py", "--max-n", "4000001")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--max-n = 4000001 is over the budget of 4000000 values" in proc.stderr

@@ -157,8 +157,17 @@ def test_each_public_name_is_listed_once_by_the_module_that_owns_it():
 SHARED_MESSAGES = ("must be an int, not", "must be at least", "must be a LaurentPoly or an int")
 
 
+# the scripts that import pqcalc; ab_pairs.py runs two checkouts and
+# imports none
+SCRIPTS = ("number_tables.py", "torus_table.py")
+
+
 def test_each_shared_rule_message_is_written_only_in_laurent():
-    sources = {path.name: path.read_text() for path in sorted((SRC / "pqcalc").glob("*.py"))}
+    paths = sorted((SRC / "pqcalc").glob("*.py"))
+    paths += [SRC.parent / "scripts" / name for name in SCRIPTS]
+    sources = {path.name: path.read_text() for path in paths}
     writers = {message: [name for name, text in sources.items() if message in text]
                for message in SHARED_MESSAGES}
     assert writers == {message: ["laurent.py"] for message in SHARED_MESSAGES}
+    for name in SCRIPTS:
+        assert "type=int" not in sources[name], name

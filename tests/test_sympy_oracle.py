@@ -206,7 +206,7 @@ def test_sqrt_raises_exactly_when_sympy_finds_no_square(f, r):
         assert same(sqrt_perfect_square(h), want)
 
 
-# A third derivation of D(n, l), after the semigroup walk and the paper's
+# A third derivation of D(n, l), after the product form and the paper's
 # quotient: for coprime n, l it is q^(-c/2) times the cyclotomic
 # polynomials Phi_d(q) of the d | nl that divide neither n nor l, with
 # c = (n - 1)(l - 1).  sympy supplies both the divisors and the Phi_d.

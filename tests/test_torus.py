@@ -99,7 +99,7 @@ def q_diff(e2: int) -> LaurentPoly:
 
 def quotient_form(n: int, l: int) -> LaurentPoly:
     """The paper's quotient, by exact long division: independent of the
-    semigroup walk that alexander_torus runs."""
+    product form that alexander_torus builds."""
     return exact_div(q_diff(n * l) * q_diff(1), q_diff(n) * q_diff(l))
 
 
@@ -172,6 +172,14 @@ def test_oversized_pairs_are_refused_before_building(n, l):
     assert issubclass(BudgetExceededError, ValueError)
 
 
+@pytest.mark.parametrize("n, l", [(2, 10**20 + 1), (10**20 + 1, 3)])
+def test_a_small_m_beside_a_huge_g_is_refused_by_the_count(n, l):
+    # a column of 10^20 rows is past what len() of a range can hold; the
+    # closed-form count never builds one
+    with pytest.raises(BudgetExceededError, match=r"over the budget of 4000000 walk steps"):
+        alexander_torus(n, l)
+
+
 def test_budget_counts_walk_steps_and_terms(monkeypatch):
     monkeypatch.setattr(torus, "MAX_WORK", 100)
     assert len(alexander_torus(2, 97).terms()) == 97  # 2 steps + 97 terms
@@ -180,6 +188,22 @@ def test_budget_counts_walk_steps_and_terms(monkeypatch):
     assert len(alexander_torus(10, 11).terms()) == 19  # c = 90, but 29 of work
     with pytest.raises(BudgetExceededError):
         alexander_torus(101, 102)  # 101 walk steps before any term
+
+
+def test_budget_is_the_closed_form_count_exactly(monkeypatch):
+    # m walk steps plus T terms, with T counted here by the quotient's own
+    # terms: at m + T the value is served, one below it is refused
+    for n, l in coprime_pairs(29):
+        if not 2 <= n < l:
+            continue
+        want = quotient_form(n, l)
+        work = n + len(want.terms())
+        for a, b in ((n, l), (l, n)):
+            monkeypatch.setattr(torus, "MAX_WORK", work)
+            assert alexander_torus(a, b) == want, (a, b)
+            monkeypatch.setattr(torus, "MAX_WORK", work - 1)
+            with pytest.raises(BudgetExceededError, match=f"^D\\({a}, {b}\\) is over "):
+                alexander_torus(a, b)
 
 
 def test_matches_semigroup_form_below_30():
