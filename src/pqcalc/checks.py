@@ -97,11 +97,15 @@ def torus2_counterexamples(
     (want).  closed_form: the first odd n where ``alexander_torus(n, 2)``
     (got) is not ``alexander_torus2(n)`` (want).
 
+    D(n, 2) at the last odd n, the walk's largest value, is priced before
+    the first division.
+
     >>> torus2_counterexamples(30)
     (None, None)
     """
     laurent._require_int("n_max", n_max, 1, counts=True)
     fermionic = islice(qnumbers.pq_numbers(qnumbers.Family.ALEXANDER_FERMIONIC), 1, None)
+    torus._product_form((n_max - 1) | 1, 2)
     deformed = closed_form = None
     for n in range(1, n_max + 1):
         # the closed-form side checks odd n until it has its counterexample
@@ -193,6 +197,9 @@ def run(suite: str, max_n: int) -> list[Check]:
     if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of: {', '.join(SUITES)}, all")
     laurent._require_int("n_max", max_n, 1, counts=True)
+    if suite in ("delta-identity", "all"):
+        # the torus2 walk's price, before any suite runs
+        torus._product_form((max_n - 1) | 1, 2)
     entries = [entry for name in SUITES if suite in (name, "all") for entry in SUITES[name]]
     return [_check(name, outcome) for names, outcomes in entries
             for name, outcome in zip(names, outcomes(max_n), strict=True)]

@@ -96,20 +96,31 @@ class GridError(ParseError):
 
 
 class BudgetExceededError(LaurentError):
-    """The requested value would cost more than ``MAX_WORK``."""
+    """The requested value would cost more than ``MAX_WORK``, or a product
+    inside ``f ** k`` would form more than ``MAX_PAIRS`` term pairs."""
 
 
 # the most work one requested value may take, counted in output terms (and
 # walk steps, for the torus values; root terms per step, for the square
 # root) times 64-bit words per coefficient, and the most values a count or
 # bound may ask for.  A term costs about 135 bytes, so this caps a result
-# near 540 MB.
+# near 540 MB.  Every entry of the package prices its work against this
+# one name, read when it is called, through ``_require_budget``.
 MAX_WORK = 4 * 10**6
 
 # the most term pairs one product inside ``f ** k`` may form.  The output
 # bound above does not bound the time: a dense 100 x 100 square has 39,601
 # terms but forms 10^8 pairs, each a multiply-add in the dict kernel.
 MAX_PAIRS = 4 * 10**6
+
+
+def _require_budget(cost: int, unit: str, subject: str, *args) -> None:
+    # the one budget rule: ``cost``, in ``unit``, against MAX_WORK as it
+    # reads now.  The subject is a format string, filled in, with ints
+    # through _int_to_str, only when the value is refused
+    if cost > MAX_WORK:
+        subject = subject.format(*(_int_to_str(a) if isinstance(a, int) else a for a in args))
+        raise BudgetExceededError(f"{subject} is over the budget of {MAX_WORK} {unit}")
 
 
 def _require_int(name: str, value, least: int | None = None, counts: bool = False) -> None:
@@ -121,10 +132,8 @@ def _require_int(name: str, value, least: int | None = None, counts: bool = Fals
         raise TypeError(f"{name} must be an int, not {type(value).__name__}")
     if least is not None and value < least:
         raise ValueError(f"{name} must be at least {least}")
-    if counts and value > MAX_WORK:
-        raise BudgetExceededError(
-            f"{name} = {_int_to_str(value)} is over the budget of {MAX_WORK} values"
-        )
+    if counts:
+        _require_budget(value, "values", "{} = {}", name, value)
 
 
 def _require_poly(name: str, value) -> LaurentPoly:
@@ -139,9 +148,9 @@ def _require_poly(name: str, value) -> LaurentPoly:
     return poly
 
 
-def _power_fits(bases: tuple[dict[ExpVec, int], ...], k: int, count: int, limit: int) -> bool:
-    """Does a sum of ``count`` products of ``k`` terms, each a term of one
-    of ``bases``, fit in ``limit`` terms times 64-bit coefficient words?
+def _power_cost(bases: tuple[dict[ExpVec, int], ...], k: int, count: int) -> int:
+    """A bound on the terms times 64-bit coefficient words of a sum of
+    ``count`` products of ``k`` terms, each a term of one of ``bases``.
 
     Told from the inputs alone, before any product.  The sum's terms are at
     most the multisets of ``k`` elements of the union S of the supports,
@@ -153,17 +162,14 @@ def _power_fits(bases: tuple[dict[ExpVec, int], ...], k: int, count: int, limit:
     s = len(support)
     norm = max([sum(map(abs, base.values())) for base in bases] + [1])
     words = 1 + (count.bit_length() + k * (norm - 1).bit_length()) // 64
-    if words > limit:
-        # before the multisets: C(k+s-1, s-1) alone takes seconds when k
-        # and s are both large
-        return False
-    terms = comb(k + s - 1, s - 1) if s else 1
-    if terms * words <= limit:
-        return True
+    if words > MAX_WORK:
+        # one term is over the budget: stop before the multisets, as
+        # C(k+s-1, s-1) alone takes seconds when k and s are both large
+        return words
     box = 1
     for axis in zip(*support):
         box *= k * (max(axis) - min(axis)) + 1
-    return min(terms, box) * words <= limit
+    return min(comb(k + s - 1, s - 1) if s else 1, box) * words
 
 
 class LaurentPoly:
@@ -330,11 +336,8 @@ class LaurentPoly:
             return NotImplemented
         if k < 0:
             raise ValueError("polynomial powers take a nonnegative exponent")
-        if not _power_fits((self._terms,), k, 1, MAX_WORK):
-            raise BudgetExceededError(
-                f"power {_int_to_str(k)} of a {len(self._terms)}-term poly is over the budget "
-                f"of {MAX_WORK} terms times 64-bit coefficient words"
-            )
+        _require_budget(_power_cost((self._terms,), k, 1), "terms times 64-bit coefficient words",
+                        "power {} of a {}-term poly", k, len(self._terms))
 
         def times(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
             pairs = len(a._terms) * len(b._terms)
@@ -994,6 +997,10 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     highest first and holds the remainder's own keys: a step pops a key,
     removes that same tuple, and builds one new tuple, the quotient term's.
 
+    Two terms can divide into n, as ``(q^n - 1) / (q - 1)`` does, so the
+    quotient's term past ``MAX_WORK`` raises ``BudgetExceededError``,
+    which names the sizes of ``num`` and ``den``, before it is stored.
+
     A plain int ``num`` or ``den`` is the constant it names; any other
     type that is not a ``LaurentPoly`` raises ``TypeError``.
 
@@ -1022,6 +1029,7 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     heap = list(rem)
     heapify(heap)
     quot: dict[ExpVec, int] = {}
+    left = MAX_WORK  # quotient terms still within the budget
     while heap:
         key = heappop(heap)
         coeff = rem.pop(key)
@@ -1036,6 +1044,10 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
                 f"coefficient {_int_to_str(coeff)} is not divisible by the leading "
                 f"coefficient {_int_to_str(lead_coeff)} of {den}"
             )
+        if not left:
+            subject = "the quotient of a {}-term poly by a {}-term poly"
+            _require_budget(len(quot) + 1, "terms", subject, len(num._terms), len(den._terms))
+        left -= 1
         quot[(-nq - lead_q, -np - lead_p)] = t_coeff
         for oq, op, dc in tail:
             _sub_term(rem, heap, (nq + oq, np + op), t_coeff * dc)
@@ -1123,10 +1135,8 @@ def sqrt_perfect_square(f: LaurentPoly) -> LaurentPoly:
             )
         work += len(root) * (1 + coeff.bit_length() // 64)
         if work > MAX_WORK:
-            raise BudgetExceededError(
-                f"the square root of {f} is over the budget of {MAX_WORK} "
-                "root terms times 64-bit coefficient words"
-            )
+            _require_budget(work, "root terms times 64-bit coefficient words",
+                            "the square root of {}", f)
         # residue update: rem -= (2*root + t) * t, with root not yet
         # containing t; the head, root's first entry, cancels the
         # processed key.  (tq, tp) is the negated exponent of t

@@ -13,7 +13,7 @@ definition used here because it needs no division and stays valid when
   ``P^(n-1-i) * Q^i`` directly, each a single term: no products, O(n)
   integer work and at most n terms.  Any other pair sums the power tables
   ``P^i * Q^(n-1-i)``, rebuilt on every call.  Either way an ``[n]`` over
-  ``MAX_WORK`` is refused before it is built.
+  ``laurent.MAX_WORK``, read at the call, is refused before it is built.
 - ``pq_numbers(pair)`` streams ``[0], [1], [2], ...`` by the geometric step
   ``[n+1] = P*[n] + Q^n``, keeping only the current ``[n]`` and ``Q^n``.
   Use it to walk a run of ``[n]``: each next value costs one fused sum of
@@ -53,12 +53,10 @@ from itertools import accumulate, count, islice, repeat
 from operator import mul
 
 from .laurent import (
-    MAX_WORK,
-    BudgetExceededError,
     LaurentPoly,
     _dot,
-    _int_to_str,
-    _power_fits,
+    _power_cost,
+    _require_budget,
     _require_int,
     _require_poly,
     parse,
@@ -136,8 +134,8 @@ def pq_number(family: Family | PQPair | str, n: int) -> LaurentPoly:
 
     Before either route runs, the size of ``[n]`` is bounded from P, Q and
     n alone, and ``BudgetExceededError`` is raised when its terms times
-    64-bit words per coefficient would pass ``MAX_WORK``.  An ``n`` that is
-    not an ``int`` raises ``TypeError`` first.
+    64-bit words per coefficient would pass ``laurent.MAX_WORK``.  An
+    ``n`` that is not an ``int`` raises ``TypeError`` first.
 
     >>> pq_number("alexander-bosonic", 3)
     LaurentPoly('q^2 + 1 + q^(-2)')
@@ -148,12 +146,9 @@ def pq_number(family: Family | PQPair | str, n: int) -> LaurentPoly:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return LaurentPoly.zero()
-    if not _power_fits((pair.P._terms, pair.Q._terms), n - 1, n, MAX_WORK):
-        # [n] sums n products of n - 1 terms of P or Q
-        raise BudgetExceededError(
-            f"[n] at n = {_int_to_str(n)} is over the budget of {MAX_WORK} terms times "
-            "64-bit coefficient words"
-        )
+    # [n] sums n products of n - 1 terms of P or Q
+    _require_budget(_power_cost((pair.P._terms, pair.Q._terms), n - 1, n),
+                    "terms times 64-bit coefficient words", "[n] at n = {}", n)
     if len(pair.P._terms) <= 1 and len(pair.Q._terms) <= 1:
         return _monomial_number(pair.P, pair.Q, n)
     p_pows = [LaurentPoly.one()]
@@ -208,7 +203,7 @@ def recurrence_numbers(family: Family | PQPair | str) -> Iterator[LaurentPoly]:
 
 def number_sequence(family: Family | PQPair | str, n_max: int) -> list[LaurentPoly]:
     """[0], [1], ..., [n_max] of ``recurrence_numbers``, as a list, for an
-    ``n_max`` from 1 to ``MAX_WORK``."""
+    ``n_max`` from 1 to ``laurent.MAX_WORK``."""
     _require_int("n_max", n_max, 1, counts=True)
     return list(islice(recurrence_numbers(family), n_max + 1))
 

@@ -24,15 +24,16 @@ distinct, and the signs alternate in exponent order, so D(n, l) has
 terms, the count Carlitz gave in closed form (Amer. Math. Monthly 73,
 1966).  The build is one pass of m Python steps, one ``range`` of terms
 each, sorted in C, and the memory is that of the output.  When m + T
-would pass ``MAX_WORK``, the kernel's ``BudgetExceededError`` (a
-``ValueError``) is raised before any term is built.  The quotient above
-remains the independent check: the tests and the acceptance gate compare
-the two, and ``checks.torus2_counterexamples`` compares
-``alexander_torus(n, 2)`` with the division in ``alexander_torus2``.  The
-l = 2 column extends to even n (where the closed form above does not
-apply) via a sign twist in the numerator, and that extended column
-reproduces the Alexander fermionic deformed integers exactly, which the
-same walk checks.  This module imports only ``laurent``.
+would pass ``laurent.MAX_WORK``, read at the call, the kernel's budget
+rule raises ``BudgetExceededError`` (a ``ValueError``) before any term
+is built, and ``checks`` prices a walk's last D(n, 2) by the same count.
+The quotient above remains the independent check: the tests and the
+acceptance gate compare the two, and ``checks.torus2_counterexamples``
+compares ``alexander_torus(n, 2)`` with the division in
+``alexander_torus2``.  The l = 2 column extends to even n (where the
+closed form above does not apply) via a sign twist in the numerator, and
+that extended column reproduces the Alexander fermionic deformed integers
+exactly, which the same walk checks.  This module imports only ``laurent``.
 """
 
 from __future__ import annotations
@@ -40,14 +41,7 @@ from __future__ import annotations
 from itertools import cycle, repeat
 from math import gcd
 
-from .laurent import (
-    MAX_WORK,
-    BudgetExceededError,
-    LaurentPoly,
-    _int_to_str,
-    _require_int,
-    exact_div,
-)
+from .laurent import LaurentPoly, _int_to_str, _require_budget, _require_int, exact_div
 
 __all__ = ["NotCoprimeError", "alexander_torus", "alexander_torus2"]
 
@@ -61,8 +55,8 @@ def alexander_torus(n: int, l: int) -> LaurentPoly:
     product form in the module docstring, which holds for any coprime pair.
 
     The value has T = (r+1)*(s+1) + (g-1-r)*(m-1-s) terms (Carlitz), and
-    m + T past ``MAX_WORK`` raises ``BudgetExceededError`` before any term
-    is built.
+    m + T past ``laurent.MAX_WORK`` raises ``BudgetExceededError`` before
+    any term is built.
 
     >>> alexander_torus(3, 5)
     LaurentPoly('q^4 - q^3 + q - 1 + q^(-1) - q^(-3) + q^(-4)')
@@ -71,17 +65,7 @@ def alexander_torus(n: int, l: int) -> LaurentPoly:
     _require_int("l", l, 1)
     if gcd(n, l) != 1:
         raise NotCoprimeError(f"gcd({_int_to_str(n)}, {_int_to_str(l)}) != 1")
-    m, g = min(n, l), max(n, l)
-    c = (n - 1) * (l - 1)
-    # T >= 1 whatever r is, so an m at the budget is over it: skip the
-    # inverse mod g there, whose cost grows with the digits of g
-    r = c * pow(m, -1, g) % g if m < MAX_WORK else 0
-    s = (c - r * m) // g
-    if m + (r + 1) * (s + 1) + (g - 1 - r) * (m - 1 - s) > MAX_WORK:
-        raise BudgetExceededError(
-            f"D({_int_to_str(n)}, {_int_to_str(l)}) is over the budget of {MAX_WORK} "
-            "walk steps and terms"
-        )
+    m, g, c, r, s = _product_form(n, l)
     # doubled q exponents 2*(i*m + j*g) - c of the first product, and
     # 2*(i*m + j*g - m*g) - c of the second
     plus: list[int] = []
@@ -105,6 +89,21 @@ def alexander_torus(n: int, l: int) -> LaurentPoly:
     return LaurentPoly._raw(dict(zip(zip(exps, repeat(0)), cycle((1, -1)))))
 
 
+def _product_form(n: int, l: int) -> tuple[int, int, int, int, int]:
+    # m, g, c, r and s of D(n, l) for coprime n, l >= 1, once its m walk
+    # steps and T terms are within the budget
+    m, g = min(n, l), max(n, l)
+    c = (n - 1) * (l - 1)
+    why = ("walk steps and terms", "D({}, {})", n, l)
+    # T >= 1 whatever r is, so m + 1 is priced first: an m at the budget
+    # is refused before the inverse mod g, whose cost grows with g's digits
+    _require_budget(m + 1, *why)
+    r = c * pow(m, -1, g) % g
+    s = (c - r * m) // g
+    _require_budget(m + (r + 1) * (s + 1) + (g - 1 - r) * (m - 1 - s), *why)
+    return m, g, c, r, s
+
+
 # q^(1/2) + q^(-1/2), the divisor of every l = 2 value
 _HALF_SUM = LaurentPoly._raw({(1, 0): 1, (-1, 0): 1})
 
@@ -114,7 +113,7 @@ def alexander_torus2(n: int) -> LaurentPoly:
 
     Odd n uses (q^(n/2) + q^(-n/2)) / (q^(1/2) + q^(-1/2)); even n flips
     the sign of the low term, giving the two-component link values.  The
-    quotient has n terms, so an n past ``MAX_WORK`` raises
+    quotient has n terms, so an n past ``laurent.MAX_WORK`` raises
     ``BudgetExceededError`` before the division.
     """
     _require_int("n", n, 1, counts=True)

@@ -284,6 +284,20 @@ def test_a_small_and_a_long_torus_parameter_exit_2(capsys, n, l):
     assert err == f"error: D({n}, {l}) is over the budget of 4000000 walk steps and terms\n"
 
 
+@pytest.mark.parametrize("suite", ["all", "delta-identity"])
+def test_a_verify_walk_past_the_budget_exits_2_at_once(suite):
+    # --max-n 3999999 is within the bound's cap, but the walk's last
+    # D(3999999, 2) is not: refused before any suite, not after days of walking
+    proc = subprocess.run(
+        [sys.executable, "-m", "pqcalc", "verify", "--suite", suite, "--max-n", "3999999"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: D(3999999, 2) is over the budget of 4000000 walk steps and terms\n"
+    )
+
+
 @pytest.mark.parametrize(
     "value",
     [_LONG + "x", "-" + _LONG + "_0", "+-" + _LONG, "3x", ""],

@@ -4,6 +4,7 @@ import contextlib
 import json
 import random
 import re
+import subprocess
 import sys
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -452,6 +453,52 @@ def test_exact_div_two_variables():
     f = parse("p^2*q - 3*p + q^(-1/2)")
     g = parse("p*q^(3/2) - 2")
     assert exact_div(f * g, g) == f
+
+
+@pytest.mark.parametrize(
+    "num, den, terms",
+    [
+        # two terms divide into k: (q^k - 1) / (q - 1)
+        ("q^40 - 1", "q - 1", 40),
+        # the quotient's terms, not the steps: the remainder's cancelled
+        # keys and the divisor's size add none
+        ("-2*q^4 - 2 - 2*q^(-4)", "2*q + 2*q^(-1) + 2*q^(-3)", 3),
+        ("p^2*q^(-1) - 3*p^(-1)*q^(3/2) + 1", "1", 3),
+    ],
+)
+def test_exact_div_budget_boundaries(monkeypatch, num, den, terms):
+    # a k-term quotient is served at a budget of k and refused at k - 1
+    num, den = parse(num), parse(den)
+    monkeypatch.setattr("pqcalc.laurent.MAX_WORK", terms)
+    quotient = exact_div(num, den)
+    assert len(quotient.terms()) == terms and quotient * den == num
+    monkeypatch.setattr("pqcalc.laurent.MAX_WORK", terms - 1)
+    with pytest.raises(BudgetExceededError, match=_message(
+        f"the quotient of a {len(num.terms())}-term poly by a {len(den.terms())}-term poly "
+        f"is over the budget of {terms - 1} terms"
+    )):
+        exact_div(num, den)
+
+
+def test_exact_div_is_refused_before_memory_runs_out():
+    # 10^8 quotient terms would take about 13 GB; the meter stops the
+    # division at MAX_WORK terms, inside a 1 GiB address space
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from pqcalc.laurent import exact_div, parse\n"
+        "try:\n"
+        "    exact_div(parse('q^100000000 - 1'), parse('q - 1'))\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "BudgetExceededError the quotient of a 2-term poly by a 2-term poly is over the "
+        "budget of 4000000 terms\n"
+    )
 
 
 @given(f=polys(), g=nonzero_polys())

@@ -16,7 +16,14 @@ from pqcalc.checks import (
     recurrence_counterexamples,
     torus2_counterexamples,
 )
-from pqcalc.laurent import BudgetExceededError, LaurentPoly, parse, poly_sum
+from pqcalc.laurent import (
+    BudgetExceededError,
+    LaurentPoly,
+    exact_div,
+    parse,
+    poly_sum,
+    sqrt_perfect_square,
+)
 from pqcalc.qnumbers import (
     FAMILY_NAMES,
     Family,
@@ -252,8 +259,11 @@ def test_a_monomial_and_a_binomial_take_the_power_tables():
 
 
 def test_budget_error_is_shared_with_torus():
-    assert qnumbers.MAX_WORK == torus.MAX_WORK == laurent.MAX_WORK == 4 * 10**6
-    assert qnumbers.BudgetExceededError is torus.BudgetExceededError is pqcalc.BudgetExceededError
+    # one constant and one class, in laurent; neither module keeps a copy
+    assert laurent.MAX_WORK == 4 * 10**6
+    assert pqcalc.BudgetExceededError is laurent.BudgetExceededError is BudgetExceededError
+    for module in (qnumbers, torus):
+        assert not hasattr(module, "MAX_WORK") and not hasattr(module, "BudgetExceededError")
     assert issubclass(BudgetExceededError, laurent.LaurentError)
     assert issubclass(BudgetExceededError, ValueError)
 
@@ -274,7 +284,7 @@ def test_budget_error_is_shared_with_torus():
     ],
 )
 def test_budget_boundaries(monkeypatch, P, Q, work, last):
-    monkeypatch.setattr(qnumbers, "MAX_WORK", work)
+    monkeypatch.setattr("pqcalc.laurent.MAX_WORK", work)
     pair = PQPair(parse(P), parse(Q))
     assert pq_number(pair, last) == _literal_sum(pair.P, pair.Q, last)
     with pytest.raises(BudgetExceededError, match=rf"n = {last + 1} is over the budget of {work} "):
@@ -304,7 +314,7 @@ def test_equal_exponents_cost_nothing_in_n(monkeypatch):
     assert pq_number(PQPair(q, -q), huge) == 0
     assert pq_number(PQPair(zero, -parse("p")), huge + 1) == LaurentPoly.monomial(1, 0, 2 * huge)
     # both zero: one term of bits(n) bits, so one word up to n = 2^63 - 1
-    monkeypatch.setattr(qnumbers, "MAX_WORK", 1)
+    monkeypatch.setattr("pqcalc.laurent.MAX_WORK", 1)
     assert pq_number(PQPair(zero, zero), 2**63 - 1) == 0
     with pytest.raises(BudgetExceededError):
         pq_number(PQPair(zero, zero), 2**63)
@@ -391,7 +401,10 @@ _RULE_ENTRIES = {
                                      (qnumbers, "pq_numbers")),
     "torus2_counterexamples": ("n_max", 1, True, torus2_counterexamples,
                                (qnumbers, "pq_numbers")),
-    "checks.run": ("n_max", 1, True, _INT_ARGS["checks.run"][1], (qnumbers, "pq_numbers")),
+    # "all" at MAX_WORK is refused by the delta-identity walk's own price,
+    # before any suite runs (test_a_walk_past_the_budget_divides_nothing)
+    "checks.run": ("n_max", 1, True, lambda b: checks.run("recurrence", b),
+                   (qnumbers, "pq_numbers")),
     "recurrence_generate": ("count", 2, True, _INT_ARGS["recurrence_generate"][1],
                             (skein, "recurrence")),
     "homfly_factorization_check": ("n", 1, False, homfly_factorization_check,
@@ -428,6 +441,42 @@ def test_one_integer_rule_at_every_entry(monkeypatch, arg, least, counts, call, 
                 match=f"^{arg} = {quoted} is over the budget of {laurent.MAX_WORK} values$",
             ):
                 call(value)
+
+
+# each entry at a budget of 15: (the call, the last size it serves, the
+# next size it takes)
+_BUDGET_ENTRIES = {
+    # n terms of one word each
+    "pq_number": (lambda n: pq_number(Family.ALEXANDER_BOSONIC, n), 15, 16),
+    # k + 1 terms of one word each
+    "pow": (lambda k: parse("q + 1") ** k, 14, 15),
+    # the root (1 + q)^k: step i matches a one-word coefficient against i
+    # root terms, k(k + 1)/2 in all
+    "sqrt_perfect_square": (lambda k: sqrt_perfect_square(parse("q + 1") ** (2 * k)), 5, 6),
+    # 2 walk steps and l terms; l + 1 is even
+    "alexander_torus": (lambda l: torus.alexander_torus(2, l), 13, 15),
+    "alexander_torus2": (torus.alexander_torus2, 15, 16),
+    "recurrence_generate": (
+        lambda count: recurrence_generate(_JONES_COEFFS, LaurentPoly.zero(), LaurentPoly.one(),
+                                          count), 15, 16,
+    ),
+    # (q^k - 1) / (q - 1) has k terms
+    "exact_div": (lambda k: exact_div(parse(f"q^{k} - 1"), parse("q - 1")), 15, 16),
+    "recurrence_counterexamples": (_BOUND_CHECKS["recurrence"], 15, 16),
+    "homfly_factor_counterexample": (homfly_factor_counterexample, 15, 16),
+    # the last odd n is priced, D(n, 2) at n + 2: 15 at 14, 17 at 15
+    "torus2_counterexamples": (torus2_counterexamples, 14, 15),
+    "checks.run": (lambda n: checks.run("all", n), 14, 15),
+}
+
+
+@pytest.mark.parametrize("call, last, past", _BUDGET_ENTRIES.values(), ids=_BUDGET_ENTRIES)
+def test_one_max_work_governs_every_entry(monkeypatch, call, last, past):
+    # only laurent's constant is patched: no entry keeps a copy of its own
+    monkeypatch.setattr("pqcalc.laurent.MAX_WORK", 15)
+    call(last)
+    with pytest.raises(BudgetExceededError, match=" is over the budget of 15 "):
+        call(past)
 
 
 @pytest.mark.parametrize("family", list(Family))

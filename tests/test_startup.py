@@ -152,9 +152,11 @@ def test_each_public_name_is_listed_once_by_the_module_that_owns_it():
         assert not hasattr(qnumbers, name) and not hasattr(torus, name), name
 
 
-# the shared rules for an integer and for a value argument: each message is
-# written once, in laurent, and every other module calls the rule
-SHARED_MESSAGES = ("must be an int, not", "must be at least", "must be a LaurentPoly or an int")
+# the shared rules for an integer, for a value argument and for the work
+# budget: each message is written once, in laurent, and every other module
+# calls the rule
+SHARED_MESSAGES = ("must be an int, not", "must be at least", "must be a LaurentPoly or an int",
+                   "is over the budget of")
 
 
 # the scripts that import pqcalc; ab_pairs.py runs two checkouts and

@@ -9,11 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 
 from pqcalc.checks import Counterexample, torus2_counterexamples
-from pqcalc.laurent import LaurentPoly, eval_numeric, exact_div, parse
+from pqcalc.laurent import BudgetExceededError, LaurentPoly, eval_numeric, exact_div, parse
 from pqcalc.qnumbers import Family, pq_number
-from pqcalc import checks, torus
+from pqcalc import checks, laurent, qnumbers, torus
 from pqcalc.torus import (
-    BudgetExceededError,
     NotCoprimeError,
     alexander_torus,
     alexander_torus2,
@@ -160,7 +159,7 @@ def test_near_equal_pair_needs_no_table_of_size_c():
     [(2, 4 * 10**6 + 1), (3000, 10**9 + 1), (10**12, 10**12 + 1), (2**32 + 1, 2**32)],
 )
 def test_oversized_pairs_are_refused_before_building(n, l):
-    assert torus.MAX_WORK == 4 * 10**6
+    assert laurent.MAX_WORK == 4 * 10**6
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError, match=r"over the budget of 4000000"):
@@ -181,7 +180,7 @@ def test_a_small_m_beside_a_huge_g_is_refused_by_the_count(n, l):
 
 
 def test_budget_counts_walk_steps_and_terms(monkeypatch):
-    monkeypatch.setattr(torus, "MAX_WORK", 100)
+    monkeypatch.setattr("pqcalc.laurent.MAX_WORK", 100)
     assert len(alexander_torus(2, 97).terms()) == 97  # 2 steps + 97 terms
     with pytest.raises(BudgetExceededError):
         alexander_torus(99, 2)  # 2 steps + 99 terms
@@ -199,11 +198,13 @@ def test_budget_is_the_closed_form_count_exactly(monkeypatch):
         want = quotient_form(n, l)
         work = n + len(want.terms())
         for a, b in ((n, l), (l, n)):
-            monkeypatch.setattr(torus, "MAX_WORK", work)
+            monkeypatch.setattr("pqcalc.laurent.MAX_WORK", work)
             assert alexander_torus(a, b) == want, (a, b)
-            monkeypatch.setattr(torus, "MAX_WORK", work - 1)
+            monkeypatch.setattr("pqcalc.laurent.MAX_WORK", work - 1)
             with pytest.raises(BudgetExceededError, match=f"^D\\({a}, {b}\\) is over "):
                 alexander_torus(a, b)
+            # the next quotient_form divides under the full budget
+            monkeypatch.undo()
 
 
 def test_matches_semigroup_form_below_30():
@@ -342,3 +343,29 @@ def test_delta_identity_suite_divides_each_n_once(monkeypatch):
     report = checks.run("delta-identity", 25)
     assert [check.passed for check in report] == [True, True]
     assert calls == list(range(1, 26))
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [torus2_counterexamples, lambda n: checks.run("delta-identity", n),
+     lambda n: checks.run("all", n)],
+    ids=["torus2_counterexamples", "run-delta-identity", "run-all"],
+)
+def test_a_walk_past_the_budget_divides_nothing(monkeypatch, walk):
+    # the walk's last closed-form value, D(n, 2) at the last odd n, costs
+    # 2 steps and n terms: at a budget of 20, n_max = 18 ends at D(17, 2),
+    # and 19 and 20 at D(19, 2), which is refused before the first division
+    # and before any sum-form value, so under run before any suite
+    monkeypatch.setattr("pqcalc.laurent.MAX_WORK", 20)
+    calls = _poison_column_two(monkeypatch, lambda n: None)
+    drawn = []
+    real = qnumbers.pq_numbers
+    monkeypatch.setattr(qnumbers, "pq_numbers", lambda f: (drawn.append(v) or v for v in real(f)))
+    for n_max in (19, 20):
+        with pytest.raises(BudgetExceededError, match=(
+            r"^D\(19, 2\) is over the budget of 20 walk steps and terms$"
+        )):
+            walk(n_max)
+        assert calls == drawn == []
+    walk(18)
+    assert calls == list(range(1, 19))
