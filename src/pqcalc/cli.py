@@ -146,12 +146,12 @@ def _cmd_verify(args, fmt: str) -> int:
 # parser
 
 
-_INT_ARG_RE = re.compile(r"[+-]?[0-9]+")
+_INT_ARG_RE = re.compile(laurent._SIGNED)
 
 
 def _int_arg(text: str) -> int:
-    """An integer argument: ASCII ``[+-]?[0-9]+`` at any length, the rule
-    of the expression grammar's integers, so that every range check, a
+    """An integer argument: ASCII ``[+-]?[0-9]+`` at any length, the
+    expression grammar's own signed integer, so that every range check, a
     long value's included, is the library's.  Anything else keeps
     argparse's ``invalid int value`` message."""
     if _INT_ARG_RE.fullmatch(text) is None:

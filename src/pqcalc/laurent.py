@@ -114,13 +114,14 @@ MAX_WORK = 4 * 10**6
 MAX_PAIRS = 4 * 10**6
 
 
-def _require_budget(cost: int, unit: str, subject: str, *args) -> None:
-    # the one budget rule: ``cost``, in ``unit``, against MAX_WORK as it
-    # reads now.  The subject is a format string, filled in, with ints
-    # through _int_to_str, only when the value is refused
-    if cost > MAX_WORK:
+def _require_budget(cost: int, unit: str, subject: str, *args, limit: int | None = None) -> None:
+    # the one budget rule: ``cost``, in ``unit``, against ``limit``, or
+    # MAX_WORK as it reads now.  The subject is a format string, filled in,
+    # with ints through _int_to_str, only when the value is refused
+    limit = MAX_WORK if limit is None else limit
+    if cost > limit:
         subject = subject.format(*(_int_to_str(a) if isinstance(a, int) else a for a in args))
-        raise BudgetExceededError(f"{subject} is over the budget of {MAX_WORK} {unit}")
+        raise BudgetExceededError(f"{subject} is over the budget of {limit} {unit}")
 
 
 def _require_int(name: str, value, least: int | None = None, counts: bool = False) -> None:
@@ -203,9 +204,8 @@ class LaurentPoly:
     ):
         if isinstance(terms, str):
             data = _parse_text(terms)
-        elif isinstance(terms, bool):
-            raise TypeError("coefficients must be int, got bool")
         elif isinstance(terms, int):
+            _require_int("coefficient", terms)
             data = {(0, 0): terms}
         else:
             items = terms.items() if isinstance(terms, Mapping) else terms
@@ -215,13 +215,11 @@ class LaurentPoly:
                     exp, coeff = item
                 except ValueError:
                     raise TypeError("terms must be (exponent, coefficient) pairs") from None
-                if not isinstance(coeff, int) or isinstance(coeff, bool):
-                    raise TypeError(f"coefficients must be int, got {type(coeff).__name__}")
+                _require_int("coefficient", coeff)
                 if not isinstance(exp, tuple) or len(exp) != 2:
                     raise TypeError("exponents must be (q2, p2) pairs")
                 for e2 in exp:
-                    if not isinstance(e2, int) or isinstance(e2, bool):
-                        raise TypeError(f"exponents must be int, got {type(e2).__name__}")
+                    _require_int("exponent", e2)
                 data[exp] = data.get(exp, 0) + coeff
         self._terms = _canonical(data)
 
@@ -341,11 +339,8 @@ class LaurentPoly:
 
         def times(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
             pairs = len(a._terms) * len(b._terms)
-            if pairs > MAX_PAIRS:
-                raise BudgetExceededError(
-                    f"power {_int_to_str(k)} of a {len(self._terms)}-term poly takes a product "
-                    f"of {pairs} term pairs, over the budget of {MAX_PAIRS}"
-                )
+            _require_budget(pairs, "term pairs", "a product of {} term pairs in power {} of a "
+                            "{}-term poly", pairs, k, len(self._terms), limit=MAX_PAIRS)
             return a * b
 
         result = LaurentPoly.one()
@@ -441,6 +436,8 @@ class LaurentPoly:
         return f"LaurentPoly({self.text()!r})"
 
 
+_COEFF_RE = re.compile(r"-?[0-9]+")
+
 JSON_SCHEMA = {
     "type": "object",
     "required": ["variables", "terms"],
@@ -454,7 +451,9 @@ JSON_SCHEMA = {
                 "required": ["coeff", "exp2"],
                 "additionalProperties": False,
                 "properties": {
-                    "coeff": {"type": "string", "pattern": "^-?[0-9]+$"},
+                    # anchored so that Python's re.search and ECMA-262 both refuse
+                    # a trailing newline, as from_json_obj does
+                    "coeff": {"type": "string", "pattern": f"^{_COEFF_RE.pattern}$(?!\\n)"},
                     "exp2": {
                         "type": "object",
                         "required": ["q", "p"],
@@ -523,8 +522,6 @@ def _text(d: dict[ExpVec, int], conv) -> str:
     out[0] = first[3:] if first[1] == "+" else "-" + first[3:]
     return "".join(out)
 
-
-_COEFF_RE = re.compile(r"-?[0-9]+")
 
 # The layout ``json.dumps(f.to_json_obj(), indent=2)`` writes, spelled out
 # in the fixed pieces around each term's coefficient, q and p exponents:
@@ -651,8 +648,10 @@ def format_poly(f: LaurentPoly, mode: str = "text") -> str:
 
 
 def format_json(polys: Mapping[str, LaurentPoly] | Sequence[LaurentPoly]) -> str:
-    """One JSON document holding several polys: a mapping of labels to polys
-    renders as an object, any other sequence as an array.
+    """One JSON document holding several polys: a mapping of ``str`` labels
+    to polys renders as an object, any other sequence as an array.  A label
+    of any other type raises ``TypeError`` before anything is rendered, as
+    a JSON object's keys are strings.
 
     Byte-identical to ``json.dumps(obj, indent=2)``, where ``obj`` holds
     each poly's ``to_json_obj()``: each entry is ``format_poly(f, "json")``
@@ -662,6 +661,9 @@ def format_json(polys: Mapping[str, LaurentPoly] | Sequence[LaurentPoly]) -> str
     if isinstance(polys, Mapping):
         import json
 
+        for label in polys:
+            if not isinstance(label, str):
+                raise TypeError(f"a label must be a str, not {type(label).__name__}")
         labels = [json.dumps(label) + ": " for label in polys]
         polys, brackets = list(polys.values()), "{}"
     else:
@@ -1124,15 +1126,9 @@ def sqrt_perfect_square(f: LaurentPoly) -> LaurentPoly:
         if not coeff:
             continue
         nq, np = key
-        if not (nq_lo <= nq <= nq_hi and np_lo <= np <= np_hi):
-            raise NotAPerfectSquareError(
-                f"{f} is not a perfect square on the half-integer grid"
-            )
         t_coeff, residue = divmod(coeff, 2 * root_lc)
-        if residue:
-            raise NotAPerfectSquareError(
-                f"{f} is not a perfect square on the half-integer grid"
-            )
+        if residue or not (nq_lo <= nq <= nq_hi and np_lo <= np <= np_hi):
+            raise NotAPerfectSquareError(f"{f} is not a perfect square on the half-integer grid")
         work += len(root) * (1 + coeff.bit_length() // 64)
         if work > MAX_WORK:
             _require_budget(work, "root terms times 64-bit coefficient words",
@@ -1170,13 +1166,15 @@ def eval_numeric(
     exponents require is rational; otherwise a ``Decimal`` computed with
     ``digits`` significant digits.  The tests use it as a numeric oracle
     apart from the kernel's arithmetic; symbolic equality is the contract.
-    A plain int ``f`` is the constant it names; any other type that is not
-    a ``LaurentPoly`` raises ``TypeError``.
+    ``digits`` is an ``int`` of at least 1, checked on every call (a bool
+    raises ``TypeError``).  A plain int ``f`` is the constant it names; any
+    other type that is not a ``LaurentPoly`` raises ``TypeError``.
     """
     from decimal import Decimal, localcontext
     from fractions import Fraction
 
     f = _require_poly("f", f)
+    _require_int("digits", digits, 1)
     q_val = Fraction(q_val)
     p_val = Fraction(p_val)
     if q_val <= 0 or p_val <= 0:

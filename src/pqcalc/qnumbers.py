@@ -11,9 +11,11 @@ definition used here because it needs no division and stays valid when
 - ``pq_number(pair, n)`` computes one ``[n]``.  When P and Q each have at
   most one term, as in every built-in family, it writes the n summands
   ``P^(n-1-i) * Q^i`` directly, each a single term: no products, O(n)
-  integer work and at most n terms.  Any other pair sums the power tables
-  ``P^i * Q^(n-1-i)``, rebuilt on every call.  Either way an ``[n]`` over
-  ``laurent.MAX_WORK``, read at the call, is refused before it is built.
+  integer work and at most n terms.  Any other pair sums the products
+  ``P^i * Q^(n-1-i)``, keeping one power table, rebuilt on every call: the
+  smaller side's powers are held and the other side's are streamed.
+  Either way an ``[n]`` over ``laurent.MAX_WORK``, read at the call, is
+  refused before it is built.
 - ``pq_numbers(pair)`` streams ``[0], [1], [2], ...`` by the geometric step
   ``[n+1] = P*[n] + Q^n``, keeping only the current ``[n]`` and ``Q^n``.
   Use it to walk a run of ``[n]``: each next value costs one fused sum of
@@ -128,22 +130,23 @@ def pq_number(family: Family | PQPair | str, n: int) -> LaurentPoly:
     zero P or Q counts as sharing the other's exponent) every summand
     lands on one term, whose coefficient ``(a^n - b^n) / (a - b)``, or
     ``n*a^(n-1)`` when a = b, takes O(log n) products; a zero sum leaves
-    ``[n] = 0``.  Any other pair builds the power tables of P and Q,
-    2(n-1) products, and sums the n products ``P^(n-1-i) * Q^i`` in one
-    fused accumulation (``laurent._dot``).
+    ``[n] = 0``.  Any other pair sums the n products ``P^(n-1-i) * Q^i``
+    in one fused accumulation (``laurent._dot``), from 2(n-1) products:
+    as ``[n]`` is symmetric in P and Q, it holds the powers of the side
+    with fewer terms and streams the other side's, one power at a time,
+    so only one power table is ever kept.
 
     Before either route runs, the size of ``[n]`` is bounded from P, Q and
     n alone, and ``BudgetExceededError`` is raised when its terms times
     64-bit words per coefficient would pass ``laurent.MAX_WORK``.  An
-    ``n`` that is not an ``int`` raises ``TypeError`` first.
+    ``n`` that is not an ``int`` raises ``TypeError``, and a negative one
+    ``ValueError``, before the family is resolved.
 
     >>> pq_number("alexander-bosonic", 3)
     LaurentPoly('q^2 + 1 + q^(-2)')
     """
-    _require_int("n", n)
+    _require_int("n", n, 0)
     pair = family_params(family)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
     if n == 0:
         return LaurentPoly.zero()
     # [n] sums n products of n - 1 terms of P or Q
@@ -151,12 +154,12 @@ def pq_number(family: Family | PQPair | str, n: int) -> LaurentPoly:
                     "terms times 64-bit coefficient words", "[n] at n = {}", n)
     if len(pair.P._terms) <= 1 and len(pair.Q._terms) <= 1:
         return _monomial_number(pair.P, pair.Q, n)
-    p_pows = [LaurentPoly.one()]
-    q_pows = [LaurentPoly.one()]
-    for _ in range(n - 1):
-        p_pows.append(p_pows[-1] * pair.P)
-        q_pows.append(q_pows[-1] * pair.Q)
-    return _dot((p_pows[n - 1 - i], q_pows[i]) for i in range(n))
+    # [n] is symmetric in P and Q: hold the smaller side's powers, and
+    # stream the other's, one at a time
+    held, streamed = sorted(pair, key=lambda f: len(f._terms))
+    one = LaurentPoly.one()
+    held_pows = list(accumulate(repeat(held, n - 1), mul, initial=one))
+    return _dot(zip(reversed(held_pows), accumulate(repeat(streamed, n - 1), mul, initial=one)))
 
 
 def _monomial_number(P: LaurentPoly, Q: LaurentPoly, n: int) -> LaurentPoly:

@@ -322,7 +322,7 @@ def test_integer_arguments_take_what_int_takes(capsys, value, want):
         assert (rc, out) == (2, "")
         assert err.endswith(f"error: argument --n: invalid int value: {value!r}\n")
     elif want < 0:
-        assert (rc, out, err) == (2, "", "error: n must be nonnegative\n")
+        assert (rc, out, err) == (2, "", "error: n must be at least 0\n")
     else:
         assert (rc, err) == (0, "")
         assert out == pq_number(Family.ALEXANDER_FERMIONIC, want).text() + "\n"

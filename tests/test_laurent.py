@@ -86,7 +86,7 @@ def test_constructor_rejects_bool_coefficients(terms):
     ],
 )
 def test_constructor_rejects_non_int_exponents(terms):
-    with pytest.raises(TypeError, match="exponents must be int"):
+    with pytest.raises(TypeError, match="^exponent must be an int, not "):
         LaurentPoly(terms)
 
 
@@ -236,8 +236,8 @@ def test_pow_bounds_the_pairs_of_each_product(monkeypatch, k, pairs):
     monkeypatch.setattr("pqcalc.laurent.MAX_PAIRS", pairs - 1)
     with pytest.raises(
         BudgetExceededError,
-        match=rf"power {k} of a 10-term poly takes a product of {pairs} term pairs, "
-        rf"over the budget of {pairs - 1}$",
+        match=rf"^a product of {pairs} term pairs in power {k} of a 10-term poly is over the "
+        rf"budget of {pairs - 1} term pairs$",
     ):
         f**k
 
@@ -1082,6 +1082,19 @@ def test_nested_json_matches_the_encoder(values, labels):
     assert format_json(named) == json.dumps(dict(zip(labels, objs)), indent=2)
 
 
+@pytest.mark.parametrize("label", [1, True, None, 1.5, (1, 2)], ids=repr)
+def test_format_json_refuses_labels_that_are_not_str(monkeypatch, label):
+    # a JSON object's keys are strings: the label 1 used to write `1: {`,
+    # and (1, 2) `[1, 2]: {`, which no JSON reader takes.  Refused before
+    # any entry is rendered
+    def render(*args):
+        raise AssertionError("an entry was rendered before the labels were checked")
+
+    monkeypatch.setattr("pqcalc.laurent.format_poly", render)
+    with pytest.raises(TypeError, match=f"^a label must be a str, not {type(label).__name__}$"):
+        format_json({"P": parse("q"), label: parse("p")})
+
+
 @given(f=polys())
 @settings(deadline=None)
 def test_parse_format_round_trip(f):
@@ -1169,8 +1182,8 @@ def test_from_json_obj_rejects_what_the_schema_forbids(coeff, exp2):
 
 # documents near JSON_SCHEMA: each key present or missing, each value valid
 # or any other JSON value, and sometimes a key the schema does not name.
-# Integral floats (``2.0``) and a coefficient's trailing newline are left
-# out: the schema admits both and ``from_json_obj`` refuses both.
+# Integral floats (``2.0``) are left out: the schema admits them, as JSON
+# Schema's ``integer`` does, and ``from_json_obj`` refuses them.
 json_leaves = (
     st.none()
     | st.booleans()
@@ -1209,6 +1222,7 @@ _VALID_TERM = {"coeff": "-2", "exp2": {"q": 1, "p": 0}}
 
 @given(obj=json_docs)
 @example(obj={"variables": ["q", "p"], "terms": [_VALID_TERM]})
+@example(obj={"variables": ["q", "p"], "terms": [{**_VALID_TERM, "coeff": "5\n"}]})
 @example(obj={"variables": ["q", "p"], "terms": {}})
 @example(obj={"variables": ["q", "p"], "terms": [], "r": 1})
 @example(obj={"variables": ["q", "p"], "terms": [{**_VALID_TERM, "r": 1}]})

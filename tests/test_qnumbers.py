@@ -307,6 +307,21 @@ def test_oversized_numbers_are_refused_before_building(P, Q, n):
     assert peak < 100_000
 
 
+@pytest.mark.parametrize("P, Q", [("q + 1 + p", "q^(-1)"), ("q^(-1)", "q + 1 + p")])
+def test_the_table_route_holds_one_power_table(P, Q):
+    # [n] is symmetric in P and Q: the powers of q^(-1), the smaller side,
+    # are held and those of q + 1 + p streamed, whichever of P and Q it
+    # is.  Holding both tables peaked at 5.3 MiB
+    pair = PQPair(parse(P), parse(Q))
+    tracemalloc.start()
+    try:
+        pq_number(pair, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def test_equal_exponents_cost_nothing_in_n(monkeypatch):
     huge = 10**100
     q, zero = parse("q"), LaurentPoly.zero()
@@ -407,8 +422,13 @@ _RULE_ENTRIES = {
                    (qnumbers, "pq_numbers")),
     "recurrence_generate": ("count", 2, True, _INT_ARGS["recurrence_generate"][1],
                             (skein, "recurrence")),
+    "pq_number": ("n", 0, False, lambda n: pq_number(Family.ALEXANDER_BOSONIC, n),
+                  (qnumbers, "family_params")),
     "homfly_factorization_check": ("n", 1, False, homfly_factorization_check,
                                    (qnumbers, "pq_number")),
+    # q^(1/2) at q = 2 takes a square root
+    "eval_numeric": ("digits", 1, False, lambda d: laurent.eval_numeric(parse("q^(1/2)"), 2, 1, d),
+                     (laurent, "_fraction_sqrt")),
     "alexander_torus[n]": ("n", 1, False, _INT_ARGS["alexander_torus[n]"][1],
                            (torus, "gcd")),
     "alexander_torus[l]": ("l", 1, False, _INT_ARGS["alexander_torus[l]"][1],

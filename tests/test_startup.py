@@ -8,6 +8,7 @@ that ``sys.modules`` shows what pqcalc itself imports; the test session has
 imported everything already.  No timing is asserted.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -153,15 +154,45 @@ def test_each_public_name_is_listed_once_by_the_module_that_owns_it():
 
 
 # the shared rules for an integer, for a value argument and for the work
-# budget: each message is written once, in laurent, and every other module
-# calls the rule
-SHARED_MESSAGES = ("must be an int, not", "must be at least", "must be a LaurentPoly or an int",
-                   "is over the budget of")
+# budget: each message is written once, by the function in laurent that
+# owns the rule, and every other function calls the rule
+SHARED_MESSAGES = {
+    "must be an int, not": "_require_int",
+    "must be at least": "_require_int",
+    "must be a LaurentPoly or an int": "_require_poly",
+    "over the budget of": "_require_budget",
+}
+# wordings those rules replaced, written nowhere
+RETIRED_MESSAGES = ("must be int, got", "must be nonnegative")
 
 
 # the scripts that import pqcalc; ab_pairs.py runs two checkouts and
 # imports none
 SCRIPTS = ("number_tables.py", "torus_table.py")
+
+
+def _strings_by_function(source: str) -> list[tuple[str, str]]:
+    """(innermost enclosing function, string) for every string constant and
+    f-string part of ``source``, docstrings skipped."""
+    tree = ast.parse(source)
+    docstrings = {
+        id(node.body[0].value) for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and ast.get_docstring(node, clean=False) is not None
+    }
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in docstrings:
+                found.append((function, node.value))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return found
 
 
 def test_each_shared_rule_message_is_written_only_in_laurent():
@@ -171,5 +202,11 @@ def test_each_shared_rule_message_is_written_only_in_laurent():
     writers = {message: [name for name, text in sources.items() if message in text]
                for message in SHARED_MESSAGES}
     assert writers == {message: ["laurent.py"] for message in SHARED_MESSAGES}
+    strings = _strings_by_function(sources["laurent.py"])
+    functions = {message: sorted({function for function, string in strings if message in string})
+                 for message in SHARED_MESSAGES}
+    assert functions == {message: [owner] for message, owner in SHARED_MESSAGES.items()}
+    for message in RETIRED_MESSAGES:
+        assert [name for name, text in sources.items() if message in text] == [], message
     for name in SCRIPTS:
         assert "type=int" not in sources[name], name
