@@ -10,9 +10,9 @@ The canonical term order compares the ``q`` exponent first, then the ``p``
 exponent; text and JSON output list terms in descending canonical order.
 
 Canonical form has one rule, written once: every sum the kernel forms (the
-constructor, ``+``, ``-``, ``*``, ``poly_sum``, the sum of products
-``_dot``, the parser) accumulates coefficients freely, and ``_canonical``
-then drops its zeros, in place.
+constructor, ``+``, ``-``, ``poly_sum``, the sum of products ``_dot``, which
+``*`` runs on, the parser) accumulates coefficients freely, and
+``_canonical`` then drops its zeros, in place.
 The division remainder in ``exact_div`` and ``sqrt_perfect_square`` keeps
 a cancelled key, at zero, until the heap pops it, and skips it there.
 
@@ -138,11 +138,9 @@ def _require_int(name: str, value, least: int | None = None, counts: bool = Fals
 
 
 def _require_poly(name: str, value) -> LaurentPoly:
-    # the one rule for a value argument: a plain int is the constant it
-    # names, as in arithmetic, and a LaurentPoly is returned as itself,
-    # checked first, as every render and division entry pays for this
-    if isinstance(value, LaurentPoly):
-        return value
+    # the one rule for a value argument: what ``_coerce`` makes of it, as
+    # in arithmetic (a LaurentPoly itself, a plain int the constant it
+    # names), or a TypeError for anything else
     poly = LaurentPoly._coerce(value)
     if poly is None:
         raise TypeError(f"{name} must be a LaurentPoly or an int, not {type(value).__name__}")
@@ -315,12 +313,7 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        data: dict[ExpVec, int] = {}
-        for (aq, ap), ac in self._terms.items():
-            for (bq, bp), bc in other._terms.items():
-                exp = (aq + bq, ap + bp)
-                data[exp] = data.get(exp, 0) + ac * bc
-        return LaurentPoly._raw(_canonical(data))
+        return _dot(((self, other),))
 
     __rmul__ = __mul__
 
@@ -947,7 +940,8 @@ def _dot(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
     """``a_1*x_1 + a_2*x_2 + ...`` over the ``(a, x)`` pairs, every term
     product accumulated into one dict that is pruned once: no dict per
     product and none for the sum (the sum of products into one accumulator
-    of Monagan and Pearce's sparse multiplication).
+    of Monagan and Pearce's sparse multiplication).  It is the kernel's
+    only multiply-accumulate: ``a * x`` is ``_dot(((a, x),))``.
 
     >>> _dot([(parse("q + 1"), parse("q - 1")), (parse("-q"), parse("q"))])
     LaurentPoly('-1')

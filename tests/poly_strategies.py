@@ -1,4 +1,5 @@
-"""Shared hypothesis strategies for random Laurent polynomials."""
+"""Shared hypothesis strategies for random Laurent polynomials, and a
+broken ``_dot`` for tests that patch it in."""
 
 import hypothesis.strategies as st
 
@@ -32,3 +33,14 @@ def monomials(draw, positive=False):
     if positive:
         coeff = abs(coeff)
     return LaurentPoly.monomial(coeff, draw(exp2s), draw(exp2s))
+
+
+def overwriting_dot(pairs):
+    """``_dot`` with a bug: each term product overwrites the term before
+    it at the same exponent instead of adding to it."""
+    data = {}
+    for a, x in pairs:
+        for (aq, ap), ac in a.terms():
+            for (bq, bp), bc in x.terms():
+                data[(aq + bq, ap + bp)] = ac * bc
+    return LaurentPoly(data)

@@ -40,7 +40,14 @@ from pqcalc.qnumbers import Family, pq_number
 from pqcalc.skein import PQPair
 from pqcalc.torus import NotCoprimeError, alexander_torus
 
-from poly_strategies import exp2s, monomials, nonzero_polys, polys, positive_leading_polys
+from poly_strategies import (
+    exp2s,
+    monomials,
+    nonzero_polys,
+    overwriting_dot,
+    polys,
+    positive_leading_polys,
+)
 
 
 # ----------------------------------------------------------------------
@@ -278,9 +285,32 @@ def test_poly_sum_matches_repeated_add():
 @example(pairs=[(LaurentPoly.zero(), parse("q")), (parse("p + 1"), parse("p - 1"))])
 @settings(deadline=None, max_examples=200)
 def test_dot_is_the_sum_of_the_products(pairs):
+    # one accumulation over many pairs against the sum of one-pair runs,
+    # which is what ``*`` is; sympy (test_dot_matches_sympy and
+    # test_mul_matches_sympy) is the independent side of both
     got = _dot(pairs)
-    assert got == poly_sum(a * x for a, x in pairs)
+    assert got == poly_sum(_dot([pair]) for pair in pairs)
     assert 0 not in got._terms.values()
+
+
+def test_mul_runs_on_dot(monkeypatch):
+    # ``_dot`` is the kernel's one multiply-accumulate: ``*`` and
+    # ``__rmul__`` hand it their one pair, and ``**`` multiplies through
+    # ``*``, so a bug in it (an overwrite in place of the add) is theirs
+    seen = []
+
+    def recorded(pairs):
+        pairs = list(pairs)
+        seen.append(pairs)
+        return overwriting_dot(pairs)
+
+    monkeypatch.setattr("pqcalc.laurent._dot", recorded)
+    f = parse("q + 1")
+    square = parse("q^2 + q + 1")
+    assert f * f == square
+    assert f**2 == square
+    assert 2 * f == parse("2*q + 2")
+    assert seen == [[(f, f)], [(f, f)], [(1, square)], [(f, 2)]]
 
 
 def test_dot_of_no_pairs_is_zero():

@@ -37,7 +37,7 @@ from pqcalc.qnumbers import (
 )
 from pqcalc.skein import DegenerateSkeinError, link_coeffs_from_pq, recurrence_generate
 
-from poly_strategies import exp2s, monomials, polys
+from poly_strategies import exp2s, monomials, overwriting_dot, polys
 
 
 EXPECTED_PARAMS = {
@@ -511,23 +511,12 @@ def test_sum_and_recurrence_agree_to_200(family):
     assert recurrence_counterexamples(family, 200) == (None, None)
 
 
-def _overwriting_dot(pairs):
-    """``_dot`` with a bug: each term product overwrites the term before
-    it at the same exponent instead of adding to it."""
-    data = {}
-    for a, x in pairs:
-        for (aq, ap), ac in a.terms():
-            for (bq, bp), bc in x.terms():
-                data[(aq + bq, ap + bp)] = ac * bc
-    return LaurentPoly(data)
-
-
 @pytest.mark.parametrize("family", list(Family))
 def test_recurrence_closure_catches_a_broken_step(monkeypatch, family):
     # the step adds products that share an exponent, so the bug breaks it.
     # The sum-form stream of a monomial pair never does, so it stays right
     # and the closure check, which steps from its values, sees the bug
-    monkeypatch.setattr("pqcalc.skein._dot", _overwriting_dot)
+    monkeypatch.setattr("pqcalc.skein._dot", overwriting_dot)
     assert recurrence_counterexamples(family, 10)[0] is not None
 
 
