@@ -96,32 +96,27 @@ class GridError(ParseError):
 
 
 class BudgetExceededError(LaurentError):
-    """The requested value would cost more than ``MAX_WORK``, or a product
-    inside ``f ** k`` would form more than ``MAX_PAIRS`` term pairs."""
+    """The requested value, or one product inside ``f ** k``, would cost
+    more than ``MAX_WORK``."""
 
 
-# the most work one requested value may take, counted in output terms (and
-# walk steps, for the torus values; root terms per step, for the square
-# root) times 64-bit words per coefficient, and the most values a count or
-# bound may ask for.  A term costs about 135 bytes, so this caps a result
+# the one work budget: the most one requested value may take, counted in
+# output terms (and walk steps, for the torus values; root terms per step,
+# for the square root) times 64-bit words per coefficient, the most values
+# a count or bound may ask for, and the most term pairs one product inside
+# ``f ** k`` may form.  A term costs about 135 bytes, so this caps a result
 # near 540 MB.  Every entry of the package prices its work against this
 # one name, read when it is called, through ``_require_budget``.
 MAX_WORK = 4 * 10**6
 
-# the most term pairs one product inside ``f ** k`` may form.  The output
-# bound above does not bound the time: a dense 100 x 100 square has 39,601
-# terms but forms 10^8 pairs, each a multiply-add in the dict kernel.
-MAX_PAIRS = 4 * 10**6
 
-
-def _require_budget(cost: int, unit: str, subject: str, *args, limit: int | None = None) -> None:
-    # the one budget rule: ``cost``, in ``unit``, against ``limit``, or
-    # MAX_WORK as it reads now.  The subject is a format string, filled in,
-    # with ints through _int_to_str, only when the value is refused
-    limit = MAX_WORK if limit is None else limit
-    if cost > limit:
+def _require_budget(cost: int, unit: str, subject: str, *args) -> None:
+    # the one budget rule: ``cost``, in ``unit``, against MAX_WORK as it
+    # reads now.  The subject is a format string, filled in, with ints
+    # through _int_to_str, only when the value is refused
+    if cost > MAX_WORK:
         subject = subject.format(*(_int_to_str(a) if isinstance(a, int) else a for a in args))
-        raise BudgetExceededError(f"{subject} is over the budget of {limit} {unit}")
+        raise BudgetExceededError(f"{subject} is over the budget of {MAX_WORK} {unit}")
 
 
 def _require_int(name: str, value, least: int | None = None, counts: bool = False) -> None:
@@ -318,22 +313,22 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> LaurentPoly:
-        """``self ** k`` by repeated squaring.  ``BudgetExceededError``
-        before any product when the size of the power, bounded from the
-        support, the 1-norm and ``k``, would pass ``MAX_WORK``, and before
-        any one product that would form more than ``MAX_PAIRS`` term
-        pairs."""
+        """``self ** k`` by repeated squaring, for an int ``k`` of at least
+        0.  ``BudgetExceededError`` before any product when the size of the
+        power, bounded from the support, the 1-norm and ``k``, would pass
+        ``MAX_WORK``, and before any one product that would form more term
+        pairs than it: a dense 100 x 100 square has 39,601 terms but forms
+        10^8 pairs."""
         if not isinstance(k, int):
             return NotImplemented
-        if k < 0:
-            raise ValueError("polynomial powers take a nonnegative exponent")
+        _require_int("k", k, 0)
         _require_budget(_power_cost((self._terms,), k, 1), "terms times 64-bit coefficient words",
                         "power {} of a {}-term poly", k, len(self._terms))
 
         def times(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
             pairs = len(a._terms) * len(b._terms)
             _require_budget(pairs, "term pairs", "a product of {} term pairs in power {} of a "
-                            "{}-term poly", pairs, k, len(self._terms), limit=MAX_PAIRS)
+                            "{}-term poly", pairs, k, len(self._terms))
             return a * b
 
         result = LaurentPoly.one()
@@ -642,9 +637,9 @@ def format_poly(f: LaurentPoly, mode: str = "text") -> str:
 
 def format_json(polys: Mapping[str, LaurentPoly] | Sequence[LaurentPoly]) -> str:
     """One JSON document holding several polys: a mapping of ``str`` labels
-    to polys renders as an object, any other sequence as an array.  A label
-    of any other type raises ``TypeError`` before anything is rendered, as
-    a JSON object's keys are strings.
+    to polys renders as an object, any other sequence as an array, and
+    anything else raises ``TypeError``, as does a label of another type (a
+    JSON object's keys are strings), both before anything is rendered.
 
     Byte-identical to ``json.dumps(obj, indent=2)``, where ``obj`` holds
     each poly's ``to_json_obj()``: each entry is ``format_poly(f, "json")``
@@ -659,8 +654,10 @@ def format_json(polys: Mapping[str, LaurentPoly] | Sequence[LaurentPoly]) -> str
                 raise TypeError(f"a label must be a str, not {type(label).__name__}")
         labels = [json.dumps(label) + ": " for label in polys]
         polys, brackets = list(polys.values()), "{}"
-    else:
+    elif isinstance(polys, Sequence):
         labels, brackets = [""] * len(polys), "[]"
+    else:
+        raise TypeError(f"polys must be a mapping or a sequence, not {type(polys).__name__}")
     if not polys:
         return brackets
     entries = ",\n  ".join(

@@ -193,21 +193,31 @@ def test_pow_examples():
 
 
 def test_pow_rejects_negative():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^k must be at least 0$"):
         parse("q") ** -1
 
 
+def test_pow_refuses_a_bool_exponent():
+    # the one integer rule, as for every other count; a float is refused by
+    # Python itself (test_operators_refuse_foreign_operands)
+    with pytest.raises(TypeError, match="^k must be an int, not bool$"):
+        parse("q + 1") ** True
+
+
+# each row pins the output price: a lone term forms one pair per product,
+# and a coefficient of 2^64 makes each term cost about k words, so the
+# output bound binds before any product's pairs
 @pytest.mark.parametrize(
     "f, work, last",
     [
         # one term of 1 + (1 + k) // 64 words
         ("2*q", 3, 190),
-        # binomial: k + 1 terms, with M = 2
-        ("q + 1", 100, 62),
+        # binomial: k + 1 terms of 1 + (1 + 65k) // 64 words each
+        (f"{2**64}*q + 1", 1000, 30),
         # three exponents in a plane: (k + 1)(k + 2)/2 terms, under the box
-        ("q + p + 1", 100, 12),
+        (f"{2**64}*q + p + 1", 1000, 11),
         # three exponents on a line: the box's 2k + 1 terms, under the multisets
-        ("1 + q^(1/2) + q", 100, 31),
+        (f"{2**64} + q^(1/2) + q", 1000, 21),
     ],
 )
 def test_pow_budget_boundaries(monkeypatch, f, work, last):
@@ -217,7 +227,11 @@ def test_pow_budget_boundaries(monkeypatch, f, work, last):
     for _ in range(last):
         product = product * f
     assert f**last == product
-    with pytest.raises(BudgetExceededError, match=rf"power {last + 1} of a .* budget of {work} "):
+    with pytest.raises(
+        BudgetExceededError,
+        match=rf"^power {last + 1} of a {len(f.terms())}-term poly is over the budget of {work} "
+        rf"terms times 64-bit coefficient words$",
+    ):
         f ** (last + 1)
 
 
@@ -234,13 +248,14 @@ def test_pow_refuses_before_any_product():
 
 @pytest.mark.parametrize("k, pairs", [(2, 100), (3, 190)])
 def test_pow_bounds_the_pairs_of_each_product(monkeypatch, k, pairs):
-    # a 10-term line: f ** 2 squares 10 x 10 pairs; f ** 3 then multiplies
-    # its 10 x 19 result by the base.  The output bound passes both.
+    # the pair price: a 10-term line, f ** 2 squares 10 x 10 pairs; f ** 3
+    # then multiplies its 10 x 19 result by the base.  The output bound, 19
+    # and 28 one-word terms, passes both budgets
     f = LaurentPoly({(2 * i, 0): 1 for i in range(10)})
     product = f * f if k == 2 else f * f * f
-    monkeypatch.setattr("pqcalc.laurent.MAX_PAIRS", pairs)
+    monkeypatch.setattr("pqcalc.laurent.MAX_WORK", pairs)
     assert f**k == product
-    monkeypatch.setattr("pqcalc.laurent.MAX_PAIRS", pairs - 1)
+    monkeypatch.setattr("pqcalc.laurent.MAX_WORK", pairs - 1)
     with pytest.raises(
         BudgetExceededError,
         match=rf"^a product of {pairs} term pairs in power {k} of a 10-term poly is over the "
@@ -252,7 +267,11 @@ def test_pow_bounds_the_pairs_of_each_product(monkeypatch, k, pairs):
 def test_pow_refuses_a_dense_square_before_the_product():
     # 39,601 output terms fit MAX_WORK, but squaring forms 10^8 term pairs
     f = LaurentPoly({(2 * i, 2 * j): 1 for i in range(100) for j in range(100)})
-    with pytest.raises(BudgetExceededError, match="product of 100000000 term pairs"):
+    with pytest.raises(
+        BudgetExceededError,
+        match="^a product of 100000000 term pairs in power 2 of a 10000-term poly is over the "
+        "budget of 4000000 term pairs$",
+    ):
         f**2
 
 
@@ -1168,6 +1187,20 @@ def test_value_entries_refuse_other_types(value):
         for call in entries:
             with pytest.raises(TypeError, match=message):
                 call(value)
+
+
+def test_format_json_refuses_a_container_that_is_not_a_mapping_or_a_sequence():
+    entries = iter([parse("q")])
+    for polys in (5, entries, {parse("q"), parse("p")}, frozenset()):
+        with pytest.raises(
+            TypeError, match=f"^polys must be a mapping or a sequence, not {type(polys).__name__}$"
+        ):
+            format_json(polys)
+    assert next(entries) == parse("q")  # refused before any entry was read
+    # a str is a sequence, of str entries
+    with pytest.raises(TypeError, match="^f must be a LaurentPoly or an int, not str$"):
+        format_json("q")
+    assert format_json(()) == "[]" and format_json({}) == "{}"
 
 
 # ----------------------------------------------------------------------

@@ -206,8 +206,12 @@ def test_stream_matches_power_tables_degenerate_and_zero_product(P, n):
 
 
 def _literal_sum(P, Q, n):
-    """The definition, summand by summand, in kernel powers."""
-    return poly_sum(P ** (n - 1 - i) * Q**i for i in range(n))
+    """The definition, summand by summand, its powers built by repeated
+    ``*``: ``**`` is priced, so it would meet a patched budget first."""
+    powers = [(LaurentPoly.one(), LaurentPoly.one())]
+    for _ in range(n - 1):
+        powers.append((powers[-1][0] * P, powers[-1][1] * Q))
+    return poly_sum(powers[n - 1 - i][0] * powers[i][1] for i in range(n))
 
 
 big_coeffs = st.one_of(
@@ -463,16 +467,20 @@ def test_one_integer_rule_at_every_entry(monkeypatch, arg, least, counts, call, 
                 call(value)
 
 
+# the square root's radicands (1 + q)^(2k), built before any budget is patched
+_SQUARES = {k: parse("q + 1") ** (2 * k) for k in (5, 6)}
+
 # each entry at a budget of 15: (the call, the last size it serves, the
 # next size it takes)
 _BUDGET_ENTRIES = {
     # n terms of one word each
     "pq_number": (lambda n: pq_number(Family.ALEXANDER_BOSONIC, n), 15, 16),
-    # k + 1 terms of one word each
-    "pow": (lambda k: parse("q + 1") ** k, 14, 15),
+    # k + 1 terms of one word each, but the pair price binds first:
+    # ** 6 ends on 3 x 5 term pairs, ** 7 on (q + 1)^3 times (q + 1)^4, 4 x 5
+    "pow": (lambda k: parse("q + 1") ** k, 6, 7),
     # the root (1 + q)^k: step i matches a one-word coefficient against i
     # root terms, k(k + 1)/2 in all
-    "sqrt_perfect_square": (lambda k: sqrt_perfect_square(parse("q + 1") ** (2 * k)), 5, 6),
+    "sqrt_perfect_square": (lambda k: sqrt_perfect_square(_SQUARES[k]), 5, 6),
     # 2 walk steps and l terms; l + 1 is even
     "alexander_torus": (lambda l: torus.alexander_torus(2, l), 13, 15),
     "alexander_torus2": (torus.alexander_torus2, 15, 16),

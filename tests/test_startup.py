@@ -163,7 +163,11 @@ SHARED_MESSAGES = {
     "over the budget of": "_require_budget",
 }
 # wordings those rules replaced, written nowhere
-RETIRED_MESSAGES = ("must be int, got", "must be nonnegative")
+RETIRED_MESSAGES = (
+    "must be int, got",
+    "must be nonnegative",
+    "polynomial powers take a nonnegative exponent",
+)
 
 
 # the scripts that import pqcalc; ab_pairs.py runs two checkouts and
@@ -210,3 +214,30 @@ def test_each_shared_rule_message_is_written_only_in_laurent():
         assert [name for name, text in sources.items() if message in text] == [], message
     for name in SCRIPTS:
         assert "type=int" not in sources[name], name
+
+
+def _module_bindings(tree: ast.Module) -> set[str]:
+    """Every name a module's top level assigns or imports."""
+    names = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names.add(node.id)
+            elif isinstance(node, ast.alias):
+                names.add(node.asname or node.name.partition(".")[0])
+    return names
+
+
+def test_one_budget_constant_read_by_one_budget_rule():
+    # every price is compared with laurent.MAX_WORK alone: no module binds
+    # another budget constant, and _require_budget takes no limit of its own
+    trees = {path.name: ast.parse(path.read_text()) for path in (SRC / "pqcalc").glob("*.py")}
+    constants = {name: sorted(n for n in _module_bindings(tree) if n.startswith("MAX_"))
+                 for name, tree in trees.items()}
+    assert constants == {name: ["MAX_WORK"] if name == "laurent.py" else [] for name in trees}
+    (rule,) = [node for node in trees["laurent.py"].body
+               if isinstance(node, ast.FunctionDef) and node.name == "_require_budget"]
+    assert rule.args.vararg is not None and rule.args.vararg.arg == "args"
+    assert rule.args.kwonlyargs == [] and rule.args.kwarg is None
