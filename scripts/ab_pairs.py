@@ -15,13 +15,22 @@ source, as a fresh checkout does.  So is a pair of checkouts whose
 measured by the same benchmark.
 
 The metrics are the ``end_to_end`` entries of ``BENCHMARK.json``, each
-with its ``better`` direction.  Every run is printed as it ends.  Then,
-for each metric: the medians of both sides, the median of the per-pair
-change/parent ratios, the pairs the change won (ties count for neither),
-the distance between the parent's quartiles (its IQR), and whether a gain
-may be claimed.  A gain needs at least ten pairs, wins in at least nine
-tenths of them, and a difference between the medians, in the better
-direction, larger than the parent's IQR.
+with its ``better`` direction and its ``bound``.  Every run is printed as
+it ends.  Then each side's failed operations out of those it attempted,
+summed over its runs, and for each metric: the medians of both sides, the
+median of the per-pair change/parent ratios, the pairs the change won
+(ties count for neither), the distance between the parent's quartiles (its
+IQR), whether a gain may be claimed, and a no-regression verdict.
+
+A gain needs at least ten pairs, wins in at least nine tenths of them, a
+difference between the medians, in the better direction, larger than the
+parent's IQR, and no larger a share of failed operations on the change's
+side than on the parent's.  The verdict is ``worse than bound`` when the
+change's median is worse than the parent's by more than ``bound`` times
+the parent's median, and ``within bound`` otherwise; but it is
+``unresolved`` when the parent's IQR is wider than ``bound`` times its
+median and not every change run beats every parent run, since a spread
+that wide cannot show a change of the bound's size.
 """
 
 from __future__ import annotations
@@ -38,18 +47,37 @@ MIN_PAIRS = 10
 WIN_SHARE = 0.9
 
 
+def failures(pairs: list[tuple[dict, dict]]) -> dict[str, tuple[int, int]]:
+    """Each side's failed and attempted operations, summed over ``pairs``
+    of ``(parent, change)`` runs that carry ``failed`` and ``attempted``."""
+    return {side: (sum(pair[i]["failed"] for pair in pairs),
+                   sum(pair[i]["attempted"] for pair in pairs))
+            for i, side in enumerate(("parent", "change"))}
+
+
 def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[dict]:
     """One row per metric of ``end_to_end`` (``BENCHMARK.json``'s entries)
-    from ``pairs`` of ``(parent, change)`` metric values by name."""
+    from ``pairs`` of ``(parent, change)`` runs: metric values by name,
+    with the run's ``failed`` and ``attempted`` operations."""
+    (parent_failed, parent_attempted), (change_failed, change_attempted) = failures(pairs).values()
+    # failed shares compared without division: a side may attempt nothing
+    fails_more = change_failed * parent_attempted > parent_failed * change_attempted
     rows = []
     for metric in end_to_end:
-        name, lower = metric["name"], metric["better"] == "lower"
+        name, lower, bound = metric["name"], metric["better"] == "lower", metric["bound"]
         parent = [p[name] for p, _ in pairs]
         change = [c[name] for _, c in pairs]
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         q1, _, q3 = statistics.quantiles(parent, n=4)
         parent_median, change_median = statistics.median(parent), statistics.median(change)
         gain = (parent_median - change_median) if lower else (change_median - parent_median)
+        beats_all = (max(change) < min(parent)) if lower else (min(change) > max(parent))
+        if q3 - q1 > bound * abs(parent_median) and not beats_all:
+            verdict = "unresolved"
+        elif -gain > bound * abs(parent_median):
+            verdict = "worse than bound"
+        else:
+            verdict = "within bound"
         rows.append({
             "metric": name,
             "unit": metric["unit"],
@@ -59,7 +87,10 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[di
             "wins": wins,
             "pairs": len(pairs),
             "parent_iqr": q3 - q1,
-            "gain": len(pairs) >= MIN_PAIRS and wins >= WIN_SHARE * len(pairs) and gain > q3 - q1,
+            "gain": (len(pairs) >= MIN_PAIRS and wins >= WIN_SHARE * len(pairs)
+                     and gain > q3 - q1 and not fails_more),
+            "bound": bound,
+            "verdict": verdict,
         })
     return rows
 
@@ -118,17 +149,21 @@ def main(argv: list[str] | None = None) -> int:
         for side in order:
             result = _run(sides[side], args.workload, seed, args.seconds)
             results[side] = {name: m["value"] for name, m in result["metrics"].items()}
+            results[side].update(failed=result["failed"], attempted=result["attempted"])
             shown = ", ".join(f"{m['name']} {results[side][m['name']]:.6g}" for m in end_to_end)
             print(f"pair {i + 1} seed {seed} {side}{' (first)' if side == order[0] else ''}: "
                   f"{shown}; failed {result['failed']} of {result['attempted']}", flush=True)
         pairs.append((results["parent"], results["change"]))
 
     print(f"\n{args.workload}: {args.pairs} pairs of {args.seconds:g} s runs")
+    for side, (failed, attempted) in failures(pairs).items():
+        print(f"  {side:6s} failed {failed} of {attempted} operations")
     for row in summarize(pairs, end_to_end):
         print(f"  {row['metric']:12s} parent {row['parent_median']:.6g} -> change "
               f"{row['change_median']:.6g} {row['unit']}, ratio {row['ratio']:.4f}, "
               f"wins {row['wins']}/{row['pairs']}, parent IQR {row['parent_iqr']:.6g}, "
-              f"gain rule {'holds' if row['gain'] else 'does not hold'}")
+              f"gain rule {'holds' if row['gain'] else 'does not hold'}, "
+              f"bound {row['bound']:g}: {row['verdict']}")
     return 0
 
 

@@ -13,8 +13,17 @@ Canonical form has one rule, written once: every sum the kernel forms (the
 constructor, ``+``, ``-``, ``poly_sum``, the sum of products ``_dot``, which
 ``*`` runs on, the parser) accumulates coefficients freely, and
 ``_canonical`` then drops its zeros, in place.
-The division remainder in ``exact_div`` and ``sqrt_perfect_square`` keeps
-a cancelled key, at zero, until the heap pops it, and skips it there.
+The division remainder in ``exact_div``'s heap route and in
+``sqrt_perfect_square`` keeps a cancelled key, at zero, until the heap
+pops it, and skips it there.
+
+``exact_div`` by a divisor of exactly two terms takes the run route: its
+quotient is a set of geometric runs, read from one pass over the
+numerator's sorted keys, so the quotient's size is priced before its first
+term is built, and each run is written by C-level iterators with no
+remainder at all.  Divisors of one term, or of three or more, take the
+heap route, which also stays the run route's reference and takes the
+two-term inputs whose first error the runs cannot place.
 
 Text has two parsers, chosen by the input.  Valid text is read by
 whole-text patterns, which run in C: ``_match_text`` removes the
@@ -38,8 +47,9 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Mapping, Sequence
 from heapq import heapify, heappop, heappush
-from itertools import islice
-from math import comb, isqrt
+from itertools import accumulate, islice, repeat
+from math import comb, gcd, isqrt
+from operator import mul
 from typing import Union
 
 __all__ = [
@@ -968,6 +978,21 @@ def _component_bounds(f: LaurentPoly) -> tuple[ExpVec, ExpVec]:
     return (min(qs), min(ps)), (max(qs), max(ps))
 
 
+def _inexact(num: LaurentPoly, den: LaurentPoly,
+             coeff: int | None = None) -> NonExactDivisionError:
+    # the two refusals of an inexact division: a remainder term outside the
+    # quotient box, or a coefficient the leading one does not divide
+    if coeff is None:
+        return NonExactDivisionError(f"{num} is not divisible by {den}")
+    return NonExactDivisionError(
+        f"coefficient {_int_to_str(coeff)} is not divisible by the leading "
+        f"coefficient {_int_to_str(den.leading_term()[1])} of {den}"
+    )
+
+
+_QUOTIENT = "the quotient of a {}-term poly by a {}-term poly"
+
+
 def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     """Exact quotient ``num / den`` over the integer half-exponent grid.
 
@@ -978,21 +1003,18 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     outside that box proves the division inexact.  The box also bounds the
     loop: candidate exponents strictly decrease, hence termination.
 
-    The remainder's exponents are kept in a max-heap with lazy deletion
-    (Monagan and Pearce, "Sparse polynomial division using a heap", 2011):
-    a key an update brings into the remainder is pushed, and a key whose
-    coefficient cancels stays in the remainder, at zero, until it is
-    popped and skipped.  Every key a step touches lies below the exponent
-    it processes, so each key in the remainder has exactly one live heap
-    entry, the heap order is exact, and the cost is
-    O(steps * |den| * log) rather than O(steps * |remainder|).  The
-    remainder is keyed by negated exponents, so a min-heap pops the
-    highest first and holds the remainder's own keys: a step pops a key,
-    removes that same tuple, and builds one new tuple, the quotient term's.
+    A divisor of exactly two terms takes the run route, ``_div_by_runs``:
+    its quotient is a union of geometric runs, found from the numerator's
+    keys alone, so the quotient's size is priced before its first term is
+    built.  Every other divisor, and a two-term one whose first error the
+    run route cannot place, takes the heap route, ``_div_by_heap``.  Both
+    give the same quotient, or the same error.
 
-    Two terms can divide into n, as ``(q^n - 1) / (q - 1)`` does, so the
-    quotient's term past ``MAX_WORK`` raises ``BudgetExceededError``,
-    which names the sizes of ``num`` and ``den``, before it is stored.
+    Two terms can divide into n, as ``(q^n - 1) / (q - 1)`` does, so a
+    quotient of more than ``MAX_WORK`` terms raises
+    ``BudgetExceededError``, which names the sizes of ``num`` and ``den``:
+    by a two-term divisor before any term is built, by the heap before the
+    term past the budget is stored.
 
     A plain int ``num`` or ``den`` is the constant it names; any other
     type that is not a ``LaurentPoly`` raises ``TypeError``.
@@ -1005,6 +1027,100 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero:
         return LaurentPoly.zero()
+    if len(den._terms) == 2:
+        quot = _div_by_runs(num, den)
+        if quot is not None:
+            return quot
+    return _div_by_heap(num, den)
+
+
+def _div_by_runs(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
+    """``exact_div`` by a two-term ``den = a*x^u + b*x^v``, ``u > v``, or
+    ``None`` where the heap must place the first error.
+
+    The keys ``k, k - d, k - 2d, ...`` (``d = u - v``) form a chain, and
+    division runs along each chain apart from the others.  On a chain the
+    quotient is a run ``t, t*rho, t*rho^2, ...`` (``rho = -b/a``) that
+    begins at a numerator key and carries ``a*t*rho^L`` to the key ``L``
+    steps below.  That key either cancels the carry, ending the run, or
+    begins the next run.  The lowest key of a chain gives a quotient term
+    below the quotient box, so it must cancel; every other key, and every
+    step of a run above it, lies in the box.  So one pass over the
+    numerator's sorted keys, with one ``pow`` per gap between them, gives
+    every run's first term, coefficient and length, and the quotient is
+    priced before any term is built.  Where ``a`` does not divide ``b``,
+    a run stays integral only while ``a/gcd(a, b)`` divides ``t`` often
+    enough, which is counted one step at a time.
+
+    On one chain the runs come in the heap's order, and the route raises
+    the heap's first error.  On several chains, an error or a size past
+    the budget goes to the heap, which places the first error among them.
+    """
+    (u, a), (v, b) = sorted(den._terms.items(), reverse=True)
+    dq, dp = u[0] - v[0], u[1] - v[1]  # dq >= 0, and dp > 0 where dq = 0
+    rho, frac = divmod(-b, a)  # frac: rho is not an integer
+    a1 = a // gcd(a, b)
+    chains: dict[ExpVec, list] = {}
+    for (kq, kp), n in sorted(num._terms.items(), reverse=True):
+        sq, sp = kq - u[0], kp - u[1]  # the quotient key this key gives
+        m = sq // dq if dq else sp // dp
+        chains.setdefault((sq - m * dq, sp - m * dp), []).append((m, sq, sp, n))
+    runs = []  # (first quotient key, its coefficient, length)
+    total = 0
+    try:
+        for chain in chains.values():
+            ms = None  # the open run's position, or None
+            for m, sq, sp, n in chain:
+                if ms is not None:
+                    gap = ms - m
+                    power, x = 0, t  # a1 divides t power times, up to gap - 1
+                    while frac and power < gap - 1 and not x % a1:
+                        power, x = power + 1, x // a1
+                    length = min(gap, power + 1) if frac else gap
+                    runs.append(((rq, rp), t, length))
+                    total += length
+                    _require_budget(total, "terms", _QUOTIENT, len(num._terms), len(den._terms))
+                    if length < gap:  # -b times the run's last term, which a does not divide
+                        raise _inexact(num, den, -b * (t * (-b) ** power // a**power))
+                    n += t * (-b) ** gap // a ** (gap - 1) if frac else a * t * rho**gap
+                    ms = None
+                if n:
+                    if m == chain[-1][0]:
+                        raise _inexact(num, den)
+                    t, residue = divmod(n, a)
+                    if residue:
+                        raise _inexact(num, den, n)
+                    ms, rq, rp = m, sq, sp
+    except (NonExactDivisionError, BudgetExceededError):
+        if len(chains) > 1:
+            return None
+        raise
+    quot: dict[ExpVec, int] = {}
+    for (sq, sp), t, length in runs:
+        qs = range(sq, sq - length * dq, -dq) if dq else repeat(sq, length)
+        ps = range(sp, sp - length * dp, -dp) if dp else repeat(sp, length)
+        if frac:
+            cs = accumulate(repeat(-b, length - 1), lambda x, y: x * y // a, initial=t)
+        else:
+            cs = accumulate(repeat(rho, length - 1), mul, initial=t)
+        quot.update(zip(zip(qs, ps), cs))
+    return LaurentPoly._raw(quot)
+
+
+def _div_by_heap(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
+    """``exact_div`` by any divisor: the remainder's exponents are kept in a
+    max-heap with lazy deletion (Monagan and Pearce, "Sparse polynomial
+    division using a heap", 2011).  A key an update brings into the
+    remainder is pushed, and a key whose coefficient cancels stays in the
+    remainder, at zero, until it is popped and skipped.  Every key a step
+    touches lies below the exponent it processes, so each key in the
+    remainder has exactly one live heap entry, the heap order is exact, and
+    the cost is O(steps * |den| * log) rather than O(steps * |remainder|).
+    The remainder is keyed by negated exponents, so a min-heap pops the
+    highest first and holds the remainder's own keys: a step pops a key,
+    removes that same tuple, and builds one new tuple, the quotient term's.
+    The quotient's term past ``MAX_WORK`` is refused before it is stored.
+    """
     (num_lo, num_hi) = _component_bounds(num)
     (den_lo, den_hi) = _component_bounds(den)
     (lead_q, lead_p), lead_coeff = den.leading_term()
@@ -1030,16 +1146,12 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
             continue
         nq, np = key
         if not (nq_lo <= nq <= nq_hi and np_lo <= np <= np_hi):
-            raise NonExactDivisionError(f"{num} is not divisible by {den}")
+            raise _inexact(num, den)
         t_coeff, residue = divmod(coeff, lead_coeff)
         if residue:
-            raise NonExactDivisionError(
-                f"coefficient {_int_to_str(coeff)} is not divisible by the leading "
-                f"coefficient {_int_to_str(lead_coeff)} of {den}"
-            )
+            raise _inexact(num, den, coeff)
         if not left:
-            subject = "the quotient of a {}-term poly by a {}-term poly"
-            _require_budget(len(quot) + 1, "terms", subject, len(num._terms), len(den._terms))
+            _require_budget(len(quot) + 1, "terms", _QUOTIENT, len(num._terms), len(den._terms))
         left -= 1
         quot[(-nq - lead_q, -np - lead_p)] = t_coeff
         for oq, op, dc in tail:

@@ -16,8 +16,11 @@ END_TO_END = [
 ]
 
 
-def canned(parent, change):
-    return [({"pass_s": p, "rate": 1 / p}, {"pass_s": c, "rate": 1 / c})
+def canned(parent, change, failed=(0, 0), attempted=(100, 100)):
+    # runs of the two sides; each run attempts ``attempted`` operations and
+    # fails ``failed`` of them, (parent, change)
+    return [({"pass_s": p, "rate": 1 / p, "failed": failed[0], "attempted": attempted[0]},
+             {"pass_s": c, "rate": 1 / c, "failed": failed[1], "attempted": attempted[1]})
             for p, c in zip(parent, change)]
 
 
@@ -60,3 +63,64 @@ def test_no_gain_without_every_condition(parent, change, why):
     (row, _) = ab_pairs.summarize(canned(parent, change), END_TO_END)
     assert row["change_median"] < row["parent_median"]
     assert not row["gain"], why
+
+
+CLEAR_GAIN = ([0.100, 0.101, 0.099, 0.102, 0.100, 0.098, 0.101, 0.100, 0.099, 0.100],
+              [0.094, 0.095, 0.093, 0.096, 0.094, 0.092, 0.095, 0.094, 0.093, 0.094])
+
+
+def test_failures_sum_each_side():
+    pairs = canned(*CLEAR_GAIN, failed=(1, 2), attempted=(40, 30))
+    assert ab_pairs.failures(pairs) == {"parent": (10, 400), "change": (20, 300)}
+
+
+@pytest.mark.parametrize(
+    "failed, attempted, gain",
+    [
+        ((0, 0), (100, 100), True),
+        # a larger failed share on the change's side refuses the gain
+        ((0, 1), (100, 100), False),
+        ((1, 2), (100, 100), False),
+        ((1, 1), (100, 90), False),
+        # an equal or smaller share does not
+        ((1, 1), (100, 100), True),
+        ((2, 1), (100, 100), True),
+        ((1, 1), (90, 100), True),
+    ],
+)
+def test_no_gain_where_the_change_fails_a_larger_share(failed, attempted, gain):
+    rows = ab_pairs.summarize(canned(*CLEAR_GAIN, failed, attempted), END_TO_END)
+    assert [row["gain"] for row in rows] == [gain, gain]
+    assert [row["wins"] for row in rows] == [10, 10]
+
+
+WIDE = [0.05, 0.06, 0.08, 0.10, 0.10, 0.10, 0.12, 0.14, 0.15, 0.10]
+
+
+@pytest.mark.parametrize(
+    "parent, change, verdict",
+    [
+        # a gain, and no change, are within the bound
+        (CLEAR_GAIN[0], CLEAR_GAIN[1], "within bound"),
+        (CLEAR_GAIN[0], CLEAR_GAIN[0], "within bound"),
+        # 20% worse is within a bound of 0.25, 40% worse is not
+        ([0.100] * 10, [0.120] * 10, "within bound"),
+        ([0.100] * 10, [0.140] * 10, "worse than bound"),
+        # the parent's IQR is 0.05 around a median of 0.1, wider than
+        # 0.25 times it: its runs could not show a change of 25% either way
+        (WIDE, [0.100] * 10, "unresolved"),
+        (WIDE, [0.200] * 10, "unresolved"),
+        # unless every change run beats every parent run
+        (WIDE, [0.040] * 10, "within bound"),
+    ],
+)
+def test_one_verdict_per_metric_against_its_bound(parent, change, verdict):
+    (lower, higher) = ab_pairs.summarize(canned(parent, change), END_TO_END)
+    assert lower["bound"] == 0.25
+    assert lower["verdict"] == verdict
+    if parent is WIDE:
+        assert lower["parent_iqr"] == pytest.approx(0.05)
+    if verdict != "unresolved":
+        # pass_s and its reciprocal, read in the other direction, agree
+        # wherever the spread resolves the bound
+        assert higher["verdict"] == verdict

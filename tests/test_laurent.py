@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import jsonschema
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 import hypothesis.strategies as st
 
 from pqcalc.laurent import (
@@ -34,7 +34,15 @@ from pqcalc.laurent import (
     sqrt_perfect_square,
     substitute_z,
 )
-from pqcalc.laurent import _descend, _dot, _int_from_str, _match_text, _parse_text
+from pqcalc.laurent import (
+    _descend,
+    _div_by_heap,
+    _div_by_runs,
+    _dot,
+    _int_from_str,
+    _match_text,
+    _parse_text,
+)
 
 from pqcalc.qnumbers import Family, pq_number
 from pqcalc.skein import PQPair
@@ -530,16 +538,21 @@ def test_exact_div_budget_boundaries(monkeypatch, num, den, terms):
 
 
 def test_exact_div_is_refused_before_memory_runs_out():
-    # 10^8 quotient terms would take about 13 GB; the meter stops the
-    # division at MAX_WORK terms, inside a 1 GiB address space
+    # 10^8 quotient terms would take about 13 GB.  A two-term divisor's
+    # quotient is priced before its first term is built, so the refusal
+    # comes inside a 256 MiB address space, and the division allocates
+    # under 64 KiB on the way to it
     code = (
-        "import resource\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "import resource, tracemalloc\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
         "from pqcalc.laurent import exact_div, parse\n"
+        "num, den = parse('q^100000000 - 1'), parse('q - 1')\n"
+        "tracemalloc.start()\n"
         "try:\n"
-        "    exact_div(parse('q^100000000 - 1'), parse('q - 1'))\n"
+        "    exact_div(num, den)\n"
         "except Exception as exc:\n"
         "    print(type(exc).__name__, exc)\n"
+        "print('peak under 64 KiB:', tracemalloc.get_traced_memory()[1] < 1 << 16)\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=300)
@@ -547,7 +560,90 @@ def test_exact_div_is_refused_before_memory_runs_out():
     assert proc.stdout == (
         "BudgetExceededError the quotient of a 2-term poly by a 2-term poly is over the "
         "budget of 4000000 terms\n"
+        "peak under 64 KiB: True\n"
     )
+
+
+def _division(route, num, den):
+    # a division's quotient, or its error's type and message
+    try:
+        return route(num, den)
+    except LaurentError as exc:
+        return type(exc), str(exc)
+
+
+def _on_one_chain(num, den):
+    # every key of num lies k*d from the first, k an int, d = u - v
+    (uq, up), (vq, vp) = sorted(den._terms, reverse=True)
+    (dq, dp), (fq, fp) = (uq - vq, up - vp), next(iter(num._terms))
+    for q2, p2 in num._terms:
+        k, rest = divmod(q2 - fq, dq) if dq else divmod(p2 - fp, dp)
+        if rest or (q2 - fq, p2 - fp) != (k * dq, k * dp):
+            return False
+    return True
+
+
+@st.composite
+def two_term_divisions(draw):
+    """A two-term divisor ``a*x^u + b*x^v``, monic or not, offset in one
+    variable or in two, and a numerator on one to three of its chains:
+    ``f * den`` for a random ``f``, or a long geometric run
+    ``r*((a*x^d)^k - (-b)^k)``, each exact or perturbed by one term."""
+    two_vars = draw(st.booleans())
+    exps = st.tuples(exp2s, exp2s if two_vars else st.just(0))
+    u = draw(exps)
+    v = draw(exps.filter(lambda e: e != u))
+    coeffs = st.sampled_from([1, -1, 2, -2, 3, -3, 4, -6, 9])
+    a, b = draw(coeffs), draw(coeffs)
+    den = LaurentPoly({u: a, v: b})
+    d = (u[0] - v[0], u[1] - v[1])
+    if draw(st.booleans()):
+        bases = draw(st.lists(exps, min_size=1, max_size=3))
+        steps = st.integers(-4, 4)
+        f = LaurentPoly([((bq + k * d[0], bp + k * d[1]), draw(coeffs))
+                         for bq, bp in bases for k in draw(st.lists(steps, max_size=3))])
+        num = f * den
+    else:
+        k, r = draw(st.integers(1, 30)), draw(coeffs)
+        num = LaurentPoly({(k * d[0], k * d[1]): r * a**k, (0, 0): -r * (-b) ** k})
+        num *= LaurentPoly.monomial(1, *draw(exps))
+    if draw(st.booleans()):
+        keys = sorted(num._terms) or [(0, 0)]
+        (kq, kp) = draw(st.sampled_from(keys))
+        k = draw(st.integers(-3, 3))
+        num += LaurentPoly.monomial(draw(coeffs), kq + k * d[0], kp + k * d[1])
+    # exact_div returns a zero numerator before it picks a route
+    return num or den, den
+
+
+@given(division=two_term_divisions(), budget=st.sampled_from([None, 1, 3, 8, 20]))
+@example(division=(parse("q^(75/2) - q^(-75/2)"), parse("q^(1/2) + q^(-1/2)")), budget=None)
+@example(division=(parse("q^40 - 1"), parse("q - 1")), budget=39)
+@example(division=(parse("1024*q^10 - 1"), parse("2*q - 1")), budget=None)
+@example(division=(parse("512*q^10 - 1"), parse("2*q - 1")), budget=None)
+@example(division=(parse("q^10 - 1 + p*q^7"), parse("q - 1")), budget=None)
+# the chain of q^3 fails last, at its constant; the heap first meets the
+# chain of p*q^2, whose coefficient 1 the leading 2 does not divide
+@example(division=(parse("2*q^3 + 4 + p*q^2"), parse("2*q + 2")), budget=None)
+@settings(deadline=None, max_examples=400)
+def test_run_route_matches_the_heap(division, budget):
+    # the same quotient, or the same error type and message, as the heap;
+    # the run route hands the heap only an input on several chains that
+    # the heap refuses
+    num, den = division
+    with pytest.MonkeyPatch.context() as mp:
+        if budget is not None:
+            mp.setattr("pqcalc.laurent.MAX_WORK", budget)
+        want = _division(_div_by_heap, num, den)
+        got = _division(_div_by_runs, num, den)
+        event("quotient" if isinstance(got, LaurentPoly) else "heap" if got is None
+              else f"{got[0].__name__}{' (coefficient)' if 'leading' in got[1] else ''}")
+        if got is None:
+            assert not isinstance(want, LaurentPoly)
+            assert not _on_one_chain(num, den)
+        else:
+            assert got == want
+        assert _division(exact_div, num, den) == want
 
 
 @given(f=polys(), g=nonzero_polys())
