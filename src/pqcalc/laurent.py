@@ -32,13 +32,19 @@ one ``findall``.  Text it refuses (malformed, off the grid, a zero
 denominator) goes to ``_Parser``, a recursive descent that positions the
 error; it is also the reference the patterns are tested against.
 
-Rendering (``LaurentPoly.text``, ``format_poly``) makes one pass over a
-value's sorted keys and pays per term, with ``str`` for every int; a value
-holding an int past CPython's int/str limit is rendered again with
-``_int_to_str``, which converts at any length in subquadratic time, as
-every int in an error message does.  Text formats each term in place; JSON
-joins three pieces per term, a head per coefficient and a tail per ``p``
-exponent, each built once per value, around the term's ``q`` exponent.
+Rendering (``LaurentPoly.text``, ``format_poly``, ``terms``) makes one
+pass over a value's terms in descending canonical order and pays per term,
+with ``str`` for every int; a value holding an int past CPython's int/str
+limit is rendered again with ``_int_to_str``, which converts at any length
+in subquadratic time, as every int in an error message does.  A value whose
+producer wrote its dict in that order (the torus closed form, a monomial
+pair's ``[n]``, the heap's quotient and root, a one-chain run quotient, the
+negation of such a value, and a constructed value of at most one term) is
+marked so, and is walked as stored; any other value's keys are sorted on
+each render, and its coefficients read by key.  Text formats each term in
+place; JSON joins three pieces per term, a head per coefficient and a tail
+per ``p`` exponent, each built once per value, around the term's ``q``
+exponent.
 ``format_json`` nests indented copies of the single-poly JSON document.
 """
 
@@ -199,7 +205,9 @@ class LaurentPoly:
     LaurentPoly('1')
     """
 
-    __slots__ = ("_terms",)
+    # _ordered: the producer wrote _terms in descending canonical order,
+    # so rendering walks it as stored (see _items)
+    __slots__ = ("_terms", "_ordered")
 
     def __init__(
         self,
@@ -225,6 +233,7 @@ class LaurentPoly:
                     _require_int("exponent", e2)
                 data[exp] = data.get(exp, 0) + coeff
         self._terms = _canonical(data)
+        self._ordered = len(self._terms) < 2
 
     # ------------------------------------------------------------------
     # constructors
@@ -243,10 +252,12 @@ class LaurentPoly:
         return cls({(q2, p2): coeff})
 
     @classmethod
-    def _raw(cls, data: dict[ExpVec, int]) -> LaurentPoly:
-        # internal fast path: data must already be canonical
+    def _raw(cls, data: dict[ExpVec, int], ordered: bool = False) -> LaurentPoly:
+        # internal fast path: data must already be canonical, and, where
+        # ordered is true, in descending canonical order
         poly = cls.__new__(cls)
         poly._terms = data
+        poly._ordered = ordered
         return poly
 
     # ------------------------------------------------------------------
@@ -257,8 +268,10 @@ class LaurentPoly:
         return not self._terms
 
     def terms(self) -> tuple[tuple[ExpVec, int], ...]:
-        """All terms in descending canonical order, sorted on each call."""
-        return tuple(sorted(self._terms.items(), reverse=True))
+        """All terms in descending canonical order: as stored, where the
+        value's producer wrote them so, and otherwise sorted on each
+        call."""
+        return tuple(_items(self))
 
     def leading_term(self) -> tuple[ExpVec, int]:
         if not self._terms:
@@ -297,7 +310,8 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly._raw({exp: -coeff for exp, coeff in self._terms.items()})
+        return LaurentPoly._raw({exp: -coeff for exp, coeff in self._terms.items()},
+                                self._ordered)
 
     def __sub__(self, other) -> LaurentPoly:
         other = self._coerce(other)
@@ -379,12 +393,14 @@ class LaurentPoly:
     def text(self) -> str:
         """Canonical text form, e.g. ``'q - 1 + q^(-1)'``.
 
-        One pass over the sorted keys pays per term: a term is its sign,
-        its magnitude, its ``p`` factor, read from a dict kept for this
-        value, and its ``q`` factor, formatted in place.  Nothing is cached
-        past the call, so a second call pays again.
+        One pass over the terms in descending canonical order pays per
+        term: a term is its sign, its magnitude, its ``p`` factor, read
+        from a dict kept for this value, and its ``q`` factor, formatted in
+        place.  A value its producer wrote in that order is walked as
+        stored; any other value's keys are sorted on each call.  Nothing is
+        cached past the call, so a second call pays again.
         """
-        return _render(_text, self._terms)
+        return _render(_text, self)
 
     def to_json_obj(self) -> dict:
         """JSON-ready dict; see ``JSON_SCHEMA``.  Coefficients are decimal
@@ -468,13 +484,26 @@ JSON_SCHEMA = {
 }
 
 
-def _render(write, d: dict[ExpVec, int]) -> str:
-    """``write(d, str)``, or, for a value holding an int past CPython's
-    int/str digit limit, where ``str`` raises, ``write(d, _int_to_str)``."""
+def _items(f: LaurentPoly) -> Iterable[tuple[ExpVec, int]]:
+    """The terms of ``f`` in descending canonical order, read once: its
+    dict's items as stored where its producer wrote them in that order,
+    and otherwise its keys sorted, each with its coefficient."""
+    d = f._terms
+    if f._ordered:
+        return d.items()
+    keys = sorted(d, reverse=True)
+    return zip(keys, map(d.__getitem__, keys))
+
+
+def _render(write, f: LaurentPoly) -> str:
+    """``write(_items(f), str)``, or, for a value holding an int past
+    CPython's int/str digit limit, where ``str`` raises, the same with
+    ``_int_to_str`` over a fresh ``_items(f)``: the first pass may have
+    consumed the one it was given."""
     try:
-        return write(d, str)
+        return write(_items(f), str)
     except ValueError:
-        return write(d, _int_to_str)
+        return write(_items(f), _int_to_str)
 
 
 def _power(name: str, e2: int, conv) -> str:
@@ -486,15 +515,12 @@ def _power(name: str, e2: int, conv) -> str:
     return name if e == 1 else f"{name}^{conv(e)}" if e > 0 else f"{name}^({conv(e)})"
 
 
-def _text(d: dict[ExpVec, int], conv) -> str:
-    """``LaurentPoly.text`` of the terms ``d``, every int through ``conv``."""
-    if not d:
-        return "0"
+def _text(items: Iterable[tuple[ExpVec, int]], conv) -> str:
+    """``LaurentPoly.text`` of ``items``, the terms in descending canonical
+    order, every int through ``conv``."""
     pfactors = {0: ""}  # p2 -> its factor and the "*" after it
     out = []
-    for key in sorted(d, reverse=True):
-        q2, p2 = key
-        c = d[key]
+    for (q2, p2), c in items:
         pf = pfactors.get(p2)
         if pf is None:
             pf = pfactors[p2] = _power("p", p2, conv) + "*"
@@ -516,6 +542,8 @@ def _text(d: dict[ExpVec, int], conv) -> str:
             out.append(head + pf[:-1])
         else:  # the constant shows its magnitude, 1 included
             out.append(head[:-1] if head[-1] == "*" else head + "1")
+    if not out:
+        return "0"
     first = out[0]
     out[0] = first[3:] if first[1] == "+" else "-" + first[3:]
     return "".join(out)
@@ -536,27 +564,21 @@ _JSON_LAYOUT = (
 )
 
 
-def _json(d: dict[ExpVec, int], conv) -> str:
-    """``format_poly(f, "json")`` of the terms ``d``, every int through
-    ``conv``.  A term is three pieces: its coefficient's head (the
-    coefficient and the layout up to ``"q": ``), its ``q`` exponent, and
-    its ``p`` exponent's tail (the layout from ``"p": `` to the next term's
-    ``"coeff": "``).  Coefficients and ``p`` exponents repeat (a torus
-    value's are all 1, -1 and 0), so heads and tails are built once per
-    value and shared, and a term's only new string is its ``q`` exponent.
-    The last term is written after the loop, its tail ending in the
-    document's closing layout, so a one-term value caches nothing."""
+def _json(items: Iterable[tuple[ExpVec, int]], conv) -> str:
+    """``format_poly(f, "json")`` of ``items``, the terms in descending
+    canonical order, every int through ``conv``.  A term is three pieces:
+    its coefficient's head (the coefficient and the layout up to
+    ``"q": ``), its ``q`` exponent, and its ``p`` exponent's tail (the
+    layout from ``"p": `` to the next term's ``"coeff": "``).  Coefficients
+    and ``p`` exponents repeat (a torus value's are all 1, -1 and 0), so
+    heads and tails are built once per value and shared, and a term's only
+    new string is its ``q`` exponent.  After the loop the last term's tail
+    is replaced by one ending in the document's closing layout."""
     empty, first, before_q, before_p, between, tail = _JSON_LAYOUT
-    if not d:
-        return empty
     heads: dict[int, str] = {}
     tails: dict[int, str] = {}
     pieces = [first]
-    keys = sorted(d, reverse=True)
-    last = keys.pop()
-    for key in keys:
-        q2, p2 = key
-        c = d[key]
+    for (q2, p2), c in items:
         head = heads.get(c)
         if head is None:
             head = heads[c] = conv(c) + before_q
@@ -568,9 +590,9 @@ def _json(d: dict[ExpVec, int], conv) -> str:
         pieces.append(head)
         pieces.append(conv(q2))
         pieces.append(ptail)
-    q2, p2 = last
-    c = d[last]
-    pieces += (heads.get(c) or conv(c) + before_q, conv(q2), f"{before_p}{conv(p2)}{tail}")
+    if len(pieces) == 1:
+        return empty
+    pieces[-1] = f"{before_p}{conv(p2)}{tail}"
     return "".join(pieces)
 
 
@@ -633,15 +655,16 @@ def format_poly(f: LaurentPoly, mode: str = "text") -> str:
 
     The JSON form is byte-identical to
     ``json.dumps(f.to_json_obj(), indent=2)``.  Like ``text``, it makes one
-    pass over the sorted keys.  A plain int ``f`` is the constant it
-    names; any other type that is not a ``LaurentPoly`` raises
-    ``TypeError``.
+    pass over the terms in descending canonical order: as stored, where
+    ``f``'s producer wrote them so, and otherwise by sorted keys.  A plain
+    int ``f`` is the constant it names; any other type that is not a
+    ``LaurentPoly`` raises ``TypeError``.
     """
     f = _require_poly("f", f)
     if mode == "text":
         return f.text()
     if mode == "json":
-        return _render(_json, f._terms)
+        return _render(_json, f)
     raise ValueError(f"unknown format mode: {mode!r}")
 
 
@@ -1053,8 +1076,13 @@ def _div_by_runs(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
     enough, which is counted one step at a time.
 
     On one chain the runs come in the heap's order, and the route raises
-    the heap's first error.  On several chains, an error or a size past
-    the budget goes to the heap, which places the first error among them.
+    the heap's first error.  On several chains, an error goes to the heap,
+    which places the first error among them.  A size past the budget on
+    several chains is refused, as the heap would refuse it but with no
+    term built, once every chain's walk has shown the division exact.  The
+    walk goes on past the budget only where ``|rho| = 1``, so that a carry
+    costs O(log gap); where ``|rho| != 1`` a carry past the budget would
+    be too long to compute, and the input goes to the heap.
     """
     (u, a), (v, b) = sorted(den._terms.items(), reverse=True)
     dq, dp = u[0] - v[0], u[1] - v[1]  # dq >= 0, and dp > 0 where dq = 0
@@ -1065,6 +1093,9 @@ def _div_by_runs(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
         sq, sp = kq - u[0], kp - u[1]  # the quotient key this key gives
         m = sq // dq if dq else sp // dp
         chains.setdefault((sq - m * dq, sp - m * dp), []).append((m, sq, sp, n))
+    # one chain: a size past the budget is the heap's first error.  |rho|
+    # != 1: a carry past the budget would hold over MAX_WORK powers of rho
+    refuse_now = len(chains) == 1 or abs(a) != abs(b)
     runs = []  # (first quotient key, its coefficient, length)
     total = 0
     try:
@@ -1079,7 +1110,8 @@ def _div_by_runs(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
                     length = min(gap, power + 1) if frac else gap
                     runs.append(((rq, rp), t, length))
                     total += length
-                    _require_budget(total, "terms", _QUOTIENT, len(num._terms), len(den._terms))
+                    if refuse_now:
+                        _require_budget(total, "terms", _QUOTIENT, len(num._terms), len(den._terms))
                     if length < gap:  # -b times the run's last term, which a does not divide
                         raise _inexact(num, den, -b * (t * (-b) ** power // a**power))
                     n += t * (-b) ** gap // a ** (gap - 1) if frac else a * t * rho**gap
@@ -1095,6 +1127,9 @@ def _div_by_runs(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
         if len(chains) > 1:
             return None
         raise
+    # every chain's walk is exact, so the heap too would refuse a quotient
+    # this size
+    _require_budget(total, "terms", _QUOTIENT, len(num._terms), len(den._terms))
     quot: dict[ExpVec, int] = {}
     for (sq, sp), t, length in runs:
         qs = range(sq, sq - length * dq, -dq) if dq else repeat(sq, length)
@@ -1104,7 +1139,8 @@ def _div_by_runs(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
         else:
             cs = accumulate(repeat(rho, length - 1), mul, initial=t)
         quot.update(zip(zip(qs, ps), cs))
-    return LaurentPoly._raw(quot)
+    # one chain's runs descend, each below the one before it
+    return LaurentPoly._raw(quot, len(chains) == 1)
 
 
 def _div_by_heap(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
@@ -1156,7 +1192,8 @@ def _div_by_heap(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         quot[(-nq - lead_q, -np - lead_p)] = t_coeff
         for oq, op, dc in tail:
             _sub_term(rem, heap, (nq + oq, np + op), t_coeff * dc)
-    return LaurentPoly._raw(quot)
+    # written in heap-pop order, which descends
+    return LaurentPoly._raw(quot, True)
 
 
 def _sub_term(rem: dict[ExpVec, int], heap: list[ExpVec], key: ExpVec, value: int):
@@ -1244,7 +1281,8 @@ def sqrt_perfect_square(f: LaurentPoly) -> LaurentPoly:
             _sub_term(rem, heap, (tq - rq, tp - rp), 2 * t_coeff * rc)
         _sub_term(rem, heap, (2 * tq, 2 * tp), t_coeff * t_coeff)
         root[(-tq, -tp)] = t_coeff
-    return LaurentPoly._raw(root)
+    # the head, then the rest in heap-pop order, which descends
+    return LaurentPoly._raw(root, True)
 
 
 RationalLike = Union[int, "Fraction"]

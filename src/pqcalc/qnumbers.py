@@ -175,7 +175,9 @@ def _monomial_number(P: LaurentPoly, Q: LaurentPoly, n: int) -> LaurentPoly:
     a_pows = list(accumulate(repeat(a, n - 1), mul, initial=1))
     b_pows = accumulate(repeat(b, n - 1), mul, initial=1)
     exps = zip(count((n - 1) * e[0], f[0] - e[0]), count((n - 1) * e[1], f[1] - e[1]))
-    return LaurentPoly._raw(dict(zip(exps, map(mul, reversed(a_pows), b_pows))))
+    # the exponents step by f - e, so they descend where f is below e, as
+    # in every built-in family
+    return LaurentPoly._raw(dict(zip(exps, map(mul, reversed(a_pows), b_pows))), f < e)
 
 
 def pq_numbers(family: Family | PQPair | str) -> Iterator[LaurentPoly]:

@@ -79,14 +79,13 @@ def alexander_torus(n: int, l: int) -> LaurentPoly:
             lo = 2 * (j - m) * g - c
             minus.extend(range(lo + step * (r + 1), lo + step * g, step))
     # the sorted signs alternate, +1 at both ends; the terms go in
-    # ascending, which the descending sort of every later terms() call
-    # takes in one pass
-    plus.sort()
-    minus.sort()
+    # descending order, which rendering walks as stored
+    plus.sort(reverse=True)
+    minus.sort(reverse=True)
     exps = plus + minus
     exps[0::2] = plus
     exps[1::2] = minus
-    return LaurentPoly._raw(dict(zip(zip(exps, repeat(0)), cycle((1, -1)))))
+    return LaurentPoly._raw(dict(zip(zip(exps, repeat(0)), cycle((1, -1)))), True)
 
 
 def _product_form(n: int, l: int) -> tuple[int, int, int, int, int]:

@@ -9,10 +9,11 @@ import sys
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import gcd
 
 import jsonschema
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 import hypothesis.strategies as st
 
 from pqcalc.laurent import (
@@ -539,28 +540,33 @@ def test_exact_div_budget_boundaries(monkeypatch, num, den, terms):
 
 def test_exact_div_is_refused_before_memory_runs_out():
     # 10^8 quotient terms would take about 13 GB.  A two-term divisor's
-    # quotient is priced before its first term is built, so the refusal
-    # comes inside a 256 MiB address space, and the division allocates
-    # under 64 KiB on the way to it
+    # quotient is priced before its first term is built, on one chain of
+    # keys or, once every chain's walk is exact, on several (the second
+    # numerator has one chain per p exponent), so each refusal comes inside
+    # a 256 MiB address space, and the division allocates under 64 KiB on
+    # the way to it
     code = (
         "import resource, tracemalloc\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
         "from pqcalc.laurent import exact_div, parse\n"
         "num, den = parse('q^100000000 - 1'), parse('q - 1')\n"
-        "tracemalloc.start()\n"
-        "try:\n"
-        "    exact_div(num, den)\n"
-        "except Exception as exc:\n"
-        "    print(type(exc).__name__, exc)\n"
-        "print('peak under 64 KiB:', tracemalloc.get_traced_memory()[1] < 1 << 16)\n"
+        "for num in (num, num * parse('p + 1')):\n"
+        "    tracemalloc.start()\n"
+        "    try:\n"
+        "        exact_div(num, den)\n"
+        "    except Exception as exc:\n"
+        "        print(type(exc).__name__, exc)\n"
+        "    print('peak under 64 KiB:', tracemalloc.get_traced_memory()[1] < 1 << 16)\n"
+        "    tracemalloc.stop()\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=300)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == (
-        "BudgetExceededError the quotient of a 2-term poly by a 2-term poly is over the "
-        "budget of 4000000 terms\n"
+    assert proc.stdout == "".join(
+        f"BudgetExceededError the quotient of a {terms}-term poly by a 2-term poly is over "
+        "the budget of 4000000 terms\n"
         "peak under 64 KiB: True\n"
+        for terms in (2, 4)
     )
 
 
@@ -1212,6 +1218,68 @@ def test_text_matches_the_reference(terms):
 def test_big_values_render_as_the_reference(value):
     assert value.text() == reference_text(dict(value.terms()))
     assert format_poly(value, "json") == json.dumps(value.to_json_obj(), indent=2)
+
+
+@st.composite
+def produced_values(draw):
+    """A value from one of the producers that may mark its terms as
+    written in descending canonical order, with the producer's name,
+    negated or not: a monomial pair's ``Q`` may lie above ``P``, and a
+    two-term division may span several chains."""
+    kind = draw(st.sampled_from(["torus", "monomial pair", "heap", "runs", "root", "constructor"]))
+    if kind == "torus":
+        n = draw(st.integers(1, 40))
+        f = alexander_torus(n, draw(st.integers(1, 40).filter(lambda l: gcd(n, l) == 1)))
+    elif kind == "monomial pair":
+        f = pq_number(PQPair(draw(monomials()), draw(monomials())), draw(st.integers(0, 12)))
+    elif kind == "heap":
+        den = draw(nonzero_polys())
+        f = _div_by_heap(draw(nonzero_polys()) * den, den)
+    elif kind == "runs":
+        f = _division(_div_by_runs, *draw(two_term_divisions()))
+        assume(isinstance(f, LaurentPoly))
+    elif kind == "root":
+        f = sqrt_perfect_square(draw(positive_leading_polys()) ** 2)
+    else:
+        f = draw(st.integers(-9, 9).map(LaurentPoly) | monomials())
+    return kind, -f if draw(st.booleans()) else f
+
+
+@given(produced=produced_values(), rng=st.randoms(use_true_random=False))
+# Q above P: the summands' exponents ascend
+@example(produced=("monomial pair", pq_number(PQPair(parse("q^(-1)"), parse("2*q")), 4)),
+         rng=random.Random(0))
+# two chains, one per p exponent: the runs interleave
+@example(produced=("runs", _div_by_runs(parse("q^3 - 1") * parse("p + 1"), parse("q - 1"))),
+         rng=random.Random(0))
+@settings(deadline=None, max_examples=300)
+def test_values_marked_ordered_are_ordered_and_render_as_unordered_copies(produced, rng):
+    kind, f = produced
+    event(f"{kind}: {'ordered' if f._ordered else 'sorted at render'}")
+    if f._ordered:
+        assert list(f._terms) == sorted(f._terms, reverse=True)
+    else:
+        # the torus form, the heap, the root and a constructed value of at
+        # most one term are always marked
+        assert kind in ("monomial pair", "runs")
+    items = list(f._terms.items())
+    rng.shuffle(items)
+    copy = LaurentPoly._raw(dict(items))
+    assert not copy._ordered
+    assert f.text() == copy.text()
+    assert format_poly(f, "json") == format_poly(copy, "json")
+    assert f.terms() == copy.terms()
+
+
+def test_ordered_values_past_the_int_str_limit_render_as_their_unordered_copies():
+    # a first term past CPython's int/str limit fails the first render pass
+    # at once, and the second pass must walk every term again
+    f = pq_number(PQPair(10**5000 * parse("q"), parse("3")), 3)
+    for g in (f, -f):
+        assert g._ordered
+        copy = LaurentPoly._raw(dict(reversed(g._terms.items())))
+        assert g.text() == copy.text()
+        assert format_poly(g, "json") == format_poly(copy, "json")
 
 
 @given(
