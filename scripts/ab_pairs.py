@@ -4,10 +4,12 @@
 Usage (from anywhere):
     python3 scripts/ab_pairs.py PARENT CHANGE --workload W --pairs N --seconds S [--seed K]
 
-Pair i runs the benchmark, ``perfbench/run.py --workload W --seed K+i
+Each pair runs the benchmark, ``perfbench/run.py --workload W --seed K
 --seconds S --trace 0``, once in each checkout, each side with its own
-files and the same seed.  The side that runs first alternates: the parent
-in even pairs, the change in odd ones.  Every run has
+files.  Every run of every pair has the one seed, so the two sides run the
+same job list throughout, and the parent's IQR measures run-to-run noise,
+not the cost differences between job lists.  The side that runs first
+alternates: the parent in even pairs, the change in odd ones.  Every run has
 ``PYTHONDONTWRITEBYTECODE=1``, and a checkout with a ``__pycache__`` under
 ``src`` or ``perfbench`` is refused, so both sides compile pqcalc from
 source, as a fresh checkout does.  So is a pair of checkouts whose
@@ -128,7 +130,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", required=True, type=int)
     ap.add_argument("--seconds", required=True, type=float)
-    ap.add_argument("--seed", type=int, default=1, help="seed of the first pair (default 1)")
+    ap.add_argument("--seed", type=int, default=1,
+                    help="seed of every run, both sides of every pair (default 1)")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
@@ -143,15 +146,14 @@ def main(argv: list[str] | None = None) -> int:
 
     pairs = []
     for i in range(args.pairs):
-        seed = args.seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         results = {}
         for side in order:
-            result = _run(sides[side], args.workload, seed, args.seconds)
+            result = _run(sides[side], args.workload, args.seed, args.seconds)
             results[side] = {name: m["value"] for name, m in result["metrics"].items()}
             results[side].update(failed=result["failed"], attempted=result["attempted"])
             shown = ", ".join(f"{m['name']} {results[side][m['name']]:.6g}" for m in end_to_end)
-            print(f"pair {i + 1} seed {seed} {side}{' (first)' if side == order[0] else ''}: "
+            print(f"pair {i + 1} seed {args.seed} {side}{' (first)' if side == order[0] else ''}: "
                   f"{shown}; failed {result['failed']} of {result['attempted']}", flush=True)
         pairs.append((results["parent"], results["change"]))
 

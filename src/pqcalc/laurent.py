@@ -21,9 +21,10 @@ pops it, and skips it there.
 quotient is a set of geometric runs, read from one pass over the
 numerator's sorted keys, so the quotient's size is priced before its first
 term is built, and each run is written by C-level iterators with no
-remainder at all.  Divisors of one term, or of three or more, take the
-heap route, which also stays the run route's reference and takes the
-two-term inputs whose first error the runs cannot place.
+remainder at all; it places the first error of an inexact division
+itself, on any number of chains.  Divisors of one term, or of three or
+more, take the heap route, which also stays the run route's reference in
+the tests.
 
 Text has two parsers, chosen by the input.  Valid text is read by
 whole-text patterns, which run in C: ``_match_text`` removes the
@@ -51,6 +52,7 @@ exponent.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, islice, repeat
@@ -1029,9 +1031,8 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     A divisor of exactly two terms takes the run route, ``_div_by_runs``:
     its quotient is a union of geometric runs, found from the numerator's
     keys alone, so the quotient's size is priced before its first term is
-    built.  Every other divisor, and a two-term one whose first error the
-    run route cannot place, takes the heap route, ``_div_by_heap``.  Both
-    give the same quotient, or the same error.
+    built.  Every other divisor takes the heap route, ``_div_by_heap``.
+    Both give the same quotient, or the same error.
 
     Two terms can divide into n, as ``(q^n - 1) / (q - 1)`` does, so a
     quotient of more than ``MAX_WORK`` terms raises
@@ -1051,85 +1052,91 @@ def exact_div(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
     if num.is_zero:
         return LaurentPoly.zero()
     if len(den._terms) == 2:
-        quot = _div_by_runs(num, den)
-        if quot is not None:
-            return quot
+        return _div_by_runs(num, den)
     return _div_by_heap(num, den)
 
 
-def _div_by_runs(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
-    """``exact_div`` by a two-term ``den = a*x^u + b*x^v``, ``u > v``, or
-    ``None`` where the heap must place the first error.
+def _div_by_runs(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
+    """``exact_div`` by a two-term ``den = a*x^u + b*x^v``, ``u > v``.
 
     The keys ``k, k - d, k - 2d, ...`` (``d = u - v``) form a chain, and
     division runs along each chain apart from the others.  On a chain the
     quotient is a run ``t, t*rho, t*rho^2, ...`` (``rho = -b/a``) that
     begins at a numerator key and carries ``a*t*rho^L`` to the key ``L``
     steps below.  That key either cancels the carry, ending the run, or
-    begins the next run.  The lowest key of a chain gives a quotient term
-    below the quotient box, so it must cancel; every other key, and every
-    step of a run above it, lies in the box.  So one pass over the
-    numerator's sorted keys, with one ``pow`` per gap between them, gives
-    every run's first term, coefficient and length, and the quotient is
-    priced before any term is built.  Where ``a`` does not divide ``b``,
-    a run stays integral only while ``a/gcd(a, b)`` divides ``t`` often
-    enough, which is counted one step at a time.
+    begins the next run.  No numerator key lies above the quotient box,
+    whose lower edge ends each chain at a position read from the
+    numerator's bounds.  So one pass over the numerator's sorted keys,
+    with one ``pow`` per gap between them, gives every run's first term,
+    coefficient and length, and the quotient is priced before any term is
+    built.  Where ``a`` does not divide ``b``, a run stays integral only
+    while ``a/gcd(a, b)`` divides ``t`` often enough, which is counted one
+    step at a time.
 
-    On one chain the runs come in the heap's order, and the route raises
-    the heap's first error.  On several chains, an error goes to the heap,
-    which places the first error among them.  A size past the budget on
-    several chains is refused, as the heap would refuse it but with no
-    term built, once every chain's walk has shown the division exact.  The
-    walk goes on past the budget only where ``|rho| = 1``, so that a carry
-    costs O(log gap); where ``|rho| != 1`` a carry past the budget would
-    be too long to compute, and the input goes to the heap.
+    Each chain is walked to its first error, a value that ``a`` does not
+    divide or a nonzero value below the box, or until its own terms pass
+    ``MAX_WORK``, past which the heap would not get.  The heap pops keys
+    from the highest down across all chains, so of the chains' errors it
+    meets the highest, unless it stores more than ``MAX_WORK`` run terms
+    above that first; the route raises what the heap meets first, with no
+    term built.
     """
     (u, a), (v, b) = sorted(den._terms.items(), reverse=True)
     dq, dp = u[0] - v[0], u[1] - v[1]  # dq >= 0, and dp > 0 where dq = 0
     rho, frac = divmod(-b, a)  # frac: rho is not an integer
     a1 = a // gcd(a, b)
+    # per component a chain moves in: its step, and the quotient box's
+    # lower edge along it, where the quotient key's v term lands on num's
+    # lowest exponent (its highest, where the step is negative)
+    edges = [(i, d, _component_bounds(num)[d < 0][i] - v[i]) for i, d in enumerate((dq, dp)) if d]
     chains: dict[ExpVec, list] = {}
     for (kq, kp), n in sorted(num._terms.items(), reverse=True):
         sq, sp = kq - u[0], kp - u[1]  # the quotient key this key gives
         m = sq // dq if dq else sp // dp
-        chains.setdefault((sq - m * dq, sp - m * dp), []).append((m, sq, sp, n))
-    # one chain: a size past the budget is the heap's first error.  |rho|
-    # != 1: a carry past the budget would hold over MAX_WORK powers of rho
-    refuse_now = len(chains) == 1 or abs(a) != abs(b)
-    runs = []  # (first quotient key, its coefficient, length)
-    total = 0
-    try:
-        for chain in chains.values():
-            ms = None  # the open run's position, or None
-            for m, sq, sp, n in chain:
-                if ms is not None:
-                    gap = ms - m
-                    power, x = 0, t  # a1 divides t power times, up to gap - 1
-                    while frac and power < gap - 1 and not x % a1:
-                        power, x = power + 1, x // a1
-                    length = min(gap, power + 1) if frac else gap
-                    runs.append(((rq, rp), t, length))
-                    total += length
-                    if refuse_now:
-                        _require_budget(total, "terms", _QUOTIENT, len(num._terms), len(den._terms))
-                    if length < gap:  # -b times the run's last term, which a does not divide
-                        raise _inexact(num, den, -b * (t * (-b) ** power // a**power))
-                    n += t * (-b) ** gap // a ** (gap - 1) if frac else a * t * rho**gap
-                    ms = None
-                if n:
-                    if m == chain[-1][0]:
-                        raise _inexact(num, den)
-                    t, residue = divmod(n, a)
-                    if residue:
-                        raise _inexact(num, den, n)
-                    ms, rq, rp = m, sq, sp
-    except (NonExactDivisionError, BudgetExceededError):
-        if len(chains) > 1:
-            return None
-        raise
-    # every chain's walk is exact, so the heap too would refuse a quotient
-    # this size
-    _require_budget(total, "terms", _QUOTIENT, len(num._terms), len(den._terms))
+        chains.setdefault((sq - m * dq, sp - m * dp), []).append((m, n))
+    # each run's first quotient key, its coefficient and its length; each
+    # chain's first error's quotient key, and its coefficient or None
+    runs, errors = [], {}
+    for (bq, bp), chain in chains.items():
+        # the chain's lowest position in the box
+        floor = max(-(((bq, bp)[i] - e) // d) for i, d, e in edges)
+        own, ms, found = 0, None, None
+        for m, n in chain + [(floor - 1, 0)]:
+            if ms is not None:
+                gap = ms - max(m, floor - 1)
+                power, x = 0, t  # a1 divides t power times, up to gap - 1
+                while frac and power < gap - 1 and not x % a1:
+                    power, x = power + 1, x // a1
+                length = min(gap, power + 1) if frac else gap
+                runs.append(((bq + ms * dq, bp + ms * dp), t, length))
+                own += length
+                if own > MAX_WORK:
+                    break
+                # -b times the run's last term, which a does not divide, or
+                # the run leaves the box above this key
+                if length < gap or m < floor - 1:
+                    found = ms - length, (-b * (t * (-b) ** power // a**power)
+                                          if length < gap else None)
+                    break
+                n += t * (-b) ** gap // a ** (gap - 1) if frac else a * t * rho**gap
+                ms = None
+            if n:
+                t, residue = divmod(n, a)
+                if m < floor or residue:
+                    found = m, None if m < floor else n
+                    break
+                ms = m
+        if found:
+            errors[(bq + found[0] * dq, bp + found[0] * dp)] = found[1]
+    if errors:
+        # the heap meets the highest error first, once it has stored every
+        # run term above it; negated, a run's keys ascend
+        eq, ep = first = max(errors)
+        above = sum(bisect_left(range(length), (-eq, -ep), key=lambda i: (i * dq - sq, i * dp - sp))
+                    for (sq, sp), _, length in runs)
+        _require_budget(above, "terms", _QUOTIENT, len(num._terms), len(den._terms))
+        raise _inexact(num, den, errors[first])
+    _require_budget(sum(r[2] for r in runs), "terms", _QUOTIENT, len(num._terms), len(den._terms))
     quot: dict[ExpVec, int] = {}
     for (sq, sp), t, length in runs:
         qs = range(sq, sq - length * dq, -dq) if dq else repeat(sq, length)
@@ -1144,18 +1151,20 @@ def _div_by_runs(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly | None:
 
 
 def _div_by_heap(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
-    """``exact_div`` by any divisor: the remainder's exponents are kept in a
-    max-heap with lazy deletion (Monagan and Pearce, "Sparse polynomial
-    division using a heap", 2011).  A key an update brings into the
-    remainder is pushed, and a key whose coefficient cancels stays in the
-    remainder, at zero, until it is popped and skipped.  Every key a step
-    touches lies below the exponent it processes, so each key in the
-    remainder has exactly one live heap entry, the heap order is exact, and
-    the cost is O(steps * |den| * log) rather than O(steps * |remainder|).
-    The remainder is keyed by negated exponents, so a min-heap pops the
-    highest first and holds the remainder's own keys: a step pops a key,
-    removes that same tuple, and builds one new tuple, the quotient term's.
-    The quotient's term past ``MAX_WORK`` is refused before it is stored.
+    """``exact_div`` by a divisor of one term, or of three or more, and by
+    any divisor in the tests, as the run route's reference: the
+    remainder's exponents are kept in a max-heap with lazy deletion
+    (Monagan and Pearce, "Sparse polynomial division using a heap", 2011).
+    A key an update brings into the remainder is pushed, and a key whose
+    coefficient cancels stays in the remainder, at zero, until it is popped
+    and skipped.  Every key a step touches lies below the exponent it
+    processes, so each key in the remainder has exactly one live heap
+    entry, the heap order is exact, and the cost is O(steps * |den| * log)
+    rather than O(steps * |remainder|).  The remainder is keyed by negated
+    exponents, so a min-heap pops the highest first and holds the
+    remainder's own keys: a step pops a key, removes that same tuple, and
+    builds one new tuple, the quotient term's.  The quotient's term past
+    ``MAX_WORK`` is refused before it is stored.
     """
     (num_lo, num_hi) = _component_bounds(num)
     (den_lo, den_hi) = _component_bounds(den)

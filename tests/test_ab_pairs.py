@@ -1,6 +1,7 @@
 """The A/B summary of ``scripts/ab_pairs.py``, on canned runs; no benchmark runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -124,3 +125,31 @@ def test_one_verdict_per_metric_against_its_bound(parent, change, verdict):
         # pass_s and its reciprocal, read in the other direction, agree
         # wherever the spread resolves the bound
         assert higher["verdict"] == verdict
+
+
+def test_every_run_of_every_pair_has_the_one_seed(tmp_path, monkeypatch, capsys):
+    # two checkouts with the same stub benchmark; _run records each call
+    # in place of running it
+    sides = {}
+    for side in ("parent", "change"):
+        checkout = tmp_path / side
+        (checkout / "perfbench").mkdir(parents=True)
+        (checkout / "perfbench" / "run.py").write_text("raise SystemExit(2)\n")
+        (checkout / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+        sides[checkout.resolve()] = side
+    calls = []
+
+    def record(checkout, workload, seed, seconds):
+        calls.append((sides[checkout], workload, seed, seconds))
+        return {"metrics": {"pass_s": {"value": 0.1}, "rate": {"value": 10.0}},
+                "failed": 0, "attempted": 1}
+
+    monkeypatch.setattr(ab_pairs, "_run", record)
+    assert ab_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"), "--workload",
+                          "verify", "--pairs", "10", "--seconds", "2", "--seed", "7"]) == 0
+    assert "verify: 10 pairs of 2 s runs" in capsys.readouterr().out
+    assert len(calls) == 20
+    assert {call[1:] for call in calls} == {("verify", 7, 2.0)}
+    # the parent runs first in even pairs, the change in odd ones
+    assert [calls[2 * i][0] for i in range(10)] == ["parent", "change"] * 5
+    assert [calls[2 * i + 1][0] for i in range(10)] == ["change", "parent"] * 5

@@ -541,16 +541,20 @@ def test_exact_div_budget_boundaries(monkeypatch, num, den, terms):
 def test_exact_div_is_refused_before_memory_runs_out():
     # 10^8 quotient terms would take about 13 GB.  A two-term divisor's
     # quotient is priced before its first term is built, on one chain of
-    # keys or, once every chain's walk is exact, on several (the second
-    # numerator has one chain per p exponent), so each refusal comes inside
-    # a 256 MiB address space, and the division allocates under 64 KiB on
-    # the way to it
+    # keys or on several (the last three numerators have one chain per p
+    # exponent), exact or not, and with a ratio of 1 or of 2, where the
+    # first 4*10^6 quotient terms alone would take 1 TB: each refusal comes
+    # inside a 256 MiB address space, and the division allocates under
+    # 64 KiB on the way to it
     code = (
         "import resource, tracemalloc\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 28, 1 << 28))\n"
         "from pqcalc.laurent import exact_div, parse\n"
         "num, den = parse('q^100000000 - 1'), parse('q - 1')\n"
-        "for num in (num, num * parse('p + 1')):\n"
+        "divisions = [(num, den), (num * parse('p + 1'), den),\n"
+        "             ((parse('q^4000010') - 2**4000010) * parse('p + 1'), parse('q - 2')),\n"
+        "             (num * parse('p + 1') + parse('p^5'), den)]\n"
+        "for num, den in divisions:\n"
         "    tracemalloc.start()\n"
         "    try:\n"
         "        exact_div(num, den)\n"
@@ -566,7 +570,7 @@ def test_exact_div_is_refused_before_memory_runs_out():
         f"BudgetExceededError the quotient of a {terms}-term poly by a 2-term poly is over "
         "the budget of 4000000 terms\n"
         "peak under 64 KiB: True\n"
-        for terms in (2, 4)
+        for terms in (2, 4, 4, 5)
     )
 
 
@@ -576,17 +580,6 @@ def _division(route, num, den):
         return route(num, den)
     except LaurentError as exc:
         return type(exc), str(exc)
-
-
-def _on_one_chain(num, den):
-    # every key of num lies k*d from the first, k an int, d = u - v
-    (uq, up), (vq, vp) = sorted(den._terms, reverse=True)
-    (dq, dp), (fq, fp) = (uq - vq, up - vp), next(iter(num._terms))
-    for q2, p2 in num._terms:
-        k, rest = divmod(q2 - fq, dq) if dq else divmod(p2 - fp, dp)
-        if rest or (q2 - fq, p2 - fp) != (k * dq, k * dp):
-            return False
-    return True
 
 
 @st.composite
@@ -631,24 +624,28 @@ def two_term_divisions(draw):
 # the chain of q^3 fails last, at its constant; the heap first meets the
 # chain of p*q^2, whose coefficient 1 the leading 2 does not divide
 @example(division=(parse("2*q^3 + 4 + p*q^2"), parse("2*q + 2")), budget=None)
+# the run of the p^0 chain leaves the box below that chain's only key: the
+# heap stores its 5 terms, then meets p^2, which lies below the box
+@example(division=(parse("q^5 + p^2"), parse("q - 1")), budget=4)
+@example(division=(parse("q^5 + p^2"), parse("q - 1")), budget=5)
+# the p^0 chain's 20 terms pass the budget, but the heap has stored only 7
+# when it meets the p chain's 5 at p*q^14
+@example(division=(parse("2*q^20 - 2 + 2*p*q^15 + 3*p*q^14"), parse("2*q - 2")), budget=10)
+# two exact chains of 12 terms, ratio 2, pass the budget together before
+# the heap meets 3*p^5 below the box
+@example(division=(parse("q^12*p + q^12 - 4096*p - 4096 + 3*p^5"), parse("q - 2")), budget=20)
 @settings(deadline=None, max_examples=400)
 def test_run_route_matches_the_heap(division, budget):
-    # the same quotient, or the same error type and message, as the heap;
-    # the run route hands the heap only an input on several chains that
-    # the heap refuses
+    # the same quotient, or the same error type and message, as the heap
     num, den = division
     with pytest.MonkeyPatch.context() as mp:
         if budget is not None:
             mp.setattr("pqcalc.laurent.MAX_WORK", budget)
         want = _division(_div_by_heap, num, den)
         got = _division(_div_by_runs, num, den)
-        event("quotient" if isinstance(got, LaurentPoly) else "heap" if got is None
+        event("quotient" if isinstance(got, LaurentPoly)
               else f"{got[0].__name__}{' (coefficient)' if 'leading' in got[1] else ''}")
-        if got is None:
-            assert not isinstance(want, LaurentPoly)
-            assert not _on_one_chain(num, den)
-        else:
-            assert got == want
+        assert got == want
         assert _division(exact_div, num, den) == want
 
 
