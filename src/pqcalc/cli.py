@@ -1,15 +1,19 @@
 """Command-line front end.
 
 Subcommands: number, family-params, pq-number, skein-coeffs, knot-to-link,
-torus-alexander, sequence, verify.  ``pq-number`` is another spelling of
-``number --family custom``, and ``knot-to-link`` of ``skein-coeffs --k1 --k2``;
-each runs the same handler.  Output goes to stdout (``--format text``
+torus-alexander, sequence, verify.  Output goes to stdout (``--format text``
 or ``--format json``), diagnostics to stderr.  Exit codes: 0 on success,
 1 when a verify suite finds a counterexample, 2 on usage or input errors,
 3 on an internal error, an exception that no bad input explains.
 
-Each subparser binds the handler it runs.  ``verify`` renders the checks
-that ``pqcalc.checks`` names and computes; this module knows none of them.
+``_build_parser`` registers the subcommands from one table, one row each:
+the help, the handler and fixed defaults the row runs with, and its
+arguments in help order.  Two rows are aliases that run another row's
+handler with fixed defaults: ``pq-number`` is ``number --family custom``,
+and ``knot-to-link`` is ``skein-coeffs --k1 --k2``.  The table is built
+when the parser is, so it reads the handlers then.  ``verify`` renders the
+checks that ``pqcalc.checks`` names and computes; this module knows none
+of them.
 """
 
 from __future__ import annotations
@@ -176,67 +180,50 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output format (default: text)")
     sub = parser.add_subparsers(dest="command", required=True, metavar="subcommand")
 
-    p = sub.add_parser("number", parents=[fmt_parent],
-                       help="deformed integer [n] of a built-in or custom family")
-    p.set_defaults(handler=_cmd_number)
-    p.add_argument("--family", required=True,
-                   help="one of: " + ", ".join(qnumbers.FAMILY_NAMES) + ", custom")
-    p.add_argument("--n", required=True, type=_int_arg)
-    p.add_argument("--P", help="P expression (with --family custom)")
-    p.add_argument("--Q", help="Q expression (with --family custom)")
-
-    p = sub.add_parser("family-params", parents=[fmt_parent],
-                       help="parameter pair (P, Q) of a family, or solved from --l1/--l2")
-    p.set_defaults(handler=_cmd_family_params)
-    p.add_argument("--family", help="one of: " + ", ".join(qnumbers.FAMILY_NAMES))
-    p.add_argument("--l1", help="link coefficient l1 expression")
-    p.add_argument("--l2", help="link coefficient l2 expression")
-
-    p = sub.add_parser("pq-number", parents=[fmt_parent],
-                       help="deformed integer [n] for explicit parameters P and Q")
-    p.add_argument("--P", required=True)
-    p.add_argument("--Q", required=True)
-    p.add_argument("--n", required=True, type=_int_arg)
-    p.set_defaults(handler=_cmd_number, family="custom")
-
-    p = sub.add_parser("skein-coeffs", parents=[fmt_parent],
-                       help="link coefficients (l1, l2) from a family, a (P, Q) pair, "
-                            "or knot coefficients (k1, k2)")
-    p.set_defaults(handler=_cmd_skein_coeffs)
-    p.add_argument("--family")
-    p.add_argument("--k1")
-    p.add_argument("--k2")
-    p.add_argument("--P")
-    p.add_argument("--Q")
-
-    p = sub.add_parser("knot-to-link", parents=[fmt_parent],
-                       help="link coefficients recovered from knot coefficients")
-    p.add_argument("--k1", required=True)
-    p.add_argument("--k2", required=True)
-    p.set_defaults(handler=_cmd_skein_coeffs, family=None, P=None, Q=None)
-
-    p = sub.add_parser("torus-alexander", parents=[fmt_parent],
-                       help="closed-form torus Alexander polynomial D(n, l), gcd(n, l) = 1")
-    p.set_defaults(handler=_cmd_torus)
-    p.add_argument("--n", required=True, type=_int_arg)
-    p.add_argument("--l", required=True, type=_int_arg)
-
-    p = sub.add_parser("sequence", parents=[fmt_parent],
-                       help="values of the recurrence X[n+1] = l1*X[n] + l2*X[n-1]")
-    p.set_defaults(handler=_cmd_sequence)
-    p.add_argument("--l1", required=True)
-    p.add_argument("--l2", required=True)
-    p.add_argument("--p0", required=True, help="seed X[0] expression")
-    p.add_argument("--p1", required=True, help="seed X[1] expression")
-    p.add_argument("--count", required=True, type=_int_arg,
-                   help="total values to print, seeds included (at least 2)")
-
-    p = sub.add_parser("verify", parents=[fmt_parent],
-                       help="run self-verification suites; exit 1 on any counterexample")
-    p.set_defaults(handler=_cmd_verify)
-    p.add_argument("--suite", choices=(*checks.SUITES, "all"), default="all")
-    p.add_argument("--max-n", type=_int_arg, default=100)
-
+    # the command table (see the module docstring); each argument is a
+    # flag and add_argument's keywords.  Built on each call, so that a
+    # handler patched on this module is the one a row binds
+    families = "one of: " + ", ".join(qnumbers.FAMILY_NAMES)
+    required, integer = {"required": True}, {"required": True, "type": _int_arg}
+    commands = [
+        ("number", "deformed integer [n] of a built-in or custom family",
+         {"handler": _cmd_number},
+         [("--family", {"required": True, "help": families + ", custom"}), ("--n", integer),
+          ("--P", {"help": "P expression (with --family custom)"}),
+          ("--Q", {"help": "Q expression (with --family custom)"})]),
+        ("family-params", "parameter pair (P, Q) of a family, or solved from --l1/--l2",
+         {"handler": _cmd_family_params},
+         [("--family", {"help": families}), ("--l1", {"help": "link coefficient l1 expression"}),
+          ("--l2", {"help": "link coefficient l2 expression"})]),
+        ("pq-number", "deformed integer [n] for explicit parameters P and Q",
+         {"handler": _cmd_number, "family": "custom"},
+         [("--P", required), ("--Q", required), ("--n", integer)]),
+        ("skein-coeffs", "link coefficients (l1, l2) from a family, a (P, Q) pair, "
+                         "or knot coefficients (k1, k2)",
+         {"handler": _cmd_skein_coeffs},
+         [("--family", {}), ("--k1", {}), ("--k2", {}), ("--P", {}), ("--Q", {})]),
+        ("knot-to-link", "link coefficients recovered from knot coefficients",
+         {"handler": _cmd_skein_coeffs, "family": None, "P": None, "Q": None},
+         [("--k1", required), ("--k2", required)]),
+        ("torus-alexander", "closed-form torus Alexander polynomial D(n, l), gcd(n, l) = 1",
+         {"handler": _cmd_torus},
+         [("--n", integer), ("--l", integer)]),
+        ("sequence", "values of the recurrence X[n+1] = l1*X[n] + l2*X[n-1]",
+         {"handler": _cmd_sequence},
+         [("--l1", required), ("--l2", required),
+          ("--p0", {"required": True, "help": "seed X[0] expression"}),
+          ("--p1", {"required": True, "help": "seed X[1] expression"}),
+          ("--count", {**integer, "help": "total values to print, seeds included (at least 2)"})]),
+        ("verify", "run self-verification suites; exit 1 on any counterexample",
+         {"handler": _cmd_verify},
+         [("--suite", {"choices": (*checks.SUITES, "all"), "default": "all"}),
+          ("--max-n", {"type": _int_arg, "default": 100})]),
+    ]
+    for name, summary, defaults, arguments in commands:
+        p = sub.add_parser(name, parents=[fmt_parent], help=summary)
+        p.set_defaults(**defaults)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
     return parser
 
 

@@ -22,13 +22,15 @@ it.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import islice
+from itertools import islice, repeat
+from operator import floordiv
 from typing import NamedTuple
 
 from .laurent import (
     LaurentPoly,
     NotAPerfectSquareError,
     _dot,
+    _require_budget,
     _require_int,
     _require_poly,
     exact_div,
@@ -181,6 +183,22 @@ def recurrence_generate(
     """First ``count`` values of ``recurrence(coeffs, p0, p1)``.  ``count``
     includes the seeds themselves, and is an ``int`` (else ``TypeError``)
     of at least 2 (else ``ValueError``) and at most ``MAX_WORK`` (else
-    ``BudgetExceededError``)."""
+    ``BudgetExceededError``).
+
+    The values built past the seeds are metered as they come, in terms
+    times 64-bit coefficient words; ``BudgetExceededError`` is raised once
+    their sum passes ``MAX_WORK``.  The values grow with the count, in
+    terms and in coefficient bits, so the count alone bounds neither."""
     _require_int("count", count, 2, counts=True)
-    return list(islice(recurrence(coeffs, p0, p1), count))
+    stream = recurrence(coeffs, p0, p1)
+    values = list(islice(stream, 2))
+    work = 0
+    for value in islice(stream, count - 2):
+        # one word per term, and one more per whole 64 bits of its
+        # coefficient, in one C-level pass over the coefficients
+        terms = value._terms.values()
+        work += len(terms) + sum(map(floordiv, map(int.bit_length, terms), repeat(64)))
+        _require_budget(work, "terms times 64-bit coefficient words",
+                        "a sequence of {} values", count)
+        values.append(value)
+    return values

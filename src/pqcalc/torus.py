@@ -68,23 +68,18 @@ def alexander_torus(n: int, l: int) -> LaurentPoly:
     m, g, c, r, s = _product_form(n, l)
     # doubled q exponents 2*(i*m + j*g) - c of the first product, and
     # 2*(i*m + j*g - m*g) - c of the second
-    plus: list[int] = []
-    minus: list[int] = []
+    exps: list[int] = []
     step = 2 * m
     for j in range(m):
         if j <= s:
             lo = 2 * j * g - c
-            plus.extend(range(lo, lo + step * (r + 1), step))
+            exps.extend(range(lo, lo + step * (r + 1), step))
         else:
             lo = 2 * (j - m) * g - c
-            minus.extend(range(lo + step * (r + 1), lo + step * g, step))
-    # the sorted signs alternate, +1 at both ends; the terms go in
+            exps.extend(range(lo + step * (r + 1), lo + step * g, step))
+    # sorted once, the signs alternate, +1 at both ends; the terms go in
     # descending order, which rendering walks as stored
-    plus.sort(reverse=True)
-    minus.sort(reverse=True)
-    exps = plus + minus
-    exps[0::2] = plus
-    exps[1::2] = minus
+    exps.sort(reverse=True)
     return LaurentPoly._raw(dict(zip(zip(exps, repeat(0)), cycle((1, -1)))), True)
 
 

@@ -232,20 +232,124 @@ def test_input_errors_exit_2(capsys, argv):
     assert out == ""
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        [],
-        ["no-such-command"],
-        ["number", "--family", "alexander-fermionic", "--n", "three"],
-        ["verify", "--suite", "nonsense"],
-        ["number", "--family", "alexander-fermionic"],
-    ],
-)
+# each usage error's argv, and the last line argparse writes for it.  An
+# invalid choice is pinned as a prefix and its list of choices, whose
+# quoting argparse changed in 3.12
+_USAGE_ERRORS = {
+    (): "pqcalc: error: the following arguments are required: subcommand",
+    ("no-such-command",): (
+        "pqcalc: error: argument subcommand: invalid choice: 'no-such-command' (choose from ",
+        ["number", "family-params", "pq-number", "skein-coeffs", "knot-to-link",
+         "torus-alexander", "sequence", "verify"],
+    ),
+    ("number", "--family", "alexander-fermionic", "--n", "three"):
+        "pqcalc number: error: argument --n: invalid int value: 'three'",
+    ("verify", "--suite", "nonsense"): (
+        "pqcalc verify: error: argument --suite: invalid choice: 'nonsense' (choose from ",
+        ["recurrence", "delta-identity", "homfly-factor", "coeff-maps", "all"],
+    ),
+    ("number", "--family", "alexander-fermionic"):
+        "pqcalc number: error: the following arguments are required: --n",
+}
+
+
+@pytest.mark.parametrize("argv", [list(argv) for argv in _USAGE_ERRORS])
 def test_usage_errors_exit_2(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)
-    assert rc == 2
-    assert err != ""
+    assert (rc, out) == (2, "")
+    assert err.startswith("usage: pqcalc ")
+    last = err.splitlines()[-1]
+    want = _USAGE_ERRORS[tuple(argv)]
+    if isinstance(want, str):
+        assert last == want
+    else:
+        prefix, choices = want
+        assert last.startswith(prefix) and last.endswith(")")
+        assert [c.strip("'") for c in last[len(prefix):-1].split(", ")] == choices
+
+
+_FAMILIES = ", ".join(qnumbers.FAMILY_NAMES)
+
+_COMMON_HELP = ["-h, --help show this help message and exit",
+                "--format {text,json} output format (default: text)"]
+
+# each command's usage, on one line, and the rest of its help in order: a
+# flag with its metavar and help text, and, at the top level, the
+# description and each subcommand with its help.  The options of every
+# subcommand begin with _COMMON_HELP
+_HELP = {
+    None: (
+        "usage: pqcalc [-h] [--format {text,json}] subcommand ...",
+        [
+            "Exact deformed-integer calculus for skein-relation families.",
+            "positional arguments:",
+            "subcommand",
+            "number deformed integer [n] of a built-in or custom family",
+            "family-params parameter pair (P, Q) of a family, or solved from --l1/--l2",
+            "pq-number deformed integer [n] for explicit parameters P and Q",
+            "skein-coeffs link coefficients (l1, l2) from a family, a (P, Q) pair, "
+            "or knot coefficients (k1, k2)",
+            "knot-to-link link coefficients recovered from knot coefficients",
+            "torus-alexander closed-form torus Alexander polynomial D(n, l), gcd(n, l) = 1",
+            "sequence values of the recurrence X[n+1] = l1*X[n] + l2*X[n-1]",
+            "verify run self-verification suites; exit 1 on any counterexample",
+            "options:",
+            *_COMMON_HELP,
+        ],
+    ),
+    "number": (
+        "usage: pqcalc number [-h] [--format {text,json}] --family FAMILY --n N [--P P] [--Q Q]",
+        [f"--family FAMILY one of: {_FAMILIES}, custom", "--n N",
+         "--P P P expression (with --family custom)", "--Q Q Q expression (with --family custom)"],
+    ),
+    "family-params": (
+        "usage: pqcalc family-params [-h] [--format {text,json}] [--family FAMILY] "
+        "[--l1 L1] [--l2 L2]",
+        [f"--family FAMILY one of: {_FAMILIES}", "--l1 L1 link coefficient l1 expression",
+         "--l2 L2 link coefficient l2 expression"],
+    ),
+    "pq-number": (
+        "usage: pqcalc pq-number [-h] [--format {text,json}] --P P --Q Q --n N",
+        ["--P P", "--Q Q", "--n N"],
+    ),
+    "skein-coeffs": (
+        "usage: pqcalc skein-coeffs [-h] [--format {text,json}] [--family FAMILY] "
+        "[--k1 K1] [--k2 K2] [--P P] [--Q Q]",
+        ["--family FAMILY", "--k1 K1", "--k2 K2", "--P P", "--Q Q"],
+    ),
+    "knot-to-link": (
+        "usage: pqcalc knot-to-link [-h] [--format {text,json}] --k1 K1 --k2 K2",
+        ["--k1 K1", "--k2 K2"],
+    ),
+    "torus-alexander": (
+        "usage: pqcalc torus-alexander [-h] [--format {text,json}] --n N --l L",
+        ["--n N", "--l L"],
+    ),
+    "sequence": (
+        "usage: pqcalc sequence [-h] [--format {text,json}] --l1 L1 --l2 L2 --p0 P0 "
+        "--p1 P1 --count COUNT",
+        ["--l1 L1", "--l2 L2", "--p0 P0 seed X[0] expression", "--p1 P1 seed X[1] expression",
+         "--count COUNT total values to print, seeds included (at least 2)"],
+    ),
+    "verify": (
+        "usage: pqcalc verify [-h] [--format {text,json}] "
+        "[--suite {recurrence,delta-identity,homfly-factor,coeff-maps,all}] [--max-n MAX_N]",
+        ["--suite {recurrence,delta-identity,homfly-factor,coeff-maps,all}", "--max-n MAX_N"],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", _HELP, ids=lambda command: command or "top-level")
+def test_help_names_every_flag_with_its_help(capsys, monkeypatch, command):
+    # a fixed width, so that argparse wraps every run alike; the checks
+    # below ignore where it wraps
+    monkeypatch.setenv("COLUMNS", "80")
+    usage, entries = _HELP[command]
+    rc, out, err = run_cli(capsys, *([command] if command else []), "--help")
+    assert (rc, err) == (0, "")
+    assert " ".join(out.split("\n\n")[0].split()) == usage
+    rest = entries if command is None else ["options:", *_COMMON_HELP, *entries]
+    assert "".join(out.split()) == "".join(usage.split() + " ".join(rest).split())
 
 
 @pytest.mark.parametrize("n, l", [("2", "4000001"), ("4300000000", "4300000001")])
@@ -364,6 +468,10 @@ BUDGET_ROWS = [
     ["family-params", "--l1", "1", "--l2", "q^(-1/2) + q^(-2000)"],
     [*_COUNT_FLAGS["count"][0], "--count", _LONG],
     [*_COUNT_FLAGS["max-n"][0], "--max-n", _LONG],
+    # within the count's cap, but the values grow: by a term and a bit a
+    # step, and by about 1.6 bits a step
+    ["sequence", "--l1", "q+1", "--l2", "1", "--p0", "0", "--p1", "1", "--count", "100000"],
+    ["sequence", "--l1", "3", "--l2", "1", "--p0", "0", "--p1", "1", "--count", "1000000"],
 ]
 
 

@@ -484,9 +484,11 @@ _BUDGET_ENTRIES = {
     # 2 walk steps and l terms; l + 1 is even
     "alexander_torus": (lambda l: torus.alexander_torus(2, l), 13, 15),
     "alexander_torus2": (torus.alexander_torus2, 15, 16),
+    # the values past the seeds have 2, 3, 4, ... terms of one word each:
+    # count 6 builds four of them, 14 words, and count 7 five, 20 words
     "recurrence_generate": (
         lambda count: recurrence_generate(_JONES_COEFFS, LaurentPoly.zero(), LaurentPoly.one(),
-                                          count), 15, 16,
+                                          count), 6, 7,
     ),
     # (q^k - 1) / (q - 1) has k terms
     "exact_div": (lambda k: exact_div(parse(f"q^{k} - 1"), parse("q - 1")), 15, 16),

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 
 import pqcalc
 from pqcalc import qnumbers
-from pqcalc.laurent import LaurentPoly, NotAPerfectSquareError, parse
+from pqcalc.laurent import BudgetExceededError, LaurentPoly, NotAPerfectSquareError, parse
 from pqcalc.qnumbers import Family, family_params, pq_numbers
 from pqcalc.skein import (
     DegenerateSkeinError,
@@ -210,6 +210,26 @@ def test_recurrence_count_validation():
     coeffs = SkeinCoefficients(parse("q"), parse("1"))
     with pytest.raises(ValueError):
         recurrence_generate(coeffs, LaurentPoly.zero(), LaurentPoly.one(), 1)
+
+
+# X[n+1] = 2^63*(q + 1)*X[n] + X[n-1] from 0 and 1: X[n] has n terms of
+# about 63(n - 1) bits.  X[2]'s two coefficients 2^63 have 64 bits, two
+# words each; X[3] takes 2 + 3 + 2 words (its 2^127 has 128 bits), X[4] 4
+# times 3 and X[5] 5 times 4.  The seeds are not priced.  Each budget is
+# above the count, so that the meter, not the count, binds
+_WIDE = SkeinCoefficients(2**63 * parse("q + 1"), 1)
+
+
+@pytest.mark.parametrize("count, work", [(4, 4 + 7), (5, 11 + 12), (6, 23 + 20)])
+def test_recurrence_meter_boundaries(monkeypatch, count, work):
+    monkeypatch.setattr("pqcalc.laurent.MAX_WORK", work)
+    assert recurrence_generate(_WIDE, 0, 1, count) == list(islice(recurrence(_WIDE, 0, 1), count))
+    monkeypatch.setattr("pqcalc.laurent.MAX_WORK", work - 1)
+    with pytest.raises(BudgetExceededError, match=(
+        f"^a sequence of {count} values is over the budget of {work - 1} "
+        r"terms times 64-bit coefficient words$"
+    )):
+        recurrence_generate(_WIDE, 0, 1, count)
 
 
 def test_recurrence_stream_runs_past_any_count():
