@@ -61,7 +61,7 @@ def recurrence_counterexamples(
     family: qnumbers.Family | skein.PQPair | str, max_n: int
 ) -> tuple[Counterexample | None, Counterexample | None]:
     """``(closure, agreement)`` up to ``max_n``.  closure: the first n >= 2
-    where one step of ``skein.recurrence_generate`` from the sum form's
+    where one step of the ``skein.recurrence`` stream from the sum form's
     [n-2] and [n-1] (got) is not its [n] (want).  agreement: the first n
     where the ``recurrence_numbers`` stream's [n] (got) is not the sum
     form's (want).  One walk of ``pq_numbers``, which draws the recurrence
@@ -79,7 +79,7 @@ def recurrence_counterexamples(
         if agreement is None and (got := next(recurrence)) != want:
             agreement = Counterexample(n, got, want)
         if closure is None and n >= 2:
-            got = skein.recurrence_generate(coeffs, older, newer, 3)[-1]
+            got = next(islice(skein.recurrence(coeffs, older, newer), 2, None))
             if got != want:
                 closure = Counterexample(n, got, want)
         if closure is not None and agreement is not None:

@@ -530,6 +530,26 @@ def test_recurrence_closure_catches_a_broken_step(monkeypatch, family):
     assert recurrence_counterexamples(family, 10)[0] is not None
 
 
+def test_recurrence_closure_steps_the_stream_once_per_n(monkeypatch):
+    # each closure step is one skein.recurrence stream from [n-2] and [n-1],
+    # n = 2..30, and never recurrence_generate's metered list
+    def refused(*args):
+        raise AssertionError("the closure called recurrence_generate")
+
+    real = skein.recurrence
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr("pqcalc.skein.recurrence_generate", refused)
+    monkeypatch.setattr("pqcalc.skein.recurrence", counted)
+    for family in Family:
+        assert recurrence_counterexamples(family, 30) == (None, None), family
+    assert len(calls) == 6 * 29
+
+
 def _count_recurrence_draws(monkeypatch, k=None, bad=None):
     """Wrap ``recurrence_numbers`` to list each n it yields, with ``bad``
     in place of [k]; returns the list."""
