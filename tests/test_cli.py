@@ -753,12 +753,16 @@ def test_module_entry_point():
 
 
 # ----------------------------------------------------------------------
-# verify --format json, pinned byte for byte
+# value subcommands and verify --format json, pinned byte for byte
+
+
+def _digest(capsys, *argv):
+    rc, out, err = run_cli(capsys, *argv)
+    return hashlib.sha256(f"{rc}\n{out}\0{err}".encode()).hexdigest()
 
 
 def _verify_json_digest(capsys):
-    rc, out, err = run_cli(capsys, "verify", "--format", "json", "--max-n", "30")
-    return hashlib.sha256(f"{rc}\n{out}\0{err}".encode()).hexdigest()
+    return _digest(capsys, "verify", "--format", "json", "--max-n", "30")
 
 
 def test_verify_json_bytes_are_pinned(capsys):
@@ -786,3 +790,88 @@ def test_verify_json_failure_bytes_are_pinned(capsys, monkeypatch):
     assert _verify_json_digest(capsys) == (
         "4f0f03845bdefabc78f1da405b91cc65667526bff80e47168e1e8528636b119c"
     )
+
+
+# every value row in each of its input forms, and one input error per row:
+# the argv, then the digests of (rc, stdout, stderr) in text and in JSON
+_VALUE_DIGESTS = {
+    "number[family]": (
+        ["number", "--family", "jones-bosonic", "--n", "5"],
+        "71174553005b30382b828f2c13f771b0f15f68771fb5a7f694eb03e0830b8c48",
+        "43c944acd999fb1cb7ef150e801be493ee22a1b9d0e9b805821a5fc6a804a779"),
+    "number[custom]": (
+        ["number", "--family", "custom", "--P", "q+1", "--Q", "p", "--n", "3"],
+        "1658d936f7924ddc1cf35cc49f7a4976da6cddaff33f440ef27831019719d7db",
+        "360cc7e1a1a48978197ed2793e5d18a85bec2598c829f673021aba2287fbb12f"),
+    "pq-number": (
+        ["pq-number", "--P", "q^(3/2)", "--Q=-q^(1/2)", "--n", "4"],
+        "b2b7936e0411f3edec5cf08fa5bc44688bc6710768444ab8b223fac159dc1781",
+        "080dabff4146249fdba1c1a1e5be69356299aa2074dfc0c45d5bc294b0777408"),
+    "family-params[family]": (
+        ["family-params", "--family", "homfly-fermionic"],
+        "2f080d7a104ded17025b90b23705596ba5de2b89d4f775c22745a613be6cb715",
+        "cf9b935a83a53ef3818327bf5743762cbdceb1e1f27c92154f37d9a02b4a4c3e"),
+    "family-params[l1/l2]": (
+        ["family-params", "--l1", "q^(1/2) - q^(-1/2)", "--l2", "1"],
+        "54c8e43fce3855b2b316821120572717376ad137f5528e89d8ab2144199b8ea2",
+        "7413304a92cfb3a865614fc2c2dc1a2557fe62d3dc1ed83392111fb40a12dc65"),
+    "skein-coeffs[family]": (
+        ["skein-coeffs", "--family", "jones-fermionic"],
+        "a4a85fa1773f5275aeb314d6571796490e36298c8c859b0edc666c813038673a",
+        "9c8dd4c5750d9a35771159efadf1002ca83b75b12cd35ba1b9d12b0efcc85ac5"),
+    "skein-coeffs[k1/k2]": (
+        ["skein-coeffs", "--k1", "q^3 + q", "--k2", "q^4"],
+        "a4a85fa1773f5275aeb314d6571796490e36298c8c859b0edc666c813038673a",
+        "9c8dd4c5750d9a35771159efadf1002ca83b75b12cd35ba1b9d12b0efcc85ac5"),
+    "skein-coeffs[P/Q]": (
+        ["skein-coeffs", "--P", "q", "--Q", "q^(-1)"],
+        "c40915e49c39222093ef76377a4eb44ccc5848c3107b49f41ab151f2f585d877",
+        "b1c0f15678b7410b14eb83419932d8e0fc3e2849519318e4498607200d4dbf53"),
+    "knot-to-link": (
+        ["knot-to-link", "--k1", "q^3 + q", "--k2=-q^4"],
+        "a4a85fa1773f5275aeb314d6571796490e36298c8c859b0edc666c813038673a",
+        "9c8dd4c5750d9a35771159efadf1002ca83b75b12cd35ba1b9d12b0efcc85ac5"),
+    "torus-alexander": (
+        ["torus-alexander", "--n", "3", "--l", "5"],
+        "b8128c55c068441e401d45d9dd70854de8bd7e5c9c133025528b89d4713e5d75",
+        "aa98b06d5a8e7193ca55f608c0db4a2d42a8cd6f9ea6c17739bb1816c8ed3426"),
+    "sequence": (
+        ["sequence", "--l1", "q", "--l2=-1", "--p0", "1", "--p1", "q", "--count", "5"],
+        "00887dbe150331a0791e83aa42325ffa09f1dabf65c0a146fd9cbb4a3d6e989d",
+        "924c2bd55f7f1b59d05d19c32be5ddd7fa44f332d881dd001134b9c79a1e4c61"),
+    "number[error]": (
+        ["number", "--family", "vogel", "--n", "3"],
+        "996f61a39a71e0823e9577d128b3790e591bd18e4613e6105c72ae3cd4351f1b",
+        "996f61a39a71e0823e9577d128b3790e591bd18e4613e6105c72ae3cd4351f1b"),
+    "pq-number[error]": (
+        ["pq-number", "--P", "q^(1/3)", "--Q", "q", "--n", "2"],
+        "adc6789ddd1ae9af807575f250f73b958c5fba9ad99fa49c9d3cfbf536e4619e",
+        "adc6789ddd1ae9af807575f250f73b958c5fba9ad99fa49c9d3cfbf536e4619e"),
+    "family-params[error]": (
+        ["family-params", "--l1", "q"],
+        "5bc6476bcb6d67273b374f3e5fed4054c3ad6fccf9ca1b48d4b75c29f29f725d",
+        "5bc6476bcb6d67273b374f3e5fed4054c3ad6fccf9ca1b48d4b75c29f29f725d"),
+    "skein-coeffs[error]": (
+        ["skein-coeffs", "--family", "alexander-fermionic", "--P", "q", "--Q", "p"],
+        "c147dc14efa90b755cc09cf770f00241cdb8b080916dc74e46ff5d7661fffb8c",
+        "c147dc14efa90b755cc09cf770f00241cdb8b080916dc74e46ff5d7661fffb8c"),
+    "knot-to-link[error]": (
+        ["knot-to-link", "--k1", "2", "--k2", "1"],
+        "4a2e3b1c45d1891234225811ae0755e817daebcb80157f18cbcf83c21b5d170c",
+        "4a2e3b1c45d1891234225811ae0755e817daebcb80157f18cbcf83c21b5d170c"),
+    "torus-alexander[error]": (
+        ["torus-alexander", "--n", "2", "--l", "2"],
+        "b23fd49c2a0fb9d8dbf77343e7cd69105d1e3d574fa7fa9104552c18f976dca3",
+        "b23fd49c2a0fb9d8dbf77343e7cd69105d1e3d574fa7fa9104552c18f976dca3"),
+    "sequence[error]": (
+        ["sequence", "--l1", "q", "--l2", "1", "--p0", "0", "--p1", "1", "--count", "1"],
+        "3a059e921bc609c150fabfafeaa05aa536c6fcd6a68a2a85bbecdc0b4a312c5d",
+        "3a059e921bc609c150fabfafeaa05aa536c6fcd6a68a2a85bbecdc0b4a312c5d"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, text, json_", _VALUE_DIGESTS.values(), ids=_VALUE_DIGESTS)
+def test_value_subcommand_bytes_are_pinned(capsys, fmt, argv, text, json_):
+    want = text if fmt == "text" else json_
+    assert _digest(capsys, "--format", fmt, *argv) == want
