@@ -3,13 +3,13 @@
 
 Handy for eyeballing how the six parameter choices shape the same
 recurrence; the homfly rows are the alexander rows times a power of p.
-Each row is printed as the recurrence stream makes it.
+Each family's rows come from ``number_sequence``, whose meter refuses a
+table past the work budget before its header is printed.
 """
 
 import argparse
-from itertools import islice
 
-from pqcalc import Family, recurrence_numbers
+from pqcalc import Family, number_sequence
 from pqcalc.cli import _int_arg
 from pqcalc.laurent import _require_int
 
@@ -24,8 +24,12 @@ def main():
         ap.error(str(exc))
 
     for family in Family:
+        try:
+            rows = number_sequence(family, args.max_n)
+        except ValueError as exc:
+            ap.error(str(exc))
         print(f"== {family.value}")
-        for n, value in enumerate(islice(recurrence_numbers(family), args.max_n + 1)):
+        for n, value in enumerate(rows):
             print(f"  [{n:2d}]  {value}")
         print()
 

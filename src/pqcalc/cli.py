@@ -7,13 +7,17 @@ or ``--format json``), diagnostics to stderr.  Exit codes: 0 on success,
 3 on an internal error, an exception that no bad input explains.
 
 ``_build_parser`` registers the subcommands from one table, one row each:
-the help, the handler and fixed defaults the row runs with, and its
-arguments in help order.  Two rows are aliases that run another row's
-handler with fixed defaults: ``pq-number`` is ``number --family custom``,
-and ``knot-to-link`` is ``skein-coeffs --k1 --k2``.  The table is built
-when the parser is, so it reads the handlers then.  ``verify`` renders the
-checks that ``pqcalc.checks`` names and computes; this module knows none
-of them.
+the help, the entry and fixed defaults the row runs with, and its
+arguments in help order.  An entry computes the row's value from the
+parsed arguments and returns it, without printing: a ``LaurentPoly``, a
+record (``PQPair``, ``SkeinCoefficients``) or a list of polys.  One print
+route, ``_print_polys``, renders every such value, a record by its field
+names.  Two rows are aliases that run another row's entry with fixed
+defaults: ``pq-number`` is ``number --family custom``, and
+``knot-to-link`` is ``skein-coeffs --k1 --k2``.  The table is built when
+the parser is, so it reads the entries then.  ``verify``'s entry returns
+the report of the checks that ``pqcalc.checks`` names and computes, and
+its own handler renders it; this module knows none of the checks.
 """
 
 from __future__ import annotations
@@ -26,17 +30,24 @@ from . import checks, laurent, qnumbers, skein, torus
 
 
 # ----------------------------------------------------------------------
-# output helpers
+# output
 
 
-def _print_polys(polys: dict[str, laurent.LaurentPoly] | list[laurent.LaurentPoly], fmt: str):
+def _print_polys(value: laurent.LaurentPoly | tuple | list[laurent.LaurentPoly], fmt: str):
+    # one LaurentPoly, a record (PQPair, SkeinCoefficients) printed by its
+    # field names, or a list of polys
+    if isinstance(value, laurent.LaurentPoly):
+        print(laurent.format_poly(value, fmt))
+        return
+    if isinstance(value, tuple):
+        value = value._asdict()
     if fmt == "json":
-        print(laurent.format_json(polys))
-    elif isinstance(polys, dict):
-        for label, f in polys.items():
+        print(laurent.format_json(value))
+    elif isinstance(value, dict):
+        for label, f in value.items():
             print(f"{label} = {f.text()}")
     else:
-        for f in polys:
+        for f in value:
             print(f.text())
 
 
@@ -58,73 +69,57 @@ def _require_exactly_one(args, forms: list[tuple[str, list[str]]]) -> str:
 
 
 # ----------------------------------------------------------------------
-# subcommand handlers
+# entries: each computes and returns a row's value
 
 
-def _number_pair(args) -> qnumbers.PQPair:
+def _number(args) -> laurent.LaurentPoly:
     if args.family == "custom":
         if args.P is None or args.Q is None:
             raise ValueError("--family custom needs --P and --Q expressions")
-        return qnumbers.PQPair(laurent.parse(args.P), laurent.parse(args.Q))
-    if args.P is not None or args.Q is not None:
+        pair = qnumbers.PQPair(laurent.parse(args.P), laurent.parse(args.Q))
+    elif args.P is not None or args.Q is not None:
         raise ValueError("--P/--Q are only valid with --family custom")
-    return qnumbers.family_params(args.family)
+    else:
+        pair = qnumbers.family_params(args.family)
+    return qnumbers.pq_number(pair, args.n)
 
 
-def _cmd_number(args, fmt: str) -> int:
-    pair = _number_pair(args)
-    print(laurent.format_poly(qnumbers.pq_number(pair, args.n), fmt))
-    return 0
-
-
-def _cmd_family_params(args, fmt: str) -> int:
+def _family_params(args) -> qnumbers.PQPair:
     form = _require_exactly_one(args, [("family", ["family"]), ("link-coefficients", ["l1", "l2"])])
     if form == "family":
-        pair = qnumbers.family_params(args.family)
-    else:
-        coeffs = skein.SkeinCoefficients(laurent.parse(args.l1), laurent.parse(args.l2))
-        pair = skein.pq_from_link_coeffs(coeffs)
-    _print_polys({"P": pair.P, "Q": pair.Q}, fmt)
-    return 0
+        return qnumbers.family_params(args.family)
+    return skein.pq_from_link_coeffs(
+        skein.SkeinCoefficients(laurent.parse(args.l1), laurent.parse(args.l2)))
 
 
-def _cmd_skein_coeffs(args, fmt: str) -> int:
-    form = _require_exactly_one(
-        args,
-        [
-            ("family", ["family"]),
-            ("knot-coefficients", ["k1", "k2"]),
-            ("parameter-pair", ["P", "Q"]),
-        ],
-    )
+def _skein_coeffs(args) -> skein.SkeinCoefficients:
+    form = _require_exactly_one(args, [("family", ["family"]), ("knot-coefficients", ["k1", "k2"]),
+                                       ("parameter-pair", ["P", "Q"])])
     if form == "family":
-        coeffs = skein.link_coeffs_from_pq(qnumbers.family_params(args.family))
-    elif form == "knot-coefficients":
-        kc = skein.KnotCoefficients(laurent.parse(args.k1), laurent.parse(args.k2))
-        coeffs = skein.knot_to_link_coeffs(kc)
-    else:
-        pair = qnumbers.PQPair(laurent.parse(args.P), laurent.parse(args.Q))
-        coeffs = skein.link_coeffs_from_pq(pair)
-    _print_polys({"l1": coeffs.l1, "l2": coeffs.l2}, fmt)
-    return 0
+        return skein.link_coeffs_from_pq(qnumbers.family_params(args.family))
+    if form == "knot-coefficients":
+        return skein.knot_to_link_coeffs(
+            skein.KnotCoefficients(laurent.parse(args.k1), laurent.parse(args.k2)))
+    return skein.link_coeffs_from_pq(qnumbers.PQPair(laurent.parse(args.P), laurent.parse(args.Q)))
 
 
-def _cmd_torus(args, fmt: str) -> int:
-    print(laurent.format_poly(torus.alexander_torus(args.n, args.l), fmt))
-    return 0
-
-
-def _cmd_sequence(args, fmt: str) -> int:
+def _sequence(args) -> list[laurent.LaurentPoly]:
     coeffs = skein.SkeinCoefficients(laurent.parse(args.l1), laurent.parse(args.l2))
-    seq = skein.recurrence_generate(
-        coeffs, laurent.parse(args.p0), laurent.parse(args.p1), args.count
-    )
-    _print_polys(seq, fmt)
+    return skein.recurrence_generate(coeffs, laurent.parse(args.p0), laurent.parse(args.p1),
+                                     args.count)
+
+
+# ----------------------------------------------------------------------
+# handlers: each runs its row's entry and renders the value
+
+
+def _cmd_value(args, fmt: str) -> int:
+    _print_polys(args.entry(args), fmt)
     return 0
 
 
 def _cmd_verify(args, fmt: str) -> int:
-    report = checks.run(args.suite, args.max_n)
+    report = args.entry(args)
     passed = sum(check.passed for check in report)
     if fmt == "json":
         import json
@@ -181,47 +176,47 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="subcommand")
 
     # the command table (see the module docstring); each argument is a
-    # flag and add_argument's keywords.  Built on each call, so that a
-    # handler patched on this module is the one a row binds
+    # flag and add_argument's keywords.  Built on each call, so that an
+    # entry patched on this module is the one a row binds
     families = "one of: " + ", ".join(qnumbers.FAMILY_NAMES)
     required, integer = {"required": True}, {"required": True, "type": _int_arg}
     commands = [
         ("number", "deformed integer [n] of a built-in or custom family",
-         {"handler": _cmd_number},
+         {"entry": _number},
          [("--family", {"required": True, "help": families + ", custom"}), ("--n", integer),
           ("--P", {"help": "P expression (with --family custom)"}),
           ("--Q", {"help": "Q expression (with --family custom)"})]),
         ("family-params", "parameter pair (P, Q) of a family, or solved from --l1/--l2",
-         {"handler": _cmd_family_params},
+         {"entry": _family_params},
          [("--family", {"help": families}), ("--l1", {"help": "link coefficient l1 expression"}),
           ("--l2", {"help": "link coefficient l2 expression"})]),
         ("pq-number", "deformed integer [n] for explicit parameters P and Q",
-         {"handler": _cmd_number, "family": "custom"},
+         {"entry": _number, "family": "custom"},
          [("--P", required), ("--Q", required), ("--n", integer)]),
         ("skein-coeffs", "link coefficients (l1, l2) from a family, a (P, Q) pair, "
                          "or knot coefficients (k1, k2)",
-         {"handler": _cmd_skein_coeffs},
+         {"entry": _skein_coeffs},
          [("--family", {}), ("--k1", {}), ("--k2", {}), ("--P", {}), ("--Q", {})]),
         ("knot-to-link", "link coefficients recovered from knot coefficients",
-         {"handler": _cmd_skein_coeffs, "family": None, "P": None, "Q": None},
+         {"entry": _skein_coeffs, "family": None, "P": None, "Q": None},
          [("--k1", required), ("--k2", required)]),
         ("torus-alexander", "closed-form torus Alexander polynomial D(n, l), gcd(n, l) = 1",
-         {"handler": _cmd_torus},
+         {"entry": lambda args: torus.alexander_torus(args.n, args.l)},
          [("--n", integer), ("--l", integer)]),
         ("sequence", "values of the recurrence X[n+1] = l1*X[n] + l2*X[n-1]",
-         {"handler": _cmd_sequence},
+         {"entry": _sequence},
          [("--l1", required), ("--l2", required),
           ("--p0", {"required": True, "help": "seed X[0] expression"}),
           ("--p1", {"required": True, "help": "seed X[1] expression"}),
           ("--count", {**integer, "help": "total values to print, seeds included (at least 2)"})]),
         ("verify", "run self-verification suites; exit 1 on any counterexample",
-         {"handler": _cmd_verify},
+         {"handler": _cmd_verify, "entry": lambda args: checks.run(args.suite, args.max_n)},
          [("--suite", {"choices": (*checks.SUITES, "all"), "default": "all"}),
           ("--max-n", {"type": _int_arg, "default": 100})]),
     ]
     for name, summary, defaults, arguments in commands:
         p = sub.add_parser(name, parents=[fmt_parent], help=summary)
-        p.set_defaults(**defaults)
+        p.set_defaults(**{"handler": _cmd_value, **defaults})
         for flag, keywords in arguments:
             p.add_argument(flag, **keywords)
     return parser

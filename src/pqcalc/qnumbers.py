@@ -30,10 +30,10 @@ definition used here because it needs no division and stays valid when
   the skein chain: ``skein.recurrence`` on the link coefficients
   ``skein.link_coeffs_from_pq(pair)``, so a pair with ``P*Q = 0`` raises
   ``DegenerateSkeinError``.  It too keeps only the last two values.
-  ``number_sequence(pair, n_max)`` lists its ``[0]..[n_max]``.  The two
-  sum-form routes never use the recurrence, so
-  ``checks.recurrence_counterexamples`` checks the recurrence stream
-  against ``pq_numbers``.
+  ``number_sequence(pair, n_max)`` lists its ``[0]..[n_max]`` through
+  the meter of ``skein.recurrence_generate``.  The two sum-form routes
+  never use the recurrence, so ``checks.recurrence_counterexamples``
+  checks the recurrence stream against ``pq_numbers``.
 
 Both streams resolve the family, and refuse a bad one, when called, before
 the first value is drawn.
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Iterator
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, count, repeat
 from operator import mul
 
 from .laurent import (
@@ -63,7 +63,7 @@ from .laurent import (
     _require_poly,
     parse,
 )
-from .skein import PQPair, link_coeffs_from_pq, recurrence
+from .skein import PQPair, _metered, link_coeffs_from_pq, recurrence
 
 __all__ = [
     "FAMILY_NAMES",
@@ -208,9 +208,13 @@ def recurrence_numbers(family: Family | PQPair | str) -> Iterator[LaurentPoly]:
 
 def number_sequence(family: Family | PQPair | str, n_max: int) -> list[LaurentPoly]:
     """[0], [1], ..., [n_max] of ``recurrence_numbers``, as a list, for an
-    ``n_max`` from 1 to ``laurent.MAX_WORK``."""
+    ``n_max`` from 1 to ``laurent.MAX_WORK``.
+
+    Metered as ``skein.recurrence_generate`` is: the values past [1] are
+    priced as they come, in terms times 64-bit coefficient words, and
+    ``BudgetExceededError`` is raised once their sum passes ``MAX_WORK``."""
     _require_int("n_max", n_max, 1, counts=True)
-    return list(islice(recurrence_numbers(family), n_max + 1))
+    return _metered(recurrence_numbers(family), n_max + 1, "[0]..[{}]", n_max)
 
 
 def _homfly_want(n: int, alexander: LaurentPoly) -> LaurentPoly:

@@ -13,9 +13,10 @@ three coefficient views: the pair (P, Q), the link coefficients (l1, l2),
 and the "knot" coefficients (k1, k2) read off a recurrence with integer
 exponents, whose square roots recover the half-exponent link coefficients.
 ``recurrence`` is the one implementation of the recurrence, a lazy stream
-that keeps only the last two values; ``recurrence_generate`` lists its
-first values, and ``qnumbers.recurrence_numbers`` runs it from the seeds 0
-and 1.  This module imports only ``laurent``, so ``qnumbers`` can build on
+that keeps only the last two values; ``qnumbers.recurrence_numbers`` runs
+it from the seeds 0 and 1.  ``recurrence_generate`` and
+``qnumbers.number_sequence`` list a stream's first values through one
+meter, which prices each value past the seeds as it comes.  This module imports only ``laurent``, so ``qnumbers`` can build on
 it.
 """
 
@@ -190,7 +191,13 @@ def recurrence_generate(
     their sum passes ``MAX_WORK``.  The values grow with the count, in
     terms and in coefficient bits, so the count alone bounds neither."""
     _require_int("count", count, 2, counts=True)
-    stream = recurrence(coeffs, p0, p1)
+    return _metered(recurrence(coeffs, p0, p1), count, "a sequence of {} values", count)
+
+
+def _metered(stream: Iterator[LaurentPoly], count: int, subject: str, *args) -> list[LaurentPoly]:
+    # the first ``count`` values of a recurrence stream, the two seeds and
+    # then each value built past them, priced as it comes against MAX_WORK;
+    # the subject and its args name the list in the refusal
     values = list(islice(stream, 2))
     work = 0
     for value in islice(stream, count - 2):
@@ -198,7 +205,6 @@ def recurrence_generate(
         # coefficient, in one C-level pass over the coefficients
         terms = value._terms.values()
         work += len(terms) + sum(map(floordiv, map(int.bit_length, terms), repeat(64)))
-        _require_budget(work, "terms times 64-bit coefficient words",
-                        "a sequence of {} values", count)
+        _require_budget(work, "terms times 64-bit coefficient words", subject, *args)
         values.append(value)
     return values

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from jsonschema import validate
 
-from pqcalc import cli, qnumbers, skein
+from pqcalc import qnumbers, skein, torus
 from pqcalc.cli import main
 from pqcalc.laurent import JSON_SCHEMA, LaurentPoly, NotAPerfectSquareError, _int_from_str, parse
 from pqcalc.qnumbers import Family, number_sequence, pq_number
@@ -521,10 +521,11 @@ def test_off_grid_exponent_past_the_int_str_limit_is_a_grid_error(capsys):
 
 
 def test_internal_errors_exit_3(capsys, monkeypatch):
-    def broken(args, fmt):
+    # the row's entry reaches the library's torus value through its module
+    def broken(n, l):
         raise RuntimeError("engine bug")
 
-    monkeypatch.setattr(cli, "_cmd_torus", broken)
+    monkeypatch.setattr(torus, "alexander_torus", broken)
     rc, out, err = run_cli(capsys, "torus-alexander", "--n", "3", "--l", "2")
     assert rc == 3
     assert out == ""
@@ -532,10 +533,10 @@ def test_internal_errors_exit_3(capsys, monkeypatch):
 
 
 def test_out_of_memory_exits_3(capsys, monkeypatch):
-    def exhausted(args, fmt):
+    def exhausted(pair, n):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "_cmd_number", exhausted)
+    monkeypatch.setattr(qnumbers, "pq_number", exhausted)
     rc, out, err = run_cli(capsys, "number", "--family", "alexander-fermionic", "--n", "3")
     assert rc == 3
     assert out == ""

@@ -1,5 +1,7 @@
 """Deformed-integer families: parameter tables, sum form, recurrence."""
 
+import subprocess
+import sys
 import tracemalloc
 from itertools import islice
 
@@ -364,6 +366,29 @@ def test_sequence_refuses_a_vanishing_product(pair):
     assert list(islice(pq_numbers(pair), 6)) == [pq_number(pair, n) for n in range(6)]
 
 
+def test_sequence_is_refused_before_memory_runs_out():
+    # [n] of (2q, 3) has n terms whose coefficients grow by about 1.6 bits
+    # a step: the list to [10^6] is refused inside a 1 GiB address space,
+    # where the list without a meter ended in MemoryError
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from pqcalc.laurent import parse\n"
+        "from pqcalc.qnumbers import PQPair, number_sequence\n"
+        "try:\n"
+        "    number_sequence(PQPair(2 * parse('q'), 3), 10**6)\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        "BudgetExceededError [0]..[1000000] is over the budget of 4000000 terms times "
+        "64-bit coefficient words\n"
+    )
+
+
 _BOUND_CHECKS = {
     "recurrence": lambda n: recurrence_counterexamples(Family.JONES_BOSONIC, n),
     "homfly-factor": homfly_factor_counterexample,
@@ -490,6 +515,9 @@ _BUDGET_ENTRIES = {
         lambda count: recurrence_generate(_JONES_COEFFS, LaurentPoly.zero(), LaurentPoly.one(),
                                           count), 6, 7,
     ),
+    # the same meter from [2]: [2]..[5] have 2 to 5 terms, 14 words, and
+    # [6] brings 20
+    "number_sequence": (lambda n_max: number_sequence(Family.JONES_BOSONIC, n_max), 5, 6),
     # (q^k - 1) / (q - 1) has k terms
     "exact_div": (lambda k: exact_div(parse(f"q^{k} - 1"), parse("q - 1")), 15, 16),
     "recurrence_counterexamples": (_BOUND_CHECKS["recurrence"], 15, 16),

@@ -1,6 +1,7 @@
 """The example scripts run end to end as separate processes."""
 
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -10,14 +11,14 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name, *args):
+def run_script(name, *args, preexec_fn=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=60, env=env, preexec_fn=preexec_fn,
     )
 
 
@@ -72,3 +73,22 @@ def test_number_tables_refuses_a_max_n_past_the_budget():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "--max-n = 4000001 is over the budget of 4000000 values" in proc.stderr
+
+
+def _limit_address_space():
+    # runs in the child only, between fork and exec
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_number_tables_refuses_a_table_past_the_work_budget():
+    # within the count's cap, but [0]..[max_n] would hold about max_n^2 / 2
+    # terms: the meter refuses the first family's list before its header,
+    # inside a 1 GiB address space
+    proc = run_script("number_tables.py", "--max-n", "4000000",
+                      preexec_fn=_limit_address_space)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.endswith(
+        "error: [0]..[4000000] is over the budget of 4000000 terms times "
+        "64-bit coefficient words\n"
+    )
