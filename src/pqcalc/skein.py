@@ -16,8 +16,8 @@ exponents, whose square roots recover the half-exponent link coefficients.
 that keeps only the last two values; ``qnumbers.recurrence_numbers`` runs
 it from the seeds 0 and 1.  ``recurrence_generate`` and
 ``qnumbers.number_sequence`` list a stream's first values through one
-meter, which prices each value past the seeds as it comes.  This module imports only ``laurent``, so ``qnumbers`` can build on
-it.
+meter, which prices each value past the seeds as it comes.  This module
+imports only ``laurent``, so ``qnumbers`` can build on it.
 """
 
 from __future__ import annotations
