@@ -38,11 +38,13 @@ pass over a value's terms in descending canonical order and pays per term,
 with ``str`` for every int; a value holding an int past CPython's int/str
 limit is rendered again with ``_int_to_str``, which converts at any length
 in subquadratic time, as every int in an error message does.  A value whose
-producer wrote its dict in that order (the torus closed form, a monomial
-pair's ``[n]``, the heap's quotient and root, a one-chain run quotient, the
-negation of such a value, and a constructed value of at most one term) is
-marked so, and is walked as stored; any other value's keys are sorted on
-each render, and its coefficients read by key.  Text formats each term in
+producer wrote its dict in that order (a monomial pair's ``[n]``, the
+heap's quotient and root, a one-chain run quotient, the negation of such a
+value, and a constructed value of at most one term) is marked so, and is
+walked as stored; any other value's keys are sorted on each render, and
+its coefficients read by key.  The torus closed form keeps only its sorted
+exponent list, a ``_Column``: rendering walks the list, and the term dict
+is built from it on the first other read.  Text formats each term in
 place; JSON joins three pieces per term, a head per coefficient and a tail
 per ``p`` exponent, each built once per value, around the term's ``q``
 exponent.
@@ -55,7 +57,7 @@ import re
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, cycle, islice, repeat
 from math import comb, gcd, isqrt
 from operator import mul
 from typing import Union
@@ -208,7 +210,8 @@ class LaurentPoly:
     """
 
     # _ordered: the producer wrote _terms in descending canonical order,
-    # so rendering walks it as stored (see _items)
+    # so rendering walks it as stored (see _items); _Column leaves _terms
+    # unset until something other than rendering reads it
     __slots__ = ("_terms", "_ordered")
 
     def __init__(
@@ -273,7 +276,18 @@ class LaurentPoly:
         """All terms in descending canonical order: as stored, where the
         value's producer wrote them so, and otherwise sorted on each
         call."""
-        return tuple(_items(self))
+        return tuple(self._items())
+
+    def _items(self) -> Iterable[tuple[ExpVec, int]]:
+        # the terms in descending canonical order, a fresh iterator on each
+        # call: the dict's items as stored where the producer wrote them in
+        # that order, and otherwise its keys sorted, each with its
+        # coefficient; _Column walks its exponent list instead
+        d = self._terms
+        if self._ordered:
+            return d.items()
+        keys = sorted(d, reverse=True)
+        return zip(keys, map(d.__getitem__, keys))
 
     def leading_term(self) -> tuple[ExpVec, int]:
         if not self._terms:
@@ -399,7 +413,8 @@ class LaurentPoly:
         term: a term is its sign, its magnitude, its ``p`` factor, read
         from a dict kept for this value, and its ``q`` factor, formatted in
         place.  A value its producer wrote in that order is walked as
-        stored; any other value's keys are sorted on each call.  Nothing is
+        stored, and a torus value's exponent list with no term dict at
+        all; any other value's keys are sorted on each call.  Nothing is
         cached past the call, so a second call pays again.
         """
         return _render(_text, self)
@@ -452,6 +467,40 @@ class LaurentPoly:
         return f"LaurentPoly({self.text()!r})"
 
 
+class _Column(LaurentPoly):
+    """A value whose terms are ``((e, 0), +1), ((e', 0), -1), ...`` over a
+    strictly descending list of doubled ``q`` exponents, its column, with
+    the signs alternating from +1.  Rendering walks the column, reusing
+    the walk's tuples, and builds no term dict; the first other read of
+    ``_terms`` (``==``, ``hash``, arithmetic, ``is_zero``,
+    ``leading_term``) builds the dict from the column and drops it."""
+
+    __slots__ = ("_exps",)
+
+    def __init__(self, exps: list[int]):
+        self._exps = exps
+        self._ordered = True
+
+    def __getattr__(self, name):
+        # runs only where ordinary lookup fails: _terms before it is built
+        if name != "_terms":
+            raise AttributeError(name)
+        self._terms = terms = dict(self._items())
+        self._exps = None
+        return terms
+
+    def _items(self) -> Iterable[tuple[ExpVec, int]]:
+        exps = self._exps
+        if exps is None:
+            return self._terms.items()
+        return zip(zip(exps, repeat(0)), cycle((1, -1)))
+
+    def __reduce__(self):
+        # pickled and copied as its column, read back from the dict once built
+        exps = self._exps
+        return _Column, ([q2 for q2, _p2 in self._terms] if exps is None else exps,)
+
+
 _COEFF_RE = re.compile(r"-?[0-9]+")
 
 JSON_SCHEMA = {
@@ -486,26 +535,15 @@ JSON_SCHEMA = {
 }
 
 
-def _items(f: LaurentPoly) -> Iterable[tuple[ExpVec, int]]:
-    """The terms of ``f`` in descending canonical order, read once: its
-    dict's items as stored where its producer wrote them in that order,
-    and otherwise its keys sorted, each with its coefficient."""
-    d = f._terms
-    if f._ordered:
-        return d.items()
-    keys = sorted(d, reverse=True)
-    return zip(keys, map(d.__getitem__, keys))
-
-
 def _render(write, f: LaurentPoly) -> str:
-    """``write(_items(f), str)``, or, for a value holding an int past
+    """``write(f._items(), str)``, or, for a value holding an int past
     CPython's int/str digit limit, where ``str`` raises, the same with
-    ``_int_to_str`` over a fresh ``_items(f)``: the first pass may have
+    ``_int_to_str`` over a fresh ``f._items()``: the first pass may have
     consumed the one it was given."""
     try:
-        return write(_items(f), str)
+        return write(f._items(), str)
     except ValueError:
-        return write(_items(f), _int_to_str)
+        return write(f._items(), _int_to_str)
 
 
 def _power(name: str, e2: int, conv) -> str:

@@ -23,7 +23,11 @@ distinct, and the signs alternate in exponent order, so D(n, l) has
 
 terms, the count Carlitz gave in closed form (Amer. Math. Monthly 73,
 1966).  The build is one pass of m Python steps, one ``range`` of terms
-each, sorted in C, and the memory is that of the output.  When m + T
+each, sorted in C, and the value keeps that sorted list of T exponents
+alone (``laurent._Column``): rendering walks it with the alternating
+signs, and the term dict is built from it only when something else reads
+the value (``==``, ``hash``, arithmetic, ``is_zero``, ``leading_term``),
+and then replaces it, so no table of size c is ever made.  When m + T
 would pass ``laurent.MAX_WORK``, read at the call, the kernel's budget
 rule raises ``BudgetExceededError`` (a ``ValueError``) before any term
 is built, and ``checks`` prices a walk's last D(n, 2) by the same count.
@@ -38,10 +42,9 @@ exactly, which the same walk checks.  This module imports only ``laurent``.
 
 from __future__ import annotations
 
-from itertools import cycle, repeat
 from math import gcd
 
-from .laurent import LaurentPoly, _int_to_str, _require_budget, _require_int, exact_div
+from .laurent import LaurentPoly, _Column, _int_to_str, _require_budget, _require_int, exact_div
 
 __all__ = ["NotCoprimeError", "alexander_torus", "alexander_torus2"]
 
@@ -56,7 +59,9 @@ def alexander_torus(n: int, l: int) -> LaurentPoly:
 
     The value has T = (r+1)*(s+1) + (g-1-r)*(m-1-s) terms (Carlitz), and
     m + T past ``laurent.MAX_WORK`` raises ``BudgetExceededError`` before
-    any term is built.
+    any term is built.  It holds its T doubled ``q`` exponents in
+    descending order, which rendering and ``terms()`` walk; its term dict
+    is built on the first other read, and the list then dropped.
 
     >>> alexander_torus(3, 5)
     LaurentPoly('q^4 - q^3 + q - 1 + q^(-1) - q^(-3) + q^(-4)')
@@ -77,10 +82,10 @@ def alexander_torus(n: int, l: int) -> LaurentPoly:
         else:
             lo = 2 * (j - m) * g - c
             exps.extend(range(lo + step * (r + 1), lo + step * g, step))
-    # sorted once, the signs alternate, +1 at both ends; the terms go in
-    # descending order, which rendering walks as stored
+    # sorted once, the signs alternate, +1 at both ends: the column that
+    # rendering walks, and that builds the term dict on another read
     exps.sort(reverse=True)
-    return LaurentPoly._raw(dict(zip(zip(exps, repeat(0)), cycle((1, -1)))), True)
+    return _Column(exps)
 
 
 def _product_form(n: int, l: int) -> tuple[int, int, int, int, int]:

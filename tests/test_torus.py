@@ -1,5 +1,8 @@
 """Closed-form torus values: examples, symmetry, and the l = 2 column."""
 
+import copy
+import operator
+import pickle
 import tracemalloc
 from fractions import Fraction
 from math import gcd
@@ -9,7 +12,14 @@ import pytest
 from hypothesis import assume, given, settings
 
 from pqcalc.checks import Counterexample, torus2_counterexamples
-from pqcalc.laurent import BudgetExceededError, LaurentPoly, eval_numeric, exact_div, parse
+from pqcalc.laurent import (
+    BudgetExceededError,
+    LaurentPoly,
+    eval_numeric,
+    exact_div,
+    format_poly,
+    parse,
+)
 from pqcalc.qnumbers import Family, pq_number
 from pqcalc import checks, laurent, qnumbers, torus
 from pqcalc.torus import (
@@ -152,6 +162,83 @@ def test_near_equal_pair_needs_no_table_of_size_c():
     assert len(value.terms()) == 5999
     assert peak < 300 * 5999
     assert value == quotient_form(3000, 3001)
+
+
+# ----------------------------------------------------------------------
+# the column: a value renders from its exponent list, and builds its term
+# dict on the first other read
+
+
+def _dict_built(f: LaurentPoly) -> bool:
+    # reads the _terms slot itself, past the hook that would build it
+    try:
+        LaurentPoly.__dict__["_terms"].__get__(f)
+    except AttributeError:
+        return False
+    return True
+
+
+def _renders(f: LaurentPoly) -> tuple:
+    return f.text(), format_poly(f, "text"), format_poly(f, "json"), f.terms()
+
+
+COLUMN_PAIRS = [(1, 1), (1, 6), (2, 3), (3, 5), (12, 35), (64, 45), (211, 199)]
+
+
+@pytest.mark.parametrize("n, l", COLUMN_PAIRS)
+def test_rendering_builds_no_term_dict(n, l):
+    f = alexander_torus(n, l)
+    first = _renders(f)
+    assert not _dict_built(f)
+    # each render walks the column afresh
+    assert _renders(f) == first
+    assert not _dict_built(f)
+
+
+@pytest.mark.parametrize("n, l", COLUMN_PAIRS)
+@pytest.mark.parametrize(
+    "read",
+    [lambda f, ref: f == ref, lambda f, ref: hash(f), lambda f, ref: -f, lambda f, ref: f * 1],
+    ids=["eq", "hash", "neg", "times-1"],
+)
+def test_other_reads_build_the_dict_from_the_column(n, l, read):
+    f = alexander_torus(n, l)
+    ref = LaurentPoly(dict(f.terms()))
+    got, want = read(f, ref), read(ref, ref)
+    assert _dict_built(f)
+    assert got == want
+    if isinstance(want, LaurentPoly):
+        assert _renders(got) == _renders(want)
+    # the value itself, now held as its dict alone
+    assert f._exps is None
+    assert f == ref and hash(f) == hash(ref)
+    assert _renders(f) == _renders(ref)
+
+
+@pytest.mark.parametrize("built", [False, True], ids=["column", "dict"])
+@pytest.mark.parametrize(
+    "duplicate",
+    [lambda f: pickle.loads(pickle.dumps(f)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_torus_values_pickle_and_copy(duplicate, built):
+    f = alexander_torus(12, 35)
+    want = _renders(f)
+    if built:
+        hash(f)
+    g = duplicate(f)
+    # rendered before the comparison below builds the copy's dict
+    assert _renders(g) == want
+    assert g == f and hash(g) == hash(f)
+    assert _renders(g) == _renders(f) == want
+
+
+@pytest.mark.parametrize("duplicate", [pickle.dumps, copy.copy, copy.deepcopy])
+def test_duplicating_a_column_builds_no_dict(duplicate):
+    f = alexander_torus(12, 35)
+    g = duplicate(f)
+    assert not _dict_built(f)
+    assert not _dict_built(g if isinstance(g, LaurentPoly) else pickle.loads(g))
 
 
 @pytest.mark.parametrize(
