@@ -484,7 +484,7 @@ class _Column(LaurentPoly):
     def __getattr__(self, name):
         # runs only where ordinary lookup fails: _terms before it is built
         if name != "_terms":
-            raise AttributeError(name)
+            return object.__getattribute__(self, name)  # the usual AttributeError
         self._terms = terms = dict(self._items())
         self._exps = None
         return terms

@@ -23,11 +23,11 @@ distinct, and the signs alternate in exponent order, so D(n, l) has
 
 terms, the count Carlitz gave in closed form (Amer. Math. Monthly 73,
 1966).  The build is one pass of m Python steps, one ``range`` of terms
-each, sorted in C, and the value keeps that sorted list of T exponents
-alone (``laurent._Column``): rendering walks it with the alternating
-signs, and the term dict is built from it only when something else reads
-the value (``==``, ``hash``, arithmetic, ``is_zero``, ``leading_term``),
-and then replaces it, so no table of size c is ever made.  When m + T
+each, sorted in C, with no table of size c.  The value keeps that sorted
+list of T exponents alone (``laurent._Column``): rendering walks it with
+the alternating signs, and the term dict is built from it only when
+something else reads the value (``==``, ``hash``, arithmetic,
+``is_zero``, ``leading_term``), and then replaces it.  When m + T
 would pass ``laurent.MAX_WORK``, read at the call, the kernel's budget
 rule raises ``BudgetExceededError`` (a ``ValueError``) before any term
 is built, and ``checks`` prices a walk's last D(n, 2) by the same count.
