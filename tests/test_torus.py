@@ -1,7 +1,6 @@
 """Closed-form torus values: examples, symmetry, and the l = 2 column."""
 
 import copy
-import operator
 import pickle
 import tracemalloc
 from fractions import Fraction
@@ -215,12 +214,15 @@ def test_other_reads_build_the_dict_from_the_column(n, l, read):
     assert _renders(f) == _renders(ref)
 
 
-@pytest.mark.parametrize("built", [False, True], ids=["column", "dict"])
-@pytest.mark.parametrize(
+DUPLICATES = pytest.mark.parametrize(
     "duplicate",
     [lambda f: pickle.loads(pickle.dumps(f)), copy.copy, copy.deepcopy],
     ids=["pickle", "copy", "deepcopy"],
 )
+
+
+@pytest.mark.parametrize("built", [False, True], ids=["column", "dict"])
+@DUPLICATES
 def test_torus_values_pickle_and_copy(duplicate, built):
     f = alexander_torus(12, 35)
     want = _renders(f)
@@ -233,12 +235,11 @@ def test_torus_values_pickle_and_copy(duplicate, built):
     assert _renders(g) == _renders(f) == want
 
 
-@pytest.mark.parametrize("duplicate", [pickle.dumps, copy.copy, copy.deepcopy])
+@DUPLICATES
 def test_duplicating_a_column_builds_no_dict(duplicate):
     f = alexander_torus(12, 35)
     g = duplicate(f)
-    assert not _dict_built(f)
-    assert not _dict_built(g if isinstance(g, LaurentPoly) else pickle.loads(g))
+    assert not _dict_built(f) and not _dict_built(g)
 
 
 @pytest.mark.parametrize(
