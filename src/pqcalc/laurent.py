@@ -42,12 +42,13 @@ producer wrote its dict in that order (a monomial pair's ``[n]``, the
 heap's quotient and root, a one-chain run quotient, the negation of such a
 value, and a constructed value of at most one term) is marked so, and is
 walked as stored; any other value's keys are sorted on each render, and
-its coefficients read by key.  The torus closed form keeps only its sorted
-exponent list, a ``_Column``: rendering walks the list, and the term dict
-is built from it on the first other read.  Text formats each term in
-place; JSON joins three pieces per term, a head per coefficient and a tail
-per ``p`` exponent, each built once per value, around the term's ``q``
-exponent.
+its coefficients read by key.  Text formats each term in place; JSON
+joins three pieces per term, a head per coefficient and a tail per ``p``
+exponent, each built once per value, around the term's ``q`` exponent.
+The torus closed form keeps only its sorted exponent list, a ``_Column``,
+and the term dict is built from it on the first read other than
+rendering: a column is written by slice fills into one list of shared
+pieces, with one ``str`` per term.
 ``format_json`` nests indented copies of the single-poly JSON document.
 """
 
@@ -59,7 +60,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, cycle, islice, repeat
 from math import comb, gcd, isqrt
-from operator import mul
+from operator import mul, neg
 from typing import Union
 
 __all__ = [
@@ -413,11 +414,12 @@ class LaurentPoly:
         term: a term is its sign, its magnitude, its ``p`` factor, read
         from a dict kept for this value, and its ``q`` factor, formatted in
         place.  A value its producer wrote in that order is walked as
-        stored, and a torus value's exponent list with no term dict at
-        all; any other value's keys are sorted on each call.  Nothing is
-        cached past the call, so a second call pays again.
+        stored; any other value's keys are sorted on each call.  A torus
+        value's exponent list is written by slice fills, with one ``str``
+        per term and no term dict at all.  Nothing is cached past the
+        call, so a second call pays again.
         """
-        return _render(_text, self)
+        return _render(_text, _column_text, self)
 
     def to_json_obj(self) -> dict:
         """JSON-ready dict; see ``JSON_SCHEMA``.  Coefficients are decimal
@@ -468,12 +470,18 @@ class LaurentPoly:
 
 
 class _Column(LaurentPoly):
-    """A value whose terms are ``((e, 0), +1), ((e', 0), -1), ...`` over a
-    strictly descending list of doubled ``q`` exponents, its column, with
-    the signs alternating from +1.  Rendering walks the column, reusing
-    the walk's tuples, and builds no term dict; the first other read of
-    ``_terms`` (``==``, ``hash``, arithmetic, ``is_zero``,
-    ``leading_term``) builds the dict from the column and drops it."""
+    """A value whose terms are ``((e, 0), +1), ((e', 0), -1), ...`` over
+    its column, a list of doubled ``q`` exponents.  The contract: the
+    column is non-empty, strictly descending and of even ints, and the
+    signs alternate from +1.  ``torus.alexander_torus``, its only
+    producer, meets it: ``c = (n-1)(l-1)`` is even for coprime ``n``,
+    ``l``, and no doubled exponent passes ``c`` in size, which the budget
+    on T keeps far inside the int/str digit limit.  Rendering writes the column by slice fills
+    (``_column_text``, ``_column_json``), one ``str`` per term, and builds
+    no term dict; ``terms()`` walks it, reusing the walk's tuples.  The
+    first other read of ``_terms`` (``==``, ``hash``, arithmetic,
+    ``is_zero``, ``leading_term``) builds the dict from the column and
+    drops it."""
 
     __slots__ = ("_exps",)
 
@@ -535,11 +543,17 @@ JSON_SCHEMA = {
 }
 
 
-def _render(write, f: LaurentPoly) -> str:
-    """``write(f._items(), str)``, or, for a value holding an int past
-    CPython's int/str digit limit, where ``str`` raises, the same with
-    ``_int_to_str`` over a fresh ``f._items()``: the first pass may have
-    consumed the one it was given."""
+def _render(write, write_column, f: LaurentPoly) -> str:
+    """``f`` rendered by one of two writers.  A ``_Column`` that still
+    holds its column is written from it by ``write_column``, with slice
+    fills and one ``str`` per term.  Any other value is ``write(f._items(),
+    str)``, or, for a value holding an int past CPython's int/str digit
+    limit, where ``str`` raises, the same with ``_int_to_str`` over a fresh
+    ``f._items()``: the first pass may have consumed the one it was
+    given.  A value backed by a dict pays one class check more than the
+    generic writer alone."""
+    if type(f) is _Column and f._exps is not None:
+        return write_column(f._exps)
     try:
         return write(f._items(), str)
     except ValueError:
@@ -589,6 +603,37 @@ def _text(items: Iterable[tuple[ExpVec, int]], conv) -> str:
     return "".join(out)
 
 
+def _column_text(exps: list[int]) -> str:
+    """``_text`` of a ``_Column``'s terms, from its column ``exps``.
+
+    The column descends, so its terms fall in four runs: ``q^k`` for
+    k > 1, then ``q``, then ``1``, then ``q^(k)`` for k < 0.  The middle
+    two hold at most one term each and are written by hand.  The long runs
+    are filled into one list by slice assignment: a sign piece per term
+    from a shared pair, one ``str`` per exponent, and the negative run's
+    shared ``")"``.  The ``str``s come from a comprehension, whose ``str``
+    call CPython 3.11 specializes and ``map(str, ...)`` does not."""
+    n = len(exps)
+    # where q, the constant and the first negative exponent sit, found on
+    # the ascending negated column
+    q_at = bisect_left(exps, -2, key=neg)
+    one_at = bisect_left(exps, 0, key=neg)
+    lo = bisect_left(exps, 1, key=neg)
+    start = q_at + lo  # the negative run's first piece: two per term before q
+    pieces = [")"] * (start + 3 * (n - lo))
+    pieces[0 : 2 * q_at : 2] = islice(cycle((" + q^", " - q^")), q_at)
+    pieces[1 : 2 * q_at : 2] = [str(e >> 1) for e in exps[:q_at]]
+    if one_at > q_at:
+        pieces[2 * q_at] = " - q" if q_at & 1 else " + q"
+    if lo > one_at:
+        pieces[q_at + one_at] = " - 1" if one_at & 1 else " + 1"
+    sign = lo & 1
+    pieces[start::3] = islice(cycle((" + q^(", " - q^(")), sign, sign + n - lo)
+    pieces[start + 1 :: 3] = [str(e >> 1) for e in exps[lo:]]
+    pieces[0] = pieces[0][3:]  # the first sign is +
+    return "".join(pieces)
+
+
 # The layout ``json.dumps(f.to_json_obj(), indent=2)`` writes, spelled out
 # in the fixed pieces around each term's coefficient, q and p exponents:
 # with ``indent`` set, CPython's encoder falls back to pure Python, about
@@ -633,6 +678,21 @@ def _json(items: Iterable[tuple[ExpVec, int]], conv) -> str:
     if len(pieces) == 1:
         return empty
     pieces[-1] = f"{before_p}{conv(p2)}{tail}"
+    return "".join(pieces)
+
+
+def _column_json(exps: list[int]) -> str:
+    """``_json`` of a ``_Column``'s terms, from its column ``exps``: the
+    three pieces per term filled into one list by slice assignment.  The
+    heads alternate between those of 1 and -1, each exponent is one
+    ``str``, and every tail is the one of ``p`` exponent 0, the last
+    closing the document."""
+    _empty, first, before_q, before_p, between, tail = _JSON_LAYOUT
+    pieces = [f"{before_p}0{between}"] * (3 * len(exps) + 1)
+    pieces[0] = first
+    pieces[1::3] = islice(cycle(("1" + before_q, "-1" + before_q)), len(exps))
+    pieces[2::3] = [str(e) for e in exps]
+    pieces[-1] = f"{before_p}0{tail}"
     return "".join(pieces)
 
 
@@ -704,7 +764,7 @@ def format_poly(f: LaurentPoly, mode: str = "text") -> str:
     if mode == "text":
         return f.text()
     if mode == "json":
-        return _render(_json, f)
+        return _render(_json, _column_json, f)
     raise ValueError(f"unknown format mode: {mode!r}")
 
 

@@ -24,9 +24,9 @@ distinct, and the signs alternate in exponent order, so D(n, l) has
 terms, the count Carlitz gave in closed form (Amer. Math. Monthly 73,
 1966).  The build is one pass of m Python steps, one ``range`` of terms
 each, sorted in C, with no table of size c.  The value keeps that sorted
-list of T exponents alone (``laurent._Column``): rendering walks it with
-the alternating signs, and the term dict is built from it only when
-something else reads the value (``==``, ``hash``, arithmetic,
+list of T exponents alone (``laurent._Column``): rendering writes it by
+slice fills, one ``str`` per term, and the term dict is built from it
+only when something else reads the value (``==``, ``hash``, arithmetic,
 ``is_zero``, ``leading_term``), and then replaces it.  When m + T
 would pass ``laurent.MAX_WORK``, read at the call, the kernel's budget
 rule raises ``BudgetExceededError`` (a ``ValueError``) before any term
@@ -60,8 +60,9 @@ def alexander_torus(n: int, l: int) -> LaurentPoly:
     The value has T = (r+1)*(s+1) + (g-1-r)*(m-1-s) terms (Carlitz), and
     m + T past ``laurent.MAX_WORK`` raises ``BudgetExceededError`` before
     any term is built.  It holds its T doubled ``q`` exponents in
-    descending order, which rendering and ``terms()`` walk; its term dict
-    is built on the first other read, and the list then dropped.
+    descending order, which rendering writes by slice fills and
+    ``terms()`` walks; its term dict is built on the first other read,
+    and the list then dropped.
 
     >>> alexander_torus(3, 5)
     LaurentPoly('q^4 - q^3 + q - 1 + q^(-1) - q^(-3) + q^(-4)')

@@ -36,6 +36,7 @@ from pqcalc.laurent import (
     substitute_z,
 )
 from pqcalc.laurent import (
+    _Column,
     _descend,
     _div_by_heap,
     _div_by_runs,
@@ -1280,6 +1281,37 @@ def test_ordered_values_past_the_int_str_limit_render_as_their_unordered_copies(
         copy = LaurentPoly._raw(dict(reversed(g._terms.items())))
         assert g.text() == copy.text()
         assert format_poly(g, "json") == format_poly(copy, "json")
+
+
+# strictly descending even ints, mostly small enough to reach across q^2,
+# q, 1 and the negatives, now and then wide apart
+columns = st.sets(
+    (st.integers(-30, 30) | st.integers(-(10**9), 10**9)).map(lambda k: 2 * k),
+    min_size=1,
+    max_size=60,
+).map(lambda exps: sorted(exps, reverse=True))
+
+
+@given(exps=columns)
+# each of the four text runs alone, and each pair that meets at a boundary
+@example(exps=[0])
+@example(exps=[2])
+@example(exps=[-2])
+@example(exps=[2, 0])
+@example(exps=[0, -2])
+@example(exps=[4, -4])
+@example(exps=[4, 2, 0, -2, -4])
+@settings(deadline=None, max_examples=300)
+def test_column_writers_match_the_generic_writers(exps):
+    f = _Column(exps)
+    # a dict-backed copy, which the generic _text and _json render
+    g = LaurentPoly(dict(_Column(exps).terms()))
+    assert f.text() == g.text()
+    for mode in ("text", "json"):
+        assert format_poly(f, mode) == format_poly(g, mode)
+    assert format_json([f, f]) == format_json([g, g])
+    # no render above built f's term dict, which would drop its column
+    assert f._exps is exps
 
 
 @given(

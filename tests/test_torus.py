@@ -195,6 +195,21 @@ def test_rendering_builds_no_term_dict(n, l):
 
 
 @pytest.mark.parametrize("n, l", COLUMN_PAIRS)
+def test_rendering_writes_the_column_without_walking_its_terms(monkeypatch, n, l):
+    f = alexander_torus(n, l)
+    want = f.text(), format_poly(f, "text"), format_poly(f, "json")
+
+    def walk(self):
+        raise AssertionError("a column rendered through its term walk")
+
+    # the column writers read the exponent list itself; a render that goes
+    # back through the per-term walk fails here
+    monkeypatch.setattr(laurent._Column, "_items", walk)
+    assert (f.text(), format_poly(f, "text"), format_poly(f, "json")) == want
+    assert not _dict_built(f)
+
+
+@pytest.mark.parametrize("n, l", COLUMN_PAIRS)
 @pytest.mark.parametrize(
     "read",
     [lambda f, ref: f == ref, lambda f, ref: hash(f), lambda f, ref: -f, lambda f, ref: f * 1],
