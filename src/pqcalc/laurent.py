@@ -37,12 +37,10 @@ Rendering (``LaurentPoly.text``, ``format_poly``, ``terms``) makes one
 pass over a value's terms in descending canonical order and pays per term,
 with ``str`` for every int; a value holding an int past CPython's int/str
 limit is rendered again with ``_int_to_str``, which converts at any length
-in subquadratic time, as every int in an error message does.  A value whose
-producer wrote its dict in that order (a monomial pair's ``[n]``, the
-heap's quotient and root, a one-chain run quotient, the negation of such a
-value, and a constructed value of at most one term) is marked so, and is
-walked as stored; any other value's keys are sorted on each render, and
-its coefficients read by key.  Text formats each term in place; JSON
+in subquadratic time, as every int in an error message does.  Term order
+is decided at render time, and by no producer: a value backed by a dict
+sorts its keys on each render and reads its coefficients by key, and a
+torus value's column walks itself.  Text formats each term in place; JSON
 joins three pieces per term, a head per coefficient and a tail per ``p``
 exponent, each built once per value, around the term's ``q`` exponent.
 The torus closed form keeps only its sorted exponent list, a ``_Column``,
@@ -210,10 +208,9 @@ class LaurentPoly:
     LaurentPoly('1')
     """
 
-    # _ordered: the producer wrote _terms in descending canonical order,
-    # so rendering walks it as stored (see _items); _Column leaves _terms
-    # unset until something other than rendering reads it
-    __slots__ = ("_terms", "_ordered")
+    # _Column leaves _terms unset until something other than rendering
+    # reads it
+    __slots__ = ("_terms",)
 
     def __init__(
         self,
@@ -239,7 +236,6 @@ class LaurentPoly:
                     _require_int("exponent", e2)
                 data[exp] = data.get(exp, 0) + coeff
         self._terms = _canonical(data)
-        self._ordered = len(self._terms) < 2
 
     # ------------------------------------------------------------------
     # constructors
@@ -258,12 +254,10 @@ class LaurentPoly:
         return cls({(q2, p2): coeff})
 
     @classmethod
-    def _raw(cls, data: dict[ExpVec, int], ordered: bool = False) -> LaurentPoly:
-        # internal fast path: data must already be canonical, and, where
-        # ordered is true, in descending canonical order
+    def _raw(cls, data: dict[ExpVec, int]) -> LaurentPoly:
+        # internal fast path: data must already be canonical
         poly = cls.__new__(cls)
         poly._terms = data
-        poly._ordered = ordered
         return poly
 
     # ------------------------------------------------------------------
@@ -274,19 +268,14 @@ class LaurentPoly:
         return not self._terms
 
     def terms(self) -> tuple[tuple[ExpVec, int], ...]:
-        """All terms in descending canonical order: as stored, where the
-        value's producer wrote them so, and otherwise sorted on each
-        call."""
+        """All terms in descending canonical order, sorted on each call."""
         return tuple(self._items())
 
     def _items(self) -> Iterable[tuple[ExpVec, int]]:
         # the terms in descending canonical order, a fresh iterator on each
-        # call: the dict's items as stored where the producer wrote them in
-        # that order, and otherwise its keys sorted, each with its
-        # coefficient; _Column walks its exponent list instead
+        # call: the dict's keys sorted, each with its coefficient; _Column
+        # walks its exponent list instead
         d = self._terms
-        if self._ordered:
-            return d.items()
         keys = sorted(d, reverse=True)
         return zip(keys, map(d.__getitem__, keys))
 
@@ -327,8 +316,7 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly._raw({exp: -coeff for exp, coeff in self._terms.items()},
-                                self._ordered)
+        return LaurentPoly._raw({exp: -coeff for exp, coeff in self._terms.items()})
 
     def __sub__(self, other) -> LaurentPoly:
         other = self._coerce(other)
@@ -413,11 +401,10 @@ class LaurentPoly:
         One pass over the terms in descending canonical order pays per
         term: a term is its sign, its magnitude, its ``p`` factor, read
         from a dict kept for this value, and its ``q`` factor, formatted in
-        place.  A value its producer wrote in that order is walked as
-        stored; any other value's keys are sorted on each call.  A torus
-        value's exponent list is written by slice fills, with one ``str``
-        per term and no term dict at all.  Nothing is cached past the
-        call, so a second call pays again.
+        place.  The value's keys are sorted on each call.  A torus value's
+        exponent list is written by slice fills, with one ``str`` per term
+        and no term dict at all.  Nothing is cached past the call, so a
+        second call pays again.
         """
         return _render(_text, _column_text, self)
 
@@ -487,7 +474,6 @@ class _Column(LaurentPoly):
 
     def __init__(self, exps: list[int]):
         self._exps = exps
-        self._ordered = True
 
     def __getattr__(self, name):
         # runs only where ordinary lookup fails: _terms before it is built
@@ -755,10 +741,10 @@ def format_poly(f: LaurentPoly, mode: str = "text") -> str:
 
     The JSON form is byte-identical to
     ``json.dumps(f.to_json_obj(), indent=2)``.  Like ``text``, it makes one
-    pass over the terms in descending canonical order: as stored, where
-    ``f``'s producer wrote them so, and otherwise by sorted keys.  A plain
-    int ``f`` is the constant it names; any other type that is not a
-    ``LaurentPoly`` raises ``TypeError``.
+    pass over the terms in descending canonical order, by sorted keys, or
+    over a torus value's column.  A plain int ``f`` is the constant it
+    names; any other type that is not a ``LaurentPoly`` raises
+    ``TypeError``.
     """
     f = _require_poly("f", f)
     if mode == "text":
@@ -1244,8 +1230,7 @@ def _div_by_runs(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         else:
             cs = accumulate(repeat(rho, length - 1), mul, initial=t)
         quot.update(zip(zip(qs, ps), cs))
-    # one chain's runs descend, each below the one before it
-    return LaurentPoly._raw(quot, len(chains) == 1)
+    return LaurentPoly._raw(quot)
 
 
 def _div_by_heap(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
@@ -1299,8 +1284,7 @@ def _div_by_heap(num: LaurentPoly, den: LaurentPoly) -> LaurentPoly:
         quot[(-nq - lead_q, -np - lead_p)] = t_coeff
         for oq, op, dc in tail:
             _sub_term(rem, heap, (nq + oq, np + op), t_coeff * dc)
-    # written in heap-pop order, which descends
-    return LaurentPoly._raw(quot, True)
+    return LaurentPoly._raw(quot)
 
 
 def _sub_term(rem: dict[ExpVec, int], heap: list[ExpVec], key: ExpVec, value: int):
@@ -1388,8 +1372,7 @@ def sqrt_perfect_square(f: LaurentPoly) -> LaurentPoly:
             _sub_term(rem, heap, (tq - rq, tp - rp), 2 * t_coeff * rc)
         _sub_term(rem, heap, (2 * tq, 2 * tp), t_coeff * t_coeff)
         root[(-tq, -tp)] = t_coeff
-    # the head, then the rest in heap-pop order, which descends
-    return LaurentPoly._raw(root, True)
+    return LaurentPoly._raw(root)
 
 
 RationalLike = Union[int, "Fraction"]

@@ -30,7 +30,8 @@ only when something else reads the value (``==``, ``hash``, arithmetic,
 ``is_zero``, ``leading_term``), and then replaces it.  When m + T
 would pass ``laurent.MAX_WORK``, read at the call, the kernel's budget
 rule raises ``BudgetExceededError`` (a ``ValueError``) before any term
-is built, and ``checks`` prices a walk's last D(n, 2) by the same count.
+is built; ``checks`` prices a walk's last D(n, 2) by the same count, and
+``scripts/torus_table.py`` a whole table by their sum.
 The quotient above remains the independent check: the tests and the
 acceptance gate compare the two, and ``checks.torus2_counterexamples``
 compares ``alexander_torus(n, 2)`` with the division in
@@ -100,8 +101,13 @@ def _product_form(n: int, l: int) -> tuple[int, int, int, int, int]:
     _require_budget(m + 1, *why)
     r = c * pow(m, -1, g) % g
     s = (c - r * m) // g
-    _require_budget(m + (r + 1) * (s + 1) + (g - 1 - r) * (m - 1 - s), *why)
+    _require_budget(_work(m, g, r, s), *why)
     return m, g, c, r, s
+
+
+def _work(m: int, g: int, r: int, s: int) -> int:
+    # the m walk steps and T terms of D(n, l), from _product_form's values
+    return m + (r + 1) * (s + 1) + (g - 1 - r) * (m - 1 - s)
 
 
 # q^(1/2) + q^(-1/2), the divisor of every l = 2 value

@@ -40,6 +40,19 @@ def test_torus_table_refuses_a_bound_below_2(bound):
     assert "--bound must be at least 2" in proc.stderr
 
 
+@pytest.mark.parametrize("bound", ["111", "4000000"])
+def test_torus_table_refuses_a_table_past_the_work_budget(bound):
+    # the table's walk steps and terms first pass the budget at --bound 111
+    # (4,079,583; 3,929,069 at 110): refused before the first row
+    proc = run_script("torus_table.py", "--bound", bound)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.endswith(
+        f"error: the table up to --bound {bound} is over the budget of 4000000 "
+        "walk steps and terms\n"
+    )
+
+
 def test_number_tables_lists_every_family():
     proc = run_script("number_tables.py", "--max-n", "8")
     assert proc.returncode == 0, proc.stderr
